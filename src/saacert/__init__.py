@@ -60,7 +60,6 @@ from .moments import (
     HolderEstimate,
     VarianceProfile,
     estimate_holder,
-    panchenko_vhat,
     panchenko_vhat_singleton,
     self_normalized,
     sigma0_breve,

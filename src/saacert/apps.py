@@ -74,16 +74,27 @@ class ReturnsDataset:
     @classmethod
     def synthetic(cls, assets: int, n: int, seed: int, dist="gaussian",
                   means=None, scale: float = 0.05) -> "ReturnsDataset":
-        d = make_distribution(dist) if isinstance(dist, str) else dist
-        means = (np.linspace(0.01, 0.03, assets) if means is None
-                 else np.asarray(means, dtype=float))
-        if means.shape != (assets,):
-            raise ConfigError("means must have one entry per asset",
-                              assets=assets, got=means.shape)
-        rng = np.random.default_rng(seed)
-        draws = d.sample(rng, n * assets).reshape(n, assets)
-        return cls(returns=means + scale * (draws - d.mean),
+        d, draw = _returns_sampler(assets, dist, means, scale)
+        return cls(returns=draw(np.random.default_rng(seed), n),
                    source=f"synthetic(seed={seed}, dist={d.name})")
+
+
+def _returns_sampler(assets: int, dist="gaussian", means=None,
+                     scale: float = 0.05):
+    """Distribution and sampler of return rows: means + scale * (centred
+    draws of the distribution); ``synthetic`` draws its dataset with it."""
+    d = make_distribution(dist) if isinstance(dist, str) else dist
+    means = (np.linspace(0.01, 0.03, assets) if means is None
+             else np.asarray(means, dtype=float))
+    if means.shape != (assets,):
+        raise ConfigError("means must have one entry per asset",
+                          assets=assets, got=means.shape)
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        draws = d.sample(rng, count * assets).reshape(count, assets)
+        return means + scale * (draws - d.mean)
+
+    return d, draw
 
 
 @dataclass
@@ -215,13 +226,7 @@ def build_lasso(features, response, radius: float,
     d = features.shape[1]
     diag = None
     if weighted:
-        diag = np.sqrt(np.mean(features ** 2, axis=0))
-        bad = np.flatnonzero(diag <= 0)
-        if bad.size:
-            raise DegenerateFeatureError(
-                "features with zero second moment cannot be rescaled",
-                indices=bad.tolist())
-        features = features / diag
+        features, diag = _rms_scaled(features)
     data = np.hstack([features, response[:, None]])
 
     def f0(x, xis):
@@ -256,11 +261,16 @@ def lasso_scenarios(problem_or_features, response=None,
     features = np.atleast_2d(np.asarray(problem_or_features, dtype=float))
     resp = np.asarray(response, dtype=float).ravel()
     if weighted:
-        diag = np.sqrt(np.mean(features ** 2, axis=0))
-        bad = np.flatnonzero(diag <= 0)
-        if bad.size:
-            raise DegenerateFeatureError(
-                "features with zero second moment cannot be rescaled",
-                indices=bad.tolist())
-        features = features / diag
+        features, _ = _rms_scaled(features)
     return ScenarioSet(np.hstack([features, resp[:, None]]))
+
+
+def _rms_scaled(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Features divided by their root-mean-square diagonal, and the diagonal."""
+    diag = np.sqrt(np.mean(features ** 2, axis=0))
+    bad = np.flatnonzero(diag <= 0)
+    if bad.size:
+        raise DegenerateFeatureError(
+            "features with zero second moment cannot be rescaled",
+            indices=bad.tolist())
+    return features / diag, diag

@@ -4,26 +4,30 @@ Two complementary toolkits live here:
 
 * the *a priori* side -- sample-size rules of the form
   ``N >= C * sigma^2 * (ln m + ln(1/p)) / eps^2`` with the variance proxy
-  ``sigma`` assembled from a :class:`~saacert.moments.VarianceProfile`
-  according to which guarantees are requested, packaged as a
-  :class:`Certificate`;
+  ``sigma`` assembled from a :class:`~saacert.moments.VarianceProfile`,
+  packaged as a :class:`Certificate`; one table gives each (theorem, scope)
+  its sigma components and guaranteed events;
 * the *a posteriori* side -- deterministic deviation ledgers over grids and
   the checker that turns ledger inequalities into set-inclusion and
   optimality conclusions (``check_certificates``), together with grid
   estimates of the metric-regularity constant and the relaxation gaps.
+  Each checker scheme is one table row composing hypotheses, ledger
+  inequalities (F, C1, C1+/-, C2, C2-, P, P-, M0, M, M-) and conclusions,
+  each defined once by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, SlaterMarginError
-from .geometry import cross_dists, dists_to
+from .geometry import dists_to
 from .moments import VarianceProfile
-from .problem import EmpiricalProblem, RelaxedSetQuery, StochasticProgram, relaxed_set_grid
+from .problem import EmpiricalProblem, StochasticProgram, _constraint_table
 
 _THEOREMS = ("fixed", "exterior", "interior")
 
@@ -50,6 +54,9 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
     if sigma_hat < 0 or constant <= 0:
         raise ConfigError("sigma_hat must be >= 0 and constant > 0",
                           sigma_hat=sigma_hat, constant=constant)
+    if not all(math.isfinite(v) for v in (eps, sigma_hat, constant)):
+        raise ConfigError("eps, sigma_hat and constant must be finite",
+                          eps=eps, sigma_hat=sigma_hat, constant=constant)
     if theorem == "fixed":
         log_term = math.log(1.0 / p)
     else:
@@ -69,56 +76,85 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
     return max(1, math.ceil(n - 1e-12))
 
 
-# which profile entries feed sigma for each (theorem, scope)
-_BASE_COMPONENTS = {
-    ("fixed", "near_optimality"): ["sigma0_hat_X"],
-    ("fixed", "value_lower"): ["sigma0_hat_X", "sigma0_breve_z"],
-    ("fixed", "value_upper"): ["sigma0_breve_x_star"],
-    ("exterior", "feasibility"): ["sigmaI_hat_Y", "sigmaI_breve_z"],
-    ("exterior", "optimality"): ["sigmaI_hat_Y", "sigmaI_breve_z",
-                                 "sigmaI_breve_x_star", "sigma0_hat_ext"],
-    ("exterior", "value"): ["sigmaI_hat_Y", "sigmaI_breve_z",
-                            "sigmaI_breve_x_star", "sigma0_hat_ext",
-                            "sigma0_breve_x_star"],
-    ("interior", "feasibility"): ["sigmaI_hat_active0", "sigmaI_breve_y",
-                                  "sigmaI_breve_z"],
-    ("interior", "optimality"): ["sigmaI_hat_active0", "sigmaI_breve_y",
-                                 "sigmaI_breve_z", "sigmaI_breve_y_star",
-                                 "sigma0_hat_X"],
-    ("interior", "value"): ["sigmaI_hat_active0", "sigmaI_breve_y",
-                            "sigmaI_breve_z", "sigmaI_breve_y_star",
-                            "sigma0_hat_X", "sigma0_breve_y_star"],
+# per theorem and scope: the profile entries whose max gives sigma, and the
+# events the certificate guarantees; scope "all" joins every scope in order
+_GUARANTEES = {
+    "fixed": {
+        "near_optimality": (["sigma0_hat_X"], [
+            ("near-optimal-subset",
+             "every eps-near empirical minimizer is 2*eps-near optimal")]),
+        "value_lower": (["sigma0_hat_X", "sigma0_breve_z"], [
+            ("value-lower", "true optimum - 2*eps <= empirical optimum")]),
+        "value_upper": (["sigma0_breve_x_star"], [
+            ("value-upper", "empirical optimum <= true optimum + eps")]),
+    },
+    "exterior": {
+        "feasibility": (["sigmaI_hat_Y", "sigmaI_breve_z"], [
+            ("feasible-relaxed", "empirically feasible points satisfy "
+             "constraints at level 2*eps"),
+            ("feasible-exterior", "empirically feasible points lie within "
+             "2*c*eps of the feasible set")]),
+        "optimality": (
+            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
+             "sigma0_hat_ext"],
+            [("distance",
+              "one-sided deviation of the empirical set is <= 2*c*eps"),
+             ("near-optimal-value", "eps-near empirical minimizers cost at "
+              "most true optimum + 2*eps")]),
+        "value": (
+            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
+             "sigma0_hat_ext", "sigma0_breve_x_star"],
+            [("value-upper", "empirical optimum <= true optimum + eps"),
+             ("value-lower", "true optimum <= empirical optimum + eps + "
+              "relaxation gain at 2*eps")]),
+    },
+    "interior": {
+        "feasibility": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z"],
+            [("feasible-hard", "empirically feasible points satisfy every "
+              "constraint exactly (no relaxation)")]),
+        "optimality": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
+             "sigmaI_breve_y_star", "sigma0_hat_X"],
+            [("near-optimal-subset", "eps-near empirical minimizers are "
+              "(2*eps + interior gap)-near optimal")]),
+        "value": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
+             "sigmaI_breve_y_star", "sigma0_hat_X", "sigma0_breve_y_star"],
+            [("value-upper", "empirical optimum <= true optimum + eps + "
+              "interior gap at 2*eps"),
+             ("value-lower", "true optimum <= empirical optimum + 2*eps")]),
+    },
 }
-_SCOPES = {
-    "fixed": ("near_optimality", "value_lower", "value_upper", "all"),
-    "exterior": ("feasibility", "optimality", "value", "all"),
-    "interior": ("feasibility", "optimality", "value", "all"),
-}
+_RELAXATION = {"fixed": "none", "exterior": "+eps", "interior": "-eps"}
+_ASSUMPTIONS = {"exterior": ["metric regularity of the feasible set"],
+                "interior": ["Slater point with margin at least 2*eps"]}
 # for convex programs, the exterior whole-set bound can be swapped for the
 # active-set bound plus a pointwise term at an interior point
 _LOCALIZED_SWAP = {"sigmaI_hat_Y": ["sigmaI_hat_active", "sigmaI_breve_y"]}
 
 
+def _scope_terms(theorem: str, scope: str) -> tuple[list, list]:
+    """Sigma components and events of one guarantee scope."""
+    scopes = _GUARANTEES.get(theorem, {})
+    allowed = [*scopes, "all"] if scopes else []
+    if scope not in allowed:
+        raise ConfigError(f"unknown scope {scope!r} for theorem {theorem!r}",
+                          allowed=allowed)
+    picked = list(scopes.values()) if scope == "all" else [scopes[scope]]
+    names = list(dict.fromkeys(name for comps, _ in picked for name in comps))
+    return names, [event for _, events in picked for event in events]
+
+
 def components_for(theorem: str, scope: str, localized: bool = False) -> list[str]:
     """Profile entry names whose max gives sigma for this guarantee scope."""
-    if theorem not in _SCOPES or scope not in _SCOPES[theorem]:
-        raise ConfigError(f"unknown scope {scope!r} for theorem {theorem!r}",
-                          allowed=list(_SCOPES.get(theorem, ())))
-    if scope == "all":
-        last = _SCOPES[theorem][-2]
-        names = list(_BASE_COMPONENTS[(theorem, last)])
-        if theorem == "fixed":
-            names = ["sigma0_hat_X", "sigma0_breve_z", "sigma0_breve_x_star"]
-    else:
-        names = list(_BASE_COMPONENTS[(theorem, scope)])
+    names, _ = _scope_terms(theorem, scope)
     if localized:
         if theorem != "exterior":
             raise ConfigError("localized sigma assembly applies to exterior "
                               "certificates only", theorem=theorem)
-        swapped = []
-        for name in names:
-            swapped.extend(_LOCALIZED_SWAP.get(name, [name]))
-        names = swapped
+        names = [swap for name in names
+                 for swap in _LOCALIZED_SWAP.get(name, [name])]
     return names
 
 
@@ -133,41 +169,6 @@ def assemble_sigma(profile: VarianceProfile, scope: str,
                           have=sorted(profile.entries))
     used = {name: profile.get(name) for name in names}
     return max(used.values()), used
-
-
-_EVENTS = {
-    ("fixed", "near_optimality"): [
-        ("near-optimal-subset",
-         "every eps-near empirical minimizer is 2*eps-near optimal")],
-    ("fixed", "value_lower"): [
-        ("value-lower", "true optimum - 2*eps <= empirical optimum")],
-    ("fixed", "value_upper"): [
-        ("value-upper", "empirical optimum <= true optimum + eps")],
-    ("exterior", "feasibility"): [
-        ("feasible-relaxed",
-         "empirically feasible points satisfy constraints at level 2*eps"),
-        ("feasible-exterior",
-         "empirically feasible points lie within 2*c*eps of the feasible set")],
-    ("exterior", "optimality"): [
-        ("distance", "one-sided deviation of the empirical set is <= 2*c*eps"),
-        ("near-optimal-value",
-         "eps-near empirical minimizers cost at most true optimum + 2*eps")],
-    ("exterior", "value"): [
-        ("value-upper", "empirical optimum <= true optimum + eps"),
-        ("value-lower",
-         "true optimum <= empirical optimum + eps + relaxation gain at 2*eps")],
-    ("interior", "feasibility"): [
-        ("feasible-hard", "empirically feasible points satisfy every "
-         "constraint exactly (no relaxation)")],
-    ("interior", "optimality"): [
-        ("near-optimal-subset",
-         "eps-near empirical minimizers are (2*eps + interior gap)-near optimal")],
-    ("interior", "value"): [
-        ("value-upper",
-         "empirical optimum <= true optimum + eps + interior gap at 2*eps"),
-        ("value-lower", "true optimum <= empirical optimum + 2*eps")],
-}
-_RELAXATION = {"fixed": "none", "exterior": "+eps", "interior": "-eps"}
 
 
 @dataclass
@@ -219,34 +220,37 @@ class Certificate:
         return out
 
 
+def _certificate(theorem: str, scope: str, sigma: float, components: dict,
+                 eps: float, p: float, m: int, constant: float,
+                 slater_margin: float | None, n_available: int | None,
+                 assumptions: list, localized: bool = False,
+                 details: dict | None = None) -> Certificate:
+    """Sample size, events and assumptions for one assembled sigma."""
+    n_req = sample_size(theorem, sigma, eps, p, m=m, constant=constant,
+                        slater_margin=slater_margin)
+    _, events = _scope_terms(theorem, scope)
+    assumptions = ["compact hard set",
+                   "Holder-continuous integrands in root-mean-square",
+                   *assumptions, *_ASSUMPTIONS.get(theorem, [])]
+    if localized:
+        assumptions.append("convex integrands (attested)")
+    return Certificate(theorem=theorem, scope=scope, eps=eps, p=p,
+                       constant=constant, m=m, sigma_hat=sigma,
+                       sigma_components=components, n_required=n_req,
+                       relaxation=_RELAXATION[theorem], events=events,
+                       assumptions=assumptions, localized=localized,
+                       n_available=n_available, details=details or {})
+
+
 def certificate_from_sigma(theorem: str, sigma_hat: float, eps: float,
                            p: float, m: int = 0, constant: float = 1.0,
                            scope: str = "all",
                            slater_margin: float | None = None,
                            n_available: int | None = None) -> Certificate:
     """Certificate from a user-supplied variance aggregate."""
-    n_req = sample_size(theorem, sigma_hat, eps, p, m=m, constant=constant,
-                        slater_margin=slater_margin)
-    scopes = [s for s in _SCOPES[theorem][:-1]] if scope == "all" else [scope]
-    if any((theorem, s) not in _EVENTS for s in scopes):
-        raise ConfigError(f"unknown scope {scope!r} for theorem {theorem!r}",
-                          allowed=list(_SCOPES[theorem]))
-    events = []
-    for s in scopes:
-        events.extend(_EVENTS[(theorem, s)])
-    assumptions = ["compact hard set",
-                   "Holder-continuous integrands in root-mean-square",
-                   "variance aggregate supplied by caller"]
-    if theorem == "exterior":
-        assumptions.append("metric regularity of the feasible set")
-    if theorem == "interior":
-        assumptions.append("Slater point with margin at least 2*eps")
-    return Certificate(theorem=theorem, scope=scope, eps=eps, p=p,
-                       constant=constant, m=m, sigma_hat=sigma_hat,
-                       sigma_components={"sigma": sigma_hat},
-                       n_required=n_req, relaxation=_RELAXATION[theorem],
-                       events=events, assumptions=assumptions,
-                       n_available=n_available)
+    return _certificate(theorem, scope, sigma_hat, {"sigma": sigma_hat}, eps,
+                        p, m, constant, slater_margin, n_available,
+                        ["variance aggregate supplied by caller"])
 
 
 def certificate_from_profile(profile: VarianceProfile, eps: float, p: float,
@@ -255,32 +259,14 @@ def certificate_from_profile(profile: VarianceProfile, eps: float, p: float,
                              slater_margin: float | None = None,
                              n_available: int | None = None) -> Certificate:
     """Assemble sigma for the scope and turn it into a sample-size pledge."""
-    theorem = profile.theorem
     sigma, used = assemble_sigma(profile, scope, localized)
-    n_req = sample_size(theorem, sigma, eps, p, m=m, constant=constant,
-                        slater_margin=slater_margin)
-    scopes = [s for s in _SCOPES[theorem][:-1]] if scope == "all" else [scope]
-    events = []
-    for s in scopes:
-        events.extend(_EVENTS[(theorem, s)])
-    assumptions = ["compact hard set",
-                   "Holder-continuous integrands in root-mean-square"]
-    if theorem == "exterior":
-        assumptions.append("metric regularity of the feasible set")
-    if theorem == "interior":
-        assumptions.append("Slater point with margin at least 2*eps")
-    if localized:
-        assumptions.append("convex integrands (attested)")
     details = {"anchors": {k: np.asarray(v).tolist()
                            for k, v in profile.anchors.items()}}
     details.update({k: v for k, v in profile.details.items()
                     if isinstance(v, (int, float, str))})
-    return Certificate(theorem=theorem, scope=scope, eps=eps, p=p,
-                       constant=constant, m=m, sigma_hat=sigma,
-                       sigma_components=used, n_required=n_req,
-                       relaxation=_RELAXATION[theorem], events=events,
-                       assumptions=assumptions, localized=localized,
-                       n_available=n_available, details=details)
+    return _certificate(profile.theorem, scope, sigma, used, eps, p, m,
+                        constant, slater_margin, n_available, [],
+                        localized, details)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +306,7 @@ def estimate_regularity(program: StochasticProgram, h: float,
         return RegularityEstimate(0.0, 0, 0, 0.0, True, "no-constraints")
     grid = program.space.grid(h)
     min_violation = 2 * h if min_violation is None else min_violation
-    worst = np.full(len(grid), -np.inf)
-    for i in range(1, program.n_constraints + 1):
-        worst = np.maximum(worst, program.true_fn_grid(i, grid))
+    worst = _constraint_table(program, grid).max(axis=0)
     feas_pts = grid[worst <= 1e-12]
     if len(feas_pts) == 0:
         raise EmptySampleError("population feasible set has no grid points",
@@ -393,11 +377,8 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     space = program.space
     grid = space.grid(h)
     f_vals = program.true_fn_grid(0, grid)
-    worst = np.full(len(grid), -np.inf)
-    for i in range(1, program.n_constraints + 1):
-        worst = np.maximum(worst, program.true_fn_grid(i, grid))
-    if program.n_constraints == 0:
-        worst = np.zeros(len(grid))
+    worst = (_constraint_table(program, grid).max(axis=0)
+             if program.n_constraints else np.zeros(len(grid)))
     feas = worst <= 1e-12
     if not np.any(feas):
         raise EmptySampleError("population feasible set has no grid points", h=h)
@@ -423,11 +404,8 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     best_mod = math.inf
     for z in grid[anchor_mask]:
         in_ball = dists_to(grid, z, space.norm) <= radius + 1e-12
-        pts, vals = grid[in_ball], f_vals[in_ball]
-        if len(pts) < 2:
-            best_mod = min(best_mod, 0.0)
-            continue
-        best_mod = min(best_mod, _local_modulus(pts, vals, alpha0, space.norm))
+        best_mod = min(best_mod, _local_modulus(grid[in_ball], f_vals[in_ball],
+                                                alpha0, space.norm))
     if not math.isfinite(best_mod):
         best_mod = 0.0
     return GapBounds(kind=kind, gamma=gamma, value=max(value, 0.0),
@@ -500,8 +478,9 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
     levels = list(dict.fromkeys(float(lv) for lv in levels))
     tol_active = h if tol_active is None else tol_active
 
-    f_true = np.stack([program.true_fn_grid(i, grid) for i in range(m + 1)])
-    f_hat = np.stack([emp.fhat_grid(i, grid) for i in range(m + 1)])
+    f_true = np.vstack([program.true_fn_grid(0, grid),
+                        _constraint_table(program, grid)])
+    f_hat = np.vstack([emp.fhat_grid(0, grid), _constraint_table(emp, grid)])
 
     Delta_Y = np.array([max(0.0, float(np.max(f_true[i] - f_hat[i])))
                         for i in range(1, m + 1)]) if m else np.zeros(0)
@@ -522,17 +501,14 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
     delta_at, delta_obj_at, Delta0 = {}, {}, {}
     for name, pt in anchors.items():
         pt = np.asarray(pt, dtype=float)
-        devs = np.array([max(0.0, emp.fhat(i, pt) - program.true_fn(i, pt))
-                         for i in range(1, m + 1)])
-        delta_at[name] = devs
-        delta_obj_at[name] = max(0.0, emp.fhat(0, pt) - program.true_fn(0, pt))
+        delta_at[name] = np.array([max(0.0, emp.fhat(i, pt)
+                                       - program.true_fn(i, pt))
+                                   for i in range(1, m + 1)])
         f_z, fh_z = program.true_fn(0, pt), emp.fhat(0, pt)
+        delta_obj_at[name] = max(0.0, fh_z - f_z)
         for j, mask in enumerate(level_masks):
-            if np.any(mask):
-                shifted = (f_true[0][mask] - f_z) - (f_hat[0][mask] - fh_z)
-                Delta0[(name, j)] = max(0.0, float(np.max(shifted)))
-            else:
-                Delta0[(name, j)] = 0.0
+            shifted = (f_true[0][mask] - f_z) - (f_hat[0][mask] - fh_z)
+            Delta0[(name, j)] = max(0.0, float(shifted.max(initial=-np.inf)))
 
     return DeviationLedger(gamma=gamma, h=h, tol_active=tol_active, m=m,
                            anchors={k: np.asarray(v, dtype=float)
@@ -592,8 +568,146 @@ class CheckReport:
         }
 
 
-CHECK_SCHEMES = ("F", "C1C2", "C1plusC2", "C1negC2neg", "M0", "P",
-                 "exterior", "exterior_convex", "interior")
+def _inputs(emp: EmpiricalProblem, ledger: DeviationLedger, params: dict,
+            anchors: dict) -> SimpleNamespace:
+    """What the clause builders read.  Per anchor role: the population
+    constraint values ``cons``, their max ``top`` and the ledger's upward
+    deviations ``delta``."""
+    m = emp.program.n_constraints
+    cons = {role: np.array([emp.program.true_fn(i, ledger.anchors[name])
+                            for i in range(1, m + 1)])
+            for role, name in anchors.items()}
+    return SimpleNamespace(
+        m=m, convex=bool(emp.program.convex), eps=emp.relaxations,
+        ledger=ledger, params=params, at=anchors, cons=cons,
+        top={role: v.max() if m else float("-inf")
+             for role, v in cons.items()},
+        delta={role: ledger.delta(name) for role, name in anchors.items()},
+        gamma=params.get("gamma", ledger.gamma), t=params.get("t"),
+        t1=params.get("t1", 0.0))
+
+
+def _rows(c: SimpleNamespace, lhs: np.ndarray, rhs) -> list:
+    """(lhs_i, rhs(eps_i)) for each constraint i."""
+    return [(float(lhs[i]), rhs(float(c.eps[i]))) for i in range(c.m)]
+
+
+def _anchor_feasible(remark: str = ""):
+    return lambda c: (bool(np.all(c.cons["x_star"] <= 1e-9)),
+                      "x_star must satisfy the population constraints"
+                      + remark)
+
+
+# Clause tables.  A key is the name a report shows; text after a "/" only
+# tells apart variants of one name.  Hypotheses give (ok, note).
+_HYPOTHESES = {
+    "gamma-nonnegative": lambda c: (c.gamma >= 0, f"gamma={c.gamma}"),
+    "gamma-positive": lambda c: (c.gamma > 0, f"gamma={c.gamma}"),
+    "convexity-attested": lambda c: (c.convex, ""),
+    "slack-point": lambda c: (
+        bool(np.all(c.cons["y"] < c.params["eps_mid"]))
+        and c.params["eps_mid"] < c.gamma,
+        f"needs f_i(y) < {c.params['eps_mid']} < {c.gamma}; "
+        f"max f_i(y) = {c.top['y']}"),
+    "interior-at-half-level": lambda c: (
+        bool(np.all(c.cons["y"] < c.gamma / 2)),
+        f"needs f_i(y) < gamma/2 = {c.gamma / 2}; "
+        f"max f_i(y) = {c.top['y']}"),
+    "level-within-margin": lambda c: (
+        0 < c.gamma <= c.params["slater_margin"] + 1e-12,
+        f"needs 0 < gamma <= {c.params['slater_margin']}, got {c.gamma}"),
+    "interior-point": lambda c: (
+        bool(np.all(c.cons["y"] < -c.gamma)),
+        f"needs f_i(y) < -gamma = {-c.gamma}; max f_i(y) = {c.top['y']}"),
+    "no-stochastic-constraints": lambda c: (
+        c.m == 0, f"scheme M0 needs m=0, got m={c.m}"),
+    "tolerances-ordered": lambda c: (0 <= c.t1 <= c.t, f"t={c.t}, t1={c.t1}"),
+    "anchor-in-feasible-set": _anchor_feasible(),
+    "anchor-in-feasible-set/attested": _anchor_feasible(
+        " (optimality is attested)"),
+    "anchor-in-tightened-set": lambda c: (
+        bool(np.all(c.cons["y_star"] <= -c.gamma + 1e-9)),
+        "y_star must satisfy constraints at -gamma "
+        "(its optimality there is attested)"),
+}
+# per-constraint ledger inequalities, reported as "<key>[i]"
+_PER_CONSTRAINT = {
+    "F": lambda c: _rows(c, c.ledger.Delta_Y, lambda e: c.gamma - e),
+    "C1": lambda c: _rows(c, c.ledger.Delta_gamma(c.gamma) + c.delta["y"],
+                          lambda e: c.gamma - c.params["eps_mid"]),
+    "C1+": lambda c: _rows(c, c.ledger.Delta_gamma(c.gamma) + c.delta["y"],
+                           lambda e: c.gamma / 2),
+    "C1-": lambda c: _rows(c, c.ledger.Delta_gamma(0.0) + c.delta["y"],
+                           lambda e: c.gamma),
+    "C2": lambda c: _rows(c, c.ledger.Delta_gamma(c.gamma),
+                          lambda e: c.gamma - e),
+    "C2-": lambda c: _rows(c, c.ledger.Delta_gamma(0.0), lambda e: -e),
+    "P": lambda c: _rows(c, c.delta["x_star"], lambda e: e),
+    "P-": lambda c: _rows(c, c.delta["y_star"], lambda e: c.gamma + e),
+}
+# anchored objective inequalities: (lhs, rhs)
+_OBJECTIVE = {
+    "M0": lambda c: (c.ledger.Delta0_at(c.at["x_star"], 0.0), c.t - c.t1),
+    "M": lambda c: (c.ledger.Delta0_at(c.at["x_star"], c.gamma), c.t - c.t1),
+    "M-": lambda c: (c.ledger.Delta0_at(c.at["y_star"], 0.0), c.t - c.t1),
+}
+# conclusions, formatted with gamma, t and t1
+_CONCLUSIONS = {
+    "subset-relaxed": "every empirically feasible point satisfies all "
+                      "constraints at level {gamma}",
+    "subset-hard": "every empirically feasible point satisfies every "
+                   "constraint exactly",
+    "anchor-feasible/anchored": "the anchored minimizer is empirically "
+                                "feasible",
+    "anchor-feasible/population": "the population minimizer is "
+                                  "empirically feasible",
+    "anchor-feasible/tightened": "the tightened-problem minimizer is "
+                                 "empirically feasible",
+    "near-optimal-subset": "every {t1}-near empirical minimizer is "
+                           "{t}-near optimal",
+    "near-optimal-subset/tightened": "every {t1}-near empirical minimizer "
+                                     "is within {t} + (tightening cost at "
+                                     "{gamma}) of optimal",
+    "near-optimal-value": "every {t1}-near empirical minimizer costs at "
+                          "most the true optimum + {t}",
+}
+
+# One row per scheme, each field a space-separated list of keys: required
+# params, anchor roles (the ledger anchor is params[role], else role),
+# hypotheses, conditions and conclusions.  Per-constraint conditions are
+# interleaved, C[1], D[1], C[2], D[2], ..., and objective ones follow.
+_SCHEMES = {
+    "F": ("", "", "gamma-nonnegative", "F", "subset-relaxed"),
+    "C1C2": ("eps_mid", "y", "convexity-attested slack-point", "C1 C2",
+             "subset-relaxed"),
+    "C1plusC2": (
+        "", "y", "convexity-attested gamma-positive interior-at-half-level",
+        "C1+ C2", "subset-relaxed"),
+    "C1negC2neg": (
+        "slater_margin", "y",
+        "convexity-attested level-within-margin interior-point", "C1- C2-",
+        "subset-hard"),
+    "M0": ("t", "x_star", "no-stochastic-constraints tolerances-ordered",
+           "M0", "near-optimal-subset"),
+    "P": ("", "x_star", "", "P", "anchor-feasible/anchored"),
+    "exterior": (
+        "t", "x_star",
+        "gamma-nonnegative tolerances-ordered "
+        "anchor-in-feasible-set/attested", "F P M",
+        "subset-relaxed anchor-feasible/population near-optimal-value"),
+    "exterior_convex": (
+        "t", "x_star y",
+        "convexity-attested gamma-positive tolerances-ordered "
+        "interior-at-half-level anchor-in-feasible-set", "C1+ C2 P M",
+        "subset-relaxed anchor-feasible/population near-optimal-value"),
+    "interior": (
+        "t slater_margin", "y y_star",
+        "convexity-attested level-within-margin tolerances-ordered "
+        "interior-point anchor-in-tightened-set", "C1- C2- P- M-",
+        "subset-hard anchor-feasible/tightened "
+        "near-optimal-subset/tightened"),
+}
+CHECK_SCHEMES = tuple(_SCHEMES)
 
 
 def check_certificates(emp: EmpiricalProblem, ledger: DeviationLedger,
@@ -605,212 +719,32 @@ def check_certificates(emp: EmpiricalProblem, ledger: DeviationLedger,
     failures are inspectable.
     """
     params = dict(params or {})
-    program = emp.program
-    m = program.n_constraints
-    eps_hat = emp.relaxations
-    gamma = params.get("gamma", ledger.gamma)
-    conds: list[Condition] = []
-    hyps: list[Hypothesis] = []
-    concl: list[str] = []
-
-    def anchor(name_key: str, default: str) -> str:
-        name = params.get(name_key, default)
+    if scheme not in CHECK_SCHEMES:
+        raise ConfigError(f"unknown checker scheme {scheme!r}",
+                          allowed=list(CHECK_SCHEMES))
+    required, roles, hyp_keys, cond_keys, concl_keys = (
+        keys.split() for keys in _SCHEMES[scheme])
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ConfigError(f"checker scheme {scheme!r} needs params {missing}",
+                          missing=missing, required=required)
+    anchors = {role: params.get(role, role) for role in roles}
+    for name in anchors.values():
         if name not in ledger.anchors:
             raise ConfigError(f"ledger has no anchor {name!r}",
                               available=sorted(ledger.anchors))
-        return name
-
-    def true_cons(pt) -> np.ndarray:
-        return np.array([program.true_fn(i, pt) for i in range(1, m + 1)])
-
-    if scheme == "F":
-        hyps.append(Hypothesis("gamma-nonnegative", gamma >= 0,
-                               f"gamma={gamma}"))
-        for i in range(m):
-            conds.append(Condition(f"F[{i + 1}]", float(ledger.Delta_Y[i]),
-                                   gamma - float(eps_hat[i])))
-        concl.append(f"subset-relaxed: every empirically feasible point "
-                     f"satisfies all constraints at level {gamma}")
-
-    elif scheme == "C1C2":
-        eps_mid = params["eps_mid"]
-        y = anchor("y", "y")
-        fy = true_cons(ledger.anchors[y])
-        hyps.append(Hypothesis("convexity-attested", bool(program.convex)))
-        hyps.append(Hypothesis("slack-point", bool(np.all(fy < eps_mid)) and eps_mid < gamma,
-                               f"needs f_i(y) < {eps_mid} < {gamma}; "
-                               f"max f_i(y) = {fy.max() if m else float('-inf')}"))
-        dg = ledger.Delta_gamma(gamma)
-        dy = ledger.delta(y)
-        for i in range(m):
-            conds.append(Condition(f"C1[{i + 1}]", float(dg[i] + dy[i]),
-                                   gamma - eps_mid))
-            conds.append(Condition(f"C2[{i + 1}]", float(dg[i]),
-                                   gamma - float(eps_hat[i])))
-        concl.append(f"subset-relaxed: every empirically feasible point "
-                     f"satisfies all constraints at level {gamma}")
-
-    elif scheme == "C1plusC2":
-        y = anchor("y", "y")
-        fy = true_cons(ledger.anchors[y])
-        hyps.append(Hypothesis("convexity-attested", bool(program.convex)))
-        hyps.append(Hypothesis("gamma-positive", gamma > 0, f"gamma={gamma}"))
-        hyps.append(Hypothesis("interior-at-half-level",
-                               bool(np.all(fy < gamma / 2)),
-                               f"needs f_i(y) < gamma/2 = {gamma / 2}; "
-                               f"max f_i(y) = {fy.max() if m else float('-inf')}"))
-        dg = ledger.Delta_gamma(gamma)
-        dy = ledger.delta(y)
-        for i in range(m):
-            conds.append(Condition(f"C1+[{i + 1}]", float(dg[i] + dy[i]),
-                                   gamma / 2))
-            conds.append(Condition(f"C2[{i + 1}]", float(dg[i]),
-                                   gamma - float(eps_hat[i])))
-        concl.append(f"subset-relaxed: every empirically feasible point "
-                     f"satisfies all constraints at level {gamma}")
-
-    elif scheme == "C1negC2neg":
-        margin = params["slater_margin"]
-        y = anchor("y", "y")
-        fy = true_cons(ledger.anchors[y])
-        hyps.append(Hypothesis("convexity-attested", bool(program.convex)))
-        hyps.append(Hypothesis("level-within-margin", 0 < gamma <= margin + 1e-12,
-                               f"needs 0 < gamma <= {margin}, got {gamma}"))
-        hyps.append(Hypothesis("interior-point", bool(np.all(fy < -gamma)),
-                               f"needs f_i(y) < -gamma = {-gamma}; "
-                               f"max f_i(y) = {fy.max() if m else float('-inf')}"))
-        d0 = ledger.Delta_gamma(0.0)
-        dy = ledger.delta(y)
-        for i in range(m):
-            conds.append(Condition(f"C1-[{i + 1}]", float(d0[i] + dy[i]), gamma))
-            conds.append(Condition(f"C2-[{i + 1}]", float(d0[i]),
-                                   -float(eps_hat[i])))
-        concl.append("subset-hard: every empirically feasible point "
-                     "satisfies every constraint exactly")
-
-    elif scheme == "M0":
-        t, t1 = params["t"], params.get("t1", 0.0)
-        x_star = anchor("x_star", "x_star")
-        hyps.append(Hypothesis("no-stochastic-constraints", m == 0,
-                               f"scheme M0 needs m=0, got m={m}"))
-        hyps.append(Hypothesis("tolerances-ordered", 0 <= t1 <= t,
-                               f"t={t}, t1={t1}"))
-        conds.append(Condition("M0", ledger.Delta0_at(x_star, 0.0), t - t1))
-        concl.append(f"near-optimal-subset: every {t1}-near empirical "
-                     f"minimizer is {t}-near optimal")
-
-    elif scheme == "P":
-        x_star = anchor("x_star", "x_star")
-        dev = ledger.delta(x_star)
-        for i in range(m):
-            conds.append(Condition(f"P[{i + 1}]", float(dev[i]),
-                                   float(eps_hat[i])))
-        concl.append("anchor-feasible: the anchored minimizer is "
-                     "empirically feasible")
-
-    elif scheme == "exterior":
-        t, t1 = params["t"], params.get("t1", 0.0)
-        x_star = anchor("x_star", "x_star")
-        hyps.append(Hypothesis("gamma-nonnegative", gamma >= 0, f"gamma={gamma}"))
-        hyps.append(Hypothesis("tolerances-ordered", 0 <= t1 <= t,
-                               f"t={t}, t1={t1}"))
-        fx = true_cons(ledger.anchors[x_star])
-        hyps.append(Hypothesis("anchor-in-feasible-set",
-                               bool(np.all(fx <= 1e-9)),
-                               "x_star must satisfy the population "
-                               "constraints (optimality is attested)"))
-        dev = ledger.delta(x_star)
-        for i in range(m):
-            conds.append(Condition(f"F[{i + 1}]", float(ledger.Delta_Y[i]),
-                                   gamma - float(eps_hat[i])))
-            conds.append(Condition(f"P[{i + 1}]", float(dev[i]),
-                                   float(eps_hat[i])))
-        conds.append(Condition("M", ledger.Delta0_at(x_star, gamma), t - t1))
-        concl.append(f"subset-relaxed: every empirically feasible point "
-                     f"satisfies all constraints at level {gamma}")
-        concl.append("anchor-feasible: the population minimizer is "
-                     "empirically feasible")
-        concl.append(f"near-optimal-value: every {t1}-near empirical "
-                     f"minimizer costs at most the true optimum + {t}")
-
-    elif scheme == "exterior_convex":
-        t, t1 = params["t"], params.get("t1", 0.0)
-        x_star = anchor("x_star", "x_star")
-        y = anchor("y", "y")
-        fy = true_cons(ledger.anchors[y])
-        fx = true_cons(ledger.anchors[x_star])
-        hyps.append(Hypothesis("convexity-attested", bool(program.convex)))
-        hyps.append(Hypothesis("gamma-positive", gamma > 0, f"gamma={gamma}"))
-        hyps.append(Hypothesis("tolerances-ordered", 0 <= t1 <= t,
-                               f"t={t}, t1={t1}"))
-        hyps.append(Hypothesis("interior-at-half-level",
-                               bool(np.all(fy < gamma / 2)),
-                               f"needs f_i(y) < gamma/2 = {gamma / 2}; "
-                               f"max f_i(y) = {fy.max() if m else float('-inf')}"))
-        hyps.append(Hypothesis("anchor-in-feasible-set",
-                               bool(np.all(fx <= 1e-9)),
-                               "x_star must satisfy the population constraints"))
-        dg = ledger.Delta_gamma(gamma)
-        dy = ledger.delta(y)
-        dev = ledger.delta(x_star)
-        for i in range(m):
-            conds.append(Condition(f"C1+[{i + 1}]", float(dg[i] + dy[i]),
-                                   gamma / 2))
-            conds.append(Condition(f"C2[{i + 1}]", float(dg[i]),
-                                   gamma - float(eps_hat[i])))
-            conds.append(Condition(f"P[{i + 1}]", float(dev[i]),
-                                   float(eps_hat[i])))
-        conds.append(Condition("M", ledger.Delta0_at(x_star, gamma), t - t1))
-        concl.append(f"subset-relaxed: every empirically feasible point "
-                     f"satisfies all constraints at level {gamma}")
-        concl.append("anchor-feasible: the population minimizer is "
-                     "empirically feasible")
-        concl.append(f"near-optimal-value: every {t1}-near empirical "
-                     f"minimizer costs at most the true optimum + {t}")
-
-    elif scheme == "interior":
-        t, t1 = params["t"], params.get("t1", 0.0)
-        margin = params["slater_margin"]
-        y = anchor("y", "y")
-        y_star = anchor("y_star", "y_star")
-        fy = true_cons(ledger.anchors[y])
-        fys = true_cons(ledger.anchors[y_star])
-        hyps.append(Hypothesis("convexity-attested", bool(program.convex)))
-        hyps.append(Hypothesis("level-within-margin", 0 < gamma <= margin + 1e-12,
-                               f"needs 0 < gamma <= {margin}, got {gamma}"))
-        hyps.append(Hypothesis("tolerances-ordered", 0 <= t1 <= t,
-                               f"t={t}, t1={t1}"))
-        hyps.append(Hypothesis("interior-point", bool(np.all(fy < -gamma)),
-                               f"needs f_i(y) < -gamma = {-gamma}; "
-                               f"max f_i(y) = {fy.max() if m else float('-inf')}"))
-        hyps.append(Hypothesis("anchor-in-tightened-set",
-                               bool(np.all(fys <= -gamma + 1e-9)),
-                               "y_star must satisfy constraints at -gamma "
-                               "(its optimality there is attested)"))
-        d0 = ledger.Delta_gamma(0.0)
-        dy = ledger.delta(y)
-        dys = ledger.delta(y_star)
-        for i in range(m):
-            conds.append(Condition(f"C1-[{i + 1}]", float(d0[i] + dy[i]), gamma))
-            conds.append(Condition(f"C2-[{i + 1}]", float(d0[i]),
-                                   -float(eps_hat[i])))
-            conds.append(Condition(f"P-[{i + 1}]", float(dys[i]),
-                                   gamma + float(eps_hat[i])))
-        conds.append(Condition("M-", ledger.Delta0_at(y_star, 0.0), t - t1))
-        concl.append("subset-hard: every empirically feasible point "
-                     "satisfies every constraint exactly")
-        concl.append("anchor-feasible: the tightened-problem minimizer is "
-                     "empirically feasible")
-        concl.append(f"near-optimal-subset: every {t1}-near empirical "
-                     f"minimizer is within {t} + (tightening cost at "
-                     f"{gamma}) of optimal")
-
-    else:
-        raise ConfigError(f"unknown checker scheme {scheme!r}",
-                          allowed=list(CHECK_SCHEMES))
-
-    report = CheckReport(scheme=scheme, conditions=conds, hypotheses=hyps,
-                         conclusions=concl, params=params)
-    if not report.holds:
-        report.conclusions = []
+    c = _inputs(emp, ledger, params, anchors)
+    hyps = [Hypothesis(key.split("/")[0], *_HYPOTHESES[key](c))
+            for key in hyp_keys]
+    per = [[Condition(f"{key}[{i + 1}]", lhs, rhs)
+            for i, (lhs, rhs) in enumerate(_PER_CONSTRAINT[key](c))]
+           for key in cond_keys if key in _PER_CONSTRAINT]
+    conds = [cond for group in zip(*per) for cond in group]
+    conds += [Condition(key, *_OBJECTIVE[key](c))
+              for key in cond_keys if key in _OBJECTIVE]
+    report = CheckReport(scheme, conds, hyps, [], params)
+    if report.holds:
+        report.conclusions = [
+            key.split("/")[0] + ": " + _CONCLUSIONS[key].format(
+                gamma=c.gamma, t=c.t, t1=c.t1) for key in concl_keys]
     return report

@@ -17,7 +17,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .apps import ReturnsDataset, build_lasso, build_portfolio, cvar, lasso_scenarios
+from .apps import (ReturnsDataset, _returns_sampler, build_lasso,
+                   build_portfolio, cvar, lasso_scenarios)
 from .certify import certificate_from_profile, certificate_from_sigma
 from .distributions import make_distribution
 from .errors import ConfigError, SaacertError
@@ -270,12 +271,7 @@ def _cmd_portfolio(args):
     elif args.synthetic:
         assets, n = (int(v) for v in args.synthetic.split(","))
         dataset = ReturnsDataset.synthetic(assets, n, args.seed)
-        dist = make_distribution("gaussian")
-        means = np.linspace(0.01, 0.03, assets)
-
-        def sampler(rng, count):
-            draws = dist.sample(rng, count * assets).reshape(count, assets)
-            return means + 0.05 * (draws - dist.mean)
+        _, sampler = _returns_sampler(assets)
     else:
         raise ConfigError("portfolio needs --returns or --synthetic")
     problem = build_portfolio(dataset, args.p, args.beta, sampler=sampler)

@@ -628,8 +628,3 @@ def set_deviation(a: np.ndarray, b: np.ndarray, norm: str = "l2",
         block = cross_dists(a[start : start + chunk], b, norm)
         worst = max(worst, float(block.min(axis=1).max()))
     return worst
-
-
-def dist_to_set(x, points: np.ndarray, norm: str = "l2") -> float:
-    """Distance from a single point to a finite set."""
-    return float(dists_to(points, x, norm).min())

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import EmptySampleError
 from .geometry import SpaceDescriptor, a_alpha, cross_dists
-from .problem import EmpiricalProblem, RelaxedSetQuery, StochasticProgram, relaxed_set_grid
+from .problem import (EmpiricalProblem, RelaxedSetQuery, StochasticProgram,
+                      _constraint_table, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
@@ -221,14 +222,10 @@ class VarianceProfile:
 
 def _most_interior(program: StochasticProgram, pts: np.ndarray) -> np.ndarray:
     """Grid point minimizing the largest constraint value (deepest inside X)."""
-    m = program.n_constraints
-    if m == 0:
+    if program.n_constraints == 0:
         center = pts.mean(axis=0)
         return pts[int(np.argmin(np.linalg.norm(pts - center, axis=1)))]
-    worst = np.full(len(pts), -np.inf)
-    for i in range(1, m + 1):
-        worst = np.maximum(worst, program.true_fn_grid(i, pts))
-    return pts[int(np.argmin(worst))]
+    return pts[int(np.argmin(_constraint_table(program, pts).max(axis=0)))]
 
 
 def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
@@ -365,25 +362,6 @@ def self_normalized(values: np.ndarray, pop_mean: float, pop_var: float) -> floa
     if scale_sq <= 0:
         return 0.0
     return num / math.sqrt(scale_sq)
-
-
-def panchenko_vhat(values_fn, scenarios: np.ndarray, sampler, rng,
-                   replicates: int = 64) -> float:
-    """Symmetrized conditional second moment, estimated by resampling.
-
-    ``values_fn`` maps an (N, k) scenario array to an (n_funcs, N) matrix of
-    function values.  The estimate averages, over fresh copies eta, the
-    largest row sum of squared differences between the fixed draws and eta.
-    """
-    xs = np.atleast_2d(np.asarray(scenarios, dtype=float))
-    base = np.atleast_2d(values_fn(xs))
-    n = xs.shape[0]
-    total = 0.0
-    for _ in range(replicates):
-        eta = np.atleast_2d(sampler(rng, n))
-        diff = base - np.atleast_2d(values_fn(eta))
-        total += float(np.max(np.sum(diff ** 2, axis=1)))
-    return total / replicates
 
 
 def panchenko_vhat_singleton(values: np.ndarray, pop_mean: float, pop_var: float) -> float:

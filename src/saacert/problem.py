@@ -263,11 +263,7 @@ class EmpiricalProblem:
     def fhat_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         """Empirical means over a batch of points (vectorized when possible)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fm = self.program.fast_means
-        if fm is not None and fm[i] is not None:
-            return np.asarray(fm[i](pts, self.scenarios.data), dtype=float)
-        fn = self.program.integrand(i)
-        return np.array([float(np.mean(fn(x, self.scenarios.data))) for x in pts])
+        return _sample_means(self.program, i, pts, self.scenarios.data)
 
     def residuals(self, x) -> np.ndarray:
         m = self.program.n_constraints
@@ -284,10 +280,18 @@ class EmpiricalProblem:
     def feasible_mask(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Vectorized membership over grid points already inside Y."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mask = np.ones(len(pts), dtype=bool)
-        for i in range(1, self.program.n_constraints + 1):
-            mask &= self.fhat_grid(i, pts) <= self.relaxations[i - 1] + tol
-        return mask
+        bounds = self.relaxations[:, None] + tol
+        return np.all(_constraint_table(self, pts) <= bounds, axis=0)
+
+
+def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
+                  data: np.ndarray) -> np.ndarray:
+    """Means of F_i over the scenario rows of ``data`` at each point."""
+    fm = program.fast_means
+    if fm is not None and fm[i] is not None:
+        return np.asarray(fm[i](pts, data), dtype=float)
+    fn = program.integrand(i)
+    return np.array([float(np.mean(fn(x, data))) for x in pts])
 
 
 def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
@@ -359,6 +363,21 @@ def _grid_values(source, i: int, pts: np.ndarray) -> np.ndarray:
     return source.true_fn_grid(i, pts)
 
 
+def _constraint_table(source, pts: np.ndarray) -> np.ndarray:
+    """Constraint values on a grid, shape (m, G), one row per constraint.
+
+    ``source`` is a :class:`StochasticProgram` (population values) or an
+    :class:`EmpiricalProblem` (sample means); a set's mask is a comparison
+    of this table against per-constraint levels.
+    """
+    empirical = isinstance(source, EmpiricalProblem)
+    m = (source.program if empirical else source).n_constraints
+    table = np.empty((m, len(pts)))
+    for i in range(1, m + 1):
+        table[i - 1] = _grid_values(source, i, pts)
+    return table
+
+
 def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,
                      grid: np.ndarray | None = None) -> GridSet:
     """Enumerate a relaxed/active/interior/exterior set on a grid of Y.
@@ -373,24 +392,15 @@ def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,
     m = program.n_constraints
     tol = query.tol_active if query.tol_active is not None else h
 
-    if query.kind in ("relaxed", "interior"):
-        threshold = query.level if query.kind == "relaxed" else -query.level
-        mask = np.ones(len(pts), dtype=bool)
-        for i in range(1, m + 1):
-            mask &= _grid_values(source, i, pts) <= threshold + 1e-12
-        return GridSet(points=pts[mask], query=query, resolution=h, source=label)
-
-    if query.kind == "active":
-        if query.index is None or not (1 <= query.index <= m):
+    if query.kind in ("relaxed", "interior", "active"):
+        if query.kind == "active" and (query.index is None
+                                       or not (1 <= query.index <= m)):
             raise ValueError("active-set query needs a constraint index in 1..m")
-        mask = np.ones(len(pts), dtype=bool)
-        vals_i = None
-        for i in range(1, m + 1):
-            vals = _grid_values(source, i, pts)
-            mask &= vals <= query.level + 1e-12
-            if i == query.index:
-                vals_i = vals
-        mask &= np.abs(vals_i - query.level) <= tol
+        threshold = -query.level if query.kind == "interior" else query.level
+        table = _constraint_table(source, pts)
+        mask = np.all(table <= threshold + 1e-12, axis=0)
+        if query.kind == "active":
+            mask &= np.abs(table[query.index - 1] - query.level) <= tol
         return GridSet(points=pts[mask], query=query, resolution=h, source=label)
 
     if query.kind == "exterior":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .problem import EmpiricalProblem, StochasticProgram
+from .problem import EmpiricalProblem, StochasticProgram, _constraint_table
 
 
 @dataclass
@@ -200,9 +200,7 @@ def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
                level: float = 0.0, tol: float = 1e-9) -> TrueSolve:
     """Grid minimum of the population objective over the level-relaxed set."""
     pts = program.space.grid(h)
-    mask = np.ones(len(pts), dtype=bool)
-    for i in range(1, program.n_constraints + 1):
-        mask &= program.true_fn_grid(i, pts) <= level + 1e-12
+    mask = np.all(_constraint_table(program, pts) <= level + 1e-12, axis=0)
     if not np.any(mask):
         raise InfeasibleError("population feasible set has no grid points",
                               level=level, h=h)

@@ -18,7 +18,8 @@ from .distributions import Distribution
 from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableError
 from .geometry import a_alpha
 from .moments import estimate_holder, per_scenario_modulus, self_normalized, variance_profile
-from .problem import ScenarioSet, StochasticProgram, build_empirical
+from .problem import (ScenarioSet, StochasticProgram, _constraint_table,
+                      _sample_means, build_empirical)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -153,16 +154,10 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
 
     sups = np.empty(replications)
     scales = np.empty(replications)
-    fm = program.fast_means[0] if program.fast_means else None
     for r in range(replications):
         rng = replication_rng(seed, r)
         xis = oracle.sampler(rng, n)
-        if fm is not None:
-            hat = np.asarray(fm(pts, xis), dtype=float)
-        else:
-            fn = program.integrand(0)
-            hat = np.array([float(np.mean(fn(x, xis))) for x in pts])
-        dev = hat - true_vals
+        dev = _sample_means(program, 0, pts, xis) - true_vals
         sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
         l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis, probes) ** 2))
         scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
@@ -304,13 +299,7 @@ def _event_checker(plan: CoveragePlan):
     eps = plan.eps
     grid = program.space.grid(plan.h)
     f0 = program.true_fn_grid(0, grid)
-    worst = np.full(len(grid), -np.inf)
-    for i in range(1, m + 1):
-        worst = np.maximum(worst, program.true_fn_grid(i, grid))
-    relax = _relaxations_for(plan.theorem, eps, m)
-
-    def fhat_matrix(emp):
-        return [emp.fhat_grid(i, grid) for i in range(m + 1)]
+    worst = _constraint_table(program, grid).max(axis=0, initial=-np.inf)
 
     if plan.event == "near-optimal-subset":
         feas_true = worst <= 1e-12 if m else np.ones(len(grid), dtype=bool)
@@ -318,13 +307,10 @@ def _event_checker(plan: CoveragePlan):
         good = f0 <= f_star + 2 * eps + 1e-12
 
         def check(emp):
-            hats = fhat_matrix(emp)
-            hard = np.ones(len(grid), dtype=bool)
-            for i in range(1, m + 1):
-                hard &= hats[i] <= relax[i - 1] + 1e-12
+            hard = emp.feasible_mask(grid, tol=1e-12)
             if not np.any(hard):
                 return True
-            vals = hats[0][hard]
+            vals = emp.fhat_grid(0, grid)[hard]
             near = vals <= float(vals.min()) + eps + 1e-12
             return bool(np.all(good[hard][near]))
 
@@ -334,11 +320,7 @@ def _event_checker(plan: CoveragePlan):
     target = worst <= level + 1e-12
 
     def check(emp):
-        hats = fhat_matrix(emp)
-        hard = np.ones(len(grid), dtype=bool)
-        for i in range(1, m + 1):
-            hard &= hats[i] <= relax[i - 1] + 1e-12
-        return bool(np.all(target[hard]))
+        return bool(np.all(target[emp.feasible_mask(grid, tol=1e-12)]))
 
     return grid, check
 
@@ -429,18 +411,13 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
         raise ConfigError("rate experiments need an oracle sampler")
     grid = program.space.grid(h)
     true_vals = program.true_fn_grid(0, grid)
-    fm = program.fast_means[0] if program.fast_means else None
     rows = []
     for j, n in enumerate(n_grid):
         sups = np.empty(replications)
         for r in range(replications):
             rng = replication_rng(seed, j * replications + r)
             xis = oracle.sampler(rng, n)
-            if fm is not None:
-                hat = np.asarray(fm(grid, xis), dtype=float)
-            else:
-                fn = program.integrand(0)
-                hat = np.array([float(np.mean(fn(x, xis))) for x in grid])
+            hat = _sample_means(program, 0, grid, xis)
             sups[r] = float(np.max(np.abs(hat - true_vals)))
         rows.append((n, float(np.mean(sups)),
                      float(np.std(sups) / math.sqrt(replications))))

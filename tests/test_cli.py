@@ -71,6 +71,18 @@ def test_interior_margin_error_exits_2(capsys):
     assert json.loads(err)["error"] == "slater-margin"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--sigma", "nan"),
+    ("--sigma", "inf"), ("--C", "nan"), ("--C", "inf")])
+def test_certify_non_finite_inputs_exit_2(capsys, flag, value):
+    args = {"--theorem": "fixed", "--p": "0.1", "--eps": "0.1",
+            "--sigma": "1", flag: value}
+    code, _, err = run_cli(capsys, "certify",
+                           *[tok for pair in args.items() for tok in pair])
+    assert code == 2
+    assert json.loads(err)["error"] == "config"
+
+
 def test_solve_artifact_deterministic(capsys):
     argv = ["solve", "--problem", '{"family":"quad1d","params":{"a":0.3}}',
             "--n", "200", "--seed", "9"]
