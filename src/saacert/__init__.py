@@ -62,8 +62,6 @@ from .moments import (
     estimate_holder,
     panchenko_vhat_singleton,
     self_normalized,
-    sigma0_breve,
-    sigma0_hat_set,
     sigmaI_breve,
     sigmaI_hat_active,
     sigmaI_hat_set,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptySampleError, SlaterMarginError
 from .geometry import dists_to
-from .moments import VarianceProfile
-from .problem import EmpiricalProblem, StochasticProgram, _constraint_table
+from .moments import VarianceProfile, _max_ratio
+from .problem import EmpiricalProblem, StochasticProgram, _constraint_table, _worst
 
 _THEOREMS = ("fixed", "exterior", "interior")
 
@@ -294,19 +294,18 @@ class RegularityEstimate:
 
 
 def estimate_regularity(program: StochasticProgram, h: float,
-                        min_violation: float | None = None,
                         use_exact_distance: bool = True) -> RegularityEstimate:
     """Largest observed ratio dist(x, X) / max_i [f_i(x)]_+ over a grid.
 
-    Points with violations below ``min_violation`` (default 2h) are skipped:
-    their grid distance is dominated by discretization error, which would
-    otherwise blow the ratio up arbitrarily near the boundary.
+    Points with violations below 2h (reported as ``min_violation``) are
+    skipped: their grid distance is dominated by discretization error, which
+    would otherwise blow the ratio up arbitrarily near the boundary.
     """
     if program.n_constraints == 0:
         return RegularityEstimate(0.0, 0, 0, 0.0, True, "no-constraints")
     grid = program.space.grid(h)
-    min_violation = 2 * h if min_violation is None else min_violation
-    worst = _constraint_table(program, grid).max(axis=0)
+    min_violation = 2 * h
+    worst = _worst(program, grid)
     feas_pts = grid[worst <= 1e-12]
     if len(feas_pts) == 0:
         raise EmptySampleError("population feasible set has no grid points",
@@ -348,27 +347,17 @@ class GapBounds:
     details: dict = field(default_factory=dict)
 
 
-def _local_modulus(points: np.ndarray, values: np.ndarray, alpha: float,
-                   norm: str) -> float:
-    """sup |f(x) - f(y)| / ||x - y||^alpha over pairs of grid points."""
-    best = 0.0
-    for g in range(len(points) - 1):
-        d = dists_to(points[g + 1:], points[g], norm) ** alpha
-        ok = d > 0
-        if np.any(ok):
-            best = max(best, float(np.max(np.abs(values[g + 1:][ok] - values[g]) / d[ok])))
-    return best
-
-
 def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
-               kind: str = "exterior", tol_opt: float = 1e-9) -> GapBounds:
+               kind: str = "exterior") -> GapBounds:
     """Evaluate the relaxation gap at level gamma and its Holder bound.
 
     ``exterior`` measures how much the optimum improves when constraints are
     relaxed to level gamma; ``interior`` measures how much it degrades when
     they are tightened to -gamma.  The bound is (local modulus) * (c*gamma)^
     alpha_0 with the modulus minimized over grid minimizers of the relaxed
-    (resp. original) problem, per the metric-regularity argument.
+    (resp. original) problem, per the metric-regularity argument; grid
+    minimizers are the points within 1e-9 of the grid minimum.  With no
+    constraints both gaps are 0 and the zero condition holds.
     """
     if gamma <= 0:
         raise ConfigError("gap levels must be positive", gamma=gamma)
@@ -377,8 +366,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     space = program.space
     grid = space.grid(h)
     f_vals = program.true_fn_grid(0, grid)
-    worst = (_constraint_table(program, grid).max(axis=0)
-             if program.n_constraints else np.zeros(len(grid)))
+    worst = _worst(program, grid)
     feas = worst <= 1e-12
     if not np.any(feas):
         raise EmptySampleError("population feasible set has no grid points", h=h)
@@ -387,7 +375,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     if kind == "exterior":
         relaxed = worst <= gamma + 1e-12
         value = f_star - float(f_vals[relaxed].min())
-        anchor_mask = relaxed & (f_vals <= f_vals[relaxed].min() + tol_opt)
+        anchor_mask = relaxed & (f_vals <= f_vals[relaxed].min() + 1e-9)
         zero = bool(np.any(anchor_mask & feas))
     else:
         inner = worst <= -gamma + 1e-12
@@ -396,7 +384,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
                 "no grid point satisfies the tightened constraints; gamma "
                 "exceeds the attainable margin", gamma=gamma)
         value = float(f_vals[inner].min()) - f_star
-        anchor_mask = feas & (f_vals <= f_star + tol_opt)
+        anchor_mask = feas & (f_vals <= f_star + 1e-9)
         zero = bool(np.any(anchor_mask & inner))
 
     alpha0 = program.holder[0].alpha
@@ -404,8 +392,8 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     best_mod = math.inf
     for z in grid[anchor_mask]:
         in_ball = dists_to(grid, z, space.norm) <= radius + 1e-12
-        best_mod = min(best_mod, _local_modulus(grid[in_ball], f_vals[in_ball],
-                                                alpha0, space.norm))
+        best_mod = min(best_mod, float(_max_ratio(
+            grid[in_ball], f_vals[in_ball, None], alpha0, space.norm)[0]))
     if not math.isfinite(best_mod):
         best_mod = 0.0
     return GapBounds(kind=kind, gamma=gamma, value=max(value, 0.0),
@@ -485,7 +473,8 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
     Delta_Y = np.array([max(0.0, float(np.max(f_true[i] - f_hat[i])))
                         for i in range(1, m + 1)]) if m else np.zeros(0)
 
-    worst = np.max(f_true[1:], axis=0) if m else np.zeros(len(grid))
+    # _worst's convention (-inf when m = 0), from the table already computed
+    worst = f_true[1:].max(axis=0, initial=-np.inf)
     Delta_active = []
     level_masks = []
     for lv in levels:

@@ -182,7 +182,7 @@ def _cmd_solve(args):
     emp = build_empirical(program, scen,
                           _relax_vector(args.relax, program.n_constraints))
     config = SolverConfig(method=args.method, grid_h=args.h,
-                          budget=args.budget, c0=args.c0, seed=args.seed)
+                          budget=args.budget, c0=args.c0)
     res = solve(emp, config)
     results = {"solution": res.to_json(),
                "problem": {"family": program.name,
@@ -281,7 +281,7 @@ def _cmd_portfolio(args):
                           ScenarioSet(dataset.returns, seed=args.seed),
                           np.zeros(1))
     config = SolverConfig(method=args.method, grid_h=args.h,
-                          budget=args.budget, seed=args.seed)
+                          budget=args.budget)
     res = solve(emp, config)
     x, t = problem.split(res.x)
     results = {"solution": res.to_json(),
@@ -320,7 +320,7 @@ def _cmd_lasso(args):
                           lasso_scenarios(features, response,
                                           weighted=args.weighted))
     config = SolverConfig(method=args.method, grid_h=args.h,
-                          budget=args.budget, seed=args.seed)
+                          budget=args.budget)
     res = solve(emp, config)
     results = {"solution": res.to_json(),
                "coefficients": problem.to_original(res.x).tolist(),
@@ -369,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seed_default=0):
         sp.add_argument("--out", help="write the JSON artifact to this path")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SAA_CERTIFY_THREADS", "1")),
-                        help="worker cap; 1 guarantees sequential execution")
         sp.add_argument("--seed", type=int, default=seed_default)
 
     sp = sub.add_parser("entropy", help="packing net size and entropy number")

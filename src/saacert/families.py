@@ -59,10 +59,6 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
                              convex=False, fast_means=[mean0], name="quad1d")
 
 
-def simplex_vertices(dim: int) -> np.ndarray:
-    return np.eye(dim)
-
-
 def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
     """Linear objective with random coefficients on the probability simplex.
 
@@ -144,7 +140,6 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
         sampler=d.sampler(2),
         f_star=-math.sqrt(2) * rho,
         x_star=x_star,
-        slater_point=np.zeros(2),
         slater_margin=rho,
         regularity_c=1.0,
         dist_to_feasible=lambda x: max(0.0, math.hypot(x[0], x[1]) - rho),
@@ -216,7 +211,6 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
         sampler=d.sampler(2),
         f_star=f_star,
         x_star=x_star,
-        slater_point=np.zeros(2),
         slater_margin=b,
         regularity_c=0.5,
         dist_to_feasible=lambda x: max(0.0, (x[0] + x[1] - b) / 2),

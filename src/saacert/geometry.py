@@ -19,7 +19,8 @@ from .errors import BudgetError, DimensionMismatchError
 
 NORMS = ("l1", "l2", "linf")
 
-DEFAULT_GRID_BUDGET = 2_000_000
+# largest grid any descriptor enumerates (BudgetError beyond it)
+GRID_BUDGET = 2_000_000
 
 # ---------------------------------------------------------------------------
 # norms and distances
@@ -63,29 +64,33 @@ def cross_dists(a: np.ndarray, b: np.ndarray, norm: str = "l2") -> np.ndarray:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def max_pairwise(points: np.ndarray, norm: str = "l2", chunk: int = 512) -> float:
+# rows per block of the blocked pairwise kernels
+_CHUNK = 512
+
+
+def max_pairwise(points: np.ndarray, norm: str = "l2") -> float:
     """Largest pairwise distance among the rows of ``points``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if n < 2:
         return 0.0
     best = 0.0
-    for start in range(0, n, chunk):
-        block = cross_dists(pts[start : start + chunk], pts, norm)
+    for start in range(0, n, _CHUNK):
+        block = cross_dists(pts[start : start + _CHUNK], pts, norm)
         best = max(best, float(block.max()))
     return best
 
 
-def min_pairwise_gap(points: np.ndarray, norm: str = "l2", chunk: int = 512) -> float:
+def min_pairwise_gap(points: np.ndarray, norm: str = "l2") -> float:
     """Smallest strictly positive pairwise distance (inf for < 2 points)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     if n < 2:
         return math.inf
     best = math.inf
-    for start in range(0, n, chunk):
-        block = cross_dists(pts[start : start + chunk], pts, norm)
-        rows = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, _CHUNK):
+        block = cross_dists(pts[start : start + _CHUNK], pts, norm)
+        rows = np.arange(start, min(start + _CHUNK, n))
         block[np.arange(len(rows)), rows] = math.inf  # mask self-distances
         best = min(best, float(block.min()))
     return best
@@ -140,13 +145,12 @@ class SpaceDescriptor:
     radius: float | None = None
     points: np.ndarray | None = None
     parts: tuple["SpaceDescriptor", ...] = ()
-    grid_budget: int = DEFAULT_GRID_BUDGET
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def box(cls, lo, hi, norm: str = "linf", grid_budget: int = DEFAULT_GRID_BUDGET):
+    def box(cls, lo, hi, norm: str = "linf"):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
@@ -154,26 +158,25 @@ class SpaceDescriptor:
                                          lo=list(lo.shape), hi=list(hi.shape))
         if np.any(hi < lo):
             raise ValueError("box upper bounds must dominate lower bounds")
-        return cls(kind="box", dim=lo.size, norm=norm, lo=lo, hi=hi, grid_budget=grid_budget)
+        return cls(kind="box", dim=lo.size, norm=norm, lo=lo, hi=hi)
 
     @classmethod
     def interval(cls, lo: float, hi: float, **kw):
         return cls.box([lo], [hi], **kw)
 
     @classmethod
-    def ball(cls, center, radius: float, norm: str = "l2",
-             grid_budget: int = DEFAULT_GRID_BUDGET):
+    def ball(cls, center, radius: float, norm: str = "l2"):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if radius < 0:
             raise ValueError("ball radius must be nonnegative")
         return cls(kind="ball", dim=center.size, norm=norm, center=center,
-                   radius=float(radius), grid_budget=grid_budget)
+                   radius=float(radius))
 
     @classmethod
-    def simplex(cls, dim: int, norm: str = "l1", grid_budget: int = DEFAULT_GRID_BUDGET):
+    def simplex(cls, dim: int, norm: str = "l1"):
         if dim < 1:
             raise ValueError("simplex needs dim >= 1")
-        return cls(kind="simplex", dim=dim, norm=norm, grid_budget=grid_budget)
+        return cls(kind="simplex", dim=dim, norm=norm)
 
     @classmethod
     def cloud(cls, points, norm: str = "l2"):
@@ -181,11 +184,11 @@ class SpaceDescriptor:
         return cls(kind="cloud", dim=points.shape[1], norm=norm, points=points)
 
     @classmethod
-    def product(cls, *parts: "SpaceDescriptor", grid_budget: int = DEFAULT_GRID_BUDGET):
+    def product(cls, *parts: "SpaceDescriptor"):
         if not parts:
             raise ValueError("product needs at least one part")
         return cls(kind="product", dim=sum(p.dim for p in parts), norm="l1",
-                   parts=tuple(parts), grid_budget=grid_budget)
+                   parts=tuple(parts))
 
     # -- metric facts -------------------------------------------------------
 
@@ -291,8 +294,8 @@ class SpaceDescriptor:
     def grid(self, h: float) -> np.ndarray:
         """Deterministic covering grid with spacing at most ``h`` per axis.
 
-        Raises :class:`BudgetError` when the enumeration would exceed the
-        descriptor's ``grid_budget``.
+        Raises :class:`BudgetError` when the enumeration would exceed
+        ``GRID_BUDGET`` points.
         """
         pts, _ = self.grid_with_gap(h)
         return pts
@@ -300,9 +303,9 @@ class SpaceDescriptor:
     def grid_with_gap(self, h: float) -> tuple[np.ndarray, float]:
         """Grid points plus the exact minimum positive gap of the lattice."""
         required = self.grid_count(h)
-        if required > self.grid_budget:
+        if required > GRID_BUDGET:
             raise BudgetError("grid enumeration exceeds budget",
-                              required=required, budget=self.grid_budget, resolution=h)
+                              required=required, budget=GRID_BUDGET, resolution=h)
         if self.kind == "box":
             axes, steps = [], []
             for a, b in zip(self.lo, self.hi):
@@ -316,8 +319,7 @@ class SpaceDescriptor:
             return pts, (min(steps) if steps else math.inf)
         if self.kind == "ball":
             outer = SpaceDescriptor.box(self.center - self.radius,
-                                        self.center + self.radius,
-                                        grid_budget=self.grid_budget)
+                                        self.center + self.radius)
             pts, gap = outer.grid_with_gap(h)
             keep = dists_to(pts, self.center, self.norm) <= self.radius + 1e-12
             pts = pts[keep]
@@ -552,12 +554,12 @@ class AlphaComplexity:
 
 
 def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
-            max_levels: int = 60, rel_tol: float = 1e-9) -> AlphaComplexity:
+            max_levels: int = 60) -> AlphaComplexity:
     """Dyadic chaining sum of the space at Holder exponent ``alpha``.
 
-    Stops when the current term drops below ``rel_tol`` times the partial sum
-    or at ``max_levels``, whichever comes first, and reports a numeric bound
-    on the truncated tail.
+    Stops when the current term drops below 1e-9 times the partial sum or at
+    ``max_levels``, whichever comes first, and reports a numeric bound on
+    the truncated tail.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -579,10 +581,10 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
         terms.append(term)
         total += term
         prev_h = cur_h
-        if term < rel_tol * total:
+        if term < 1e-9 * total:
             truncation = "relative-tolerance"
             break
-    tail = _tail_estimate(model, diam, alpha, i, prev_h, total, rel_tol)
+    tail = _tail_estimate(model, diam, alpha, i, prev_h, total)
     return AlphaComplexity(value=total, alpha=alpha, diameter=diam,
                            terms=np.asarray(terms), levels=i, truncation=truncation,
                            tail_bound=tail, entropy_model=model.model,
@@ -590,7 +592,7 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
 
 
 def _tail_estimate(model, diam: float, alpha: float, last_i: int,
-                   prev_h: float, total: float, rel_tol: float) -> float:
+                   prev_h: float, total: float) -> float:
     """Numeric bound on the terms beyond the truncation point."""
     tail = 0.0
     i = last_i
@@ -614,8 +616,7 @@ def _tail_estimate(model, diam: float, alpha: float, last_i: int,
 # set deviations
 
 
-def set_deviation(a: np.ndarray, b: np.ndarray, norm: str = "l2",
-                  chunk: int = 512) -> float:
+def set_deviation(a: np.ndarray, b: np.ndarray, norm: str = "l2") -> float:
     """One-sided deviation sup_{x in a} dist(x, b)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -624,7 +625,7 @@ def set_deviation(a: np.ndarray, b: np.ndarray, norm: str = "l2",
     if not len(b):
         raise ValueError("reference set must be nonempty")
     worst = 0.0
-    for start in range(0, len(a), chunk):
-        block = cross_dists(a[start : start + chunk], b, norm)
+    for start in range(0, len(a), _CHUNK):
+        block = cross_dists(a[start : start + _CHUNK], b, norm)
         worst = max(worst, float(block.min(axis=1).max()))
     return worst

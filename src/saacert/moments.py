@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySampleError
-from .geometry import SpaceDescriptor, a_alpha, cross_dists
-from .problem import (EmpiricalProblem, RelaxedSetQuery, StochasticProgram,
-                      _constraint_table, relaxed_set_grid)
+from .geometry import SpaceDescriptor, a_alpha, dists_to
+from .problem import (MC_SEED, EmpiricalProblem, RelaxedSetQuery,
+                      StochasticProgram, _worst, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
@@ -38,7 +38,7 @@ class HolderEstimate:
     l_pop: float
     per_scenario: np.ndarray
     provenance: str = "probe-grid"
-    pop_provenance: str = "declared"
+    pop_provenance: str = "closed-form"
 
     @property
     def combined(self) -> float:
@@ -57,18 +57,25 @@ def per_scenario_modulus(program: StochasticProgram, i: int,
     if len(probes) < 2:
         raise EmptySampleError("need at least two probe points for a modulus",
                                got=len(probes))
-    alpha = program.holder[i].alpha
     fn = program.integrand(i)
     vals = np.stack([fn(x, scenarios) for x in probes])  # (G, N)
-    dist = cross_dists(probes, probes, program.space.norm) ** alpha
-    out = np.zeros(vals.shape[1])
-    for g in range(len(probes) - 1):
-        d = dist[g, g + 1:]
+    return _max_ratio(probes, vals, program.holder[i].alpha, program.space.norm)
+
+
+def _max_ratio(points: np.ndarray, values: np.ndarray, alpha: float,
+               norm: str) -> np.ndarray:
+    """max over pairs x != y of |v(x) - v(y)| / ||x - y||^alpha, per column.
+
+    ``values`` has one row per point and one column per function, shape
+    (G, N); distances are taken one row at a time, in O(G) memory.
+    """
+    out = np.zeros(values.shape[1])
+    for g in range(len(points) - 1):
+        d = dists_to(points[g + 1:], points[g], norm) ** alpha
         ok = d > 0
-        if not np.any(ok):
-            continue
-        ratios = np.abs(vals[g + 1:][ok] - vals[g]) / d[ok, None]
-        np.maximum(out, ratios.max(axis=0), out=out)
+        if np.any(ok):
+            ratios = np.abs(values[g + 1:][ok] - values[g]) / d[ok, None]
+            np.maximum(out, ratios.max(axis=0), out=out)
     return out
 
 
@@ -78,8 +85,9 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
     """Estimate RMS Holder moduli for integrand ``i`` from probe pairs.
 
     ``l_hat`` is the empirical RMS of per-scenario moduli; ``l_pop`` comes
-    from the declared value, the oracle's closed form, or a Monte Carlo
-    rerun of the same probe statistic, in that order of preference.
+    from the oracle's closed form ``holder_rms`` or a Monte Carlo rerun of
+    the same probe statistic, in that order of preference, and falls back to
+    ``l_hat`` without an oracle sampler.
     """
     space = program.space
     if probes is None:
@@ -90,13 +98,11 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
 
     info = program.holder[i]
     oracle = program.oracle
-    if info.declared_l is not None:
-        l_pop, pop_src = float(info.declared_l), "declared"
-    elif (oracle is not None and oracle.holder_rms is not None
-          and oracle.holder_rms[i] is not None):
+    if (oracle is not None and oracle.holder_rms is not None
+            and oracle.holder_rms[i] is not None):
         l_pop, pop_src = float(oracle.holder_rms[i]), "closed-form"
     elif oracle is not None and oracle.sampler is not None:
-        rng = np.random.default_rng(oracle.mc_seed + 7 * (i + 1))
+        rng = np.random.default_rng(MC_SEED + 7 * (i + 1))
         draws = oracle.sampler(rng, min(oracle.mc_budget, 20_000))
         mc = per_scenario_modulus(program, i, np.atleast_2d(draws), probes)
         l_pop, pop_src = float(np.sqrt(np.mean(mc ** 2))), "monte-carlo"
@@ -134,10 +140,6 @@ def sigma_breve(emp: EmpiricalProblem, i: int, x) -> float:
     return math.sqrt(sigma_hat_sq(emp, i, x, pop_mean) + sigma_pop_sq(emp.program, i, x))
 
 
-def sigma0_breve(emp: EmpiricalProblem, x) -> float:
-    return sigma_breve(emp, 0, x)
-
-
 def sigmaI_breve(emp: EmpiricalProblem, x) -> float:
     """sup over constraints of the pointwise breve variance."""
     m = emp.program.n_constraints
@@ -165,11 +167,6 @@ def sigma_hat_set(program: StochasticProgram, holder: HolderEstimate,
         return 0.0
     comp = a_alpha(space, holder.alpha)
     return comp.value * holder.combined
-
-
-def sigma0_hat_set(program: StochasticProgram, holder0: HolderEstimate,
-                   points_or_space) -> float:
-    return sigma_hat_set(program, holder0, points_or_space)
 
 
 def sigmaI_hat_set(program: StochasticProgram, holders: list[HolderEstimate],
@@ -225,7 +222,7 @@ def _most_interior(program: StochasticProgram, pts: np.ndarray) -> np.ndarray:
     if program.n_constraints == 0:
         center = pts.mean(axis=0)
         return pts[int(np.argmin(np.linalg.norm(pts - center, axis=1)))]
-    return pts[int(np.argmin(_constraint_table(program, pts).max(axis=0)))]
+    return pts[int(np.argmin(_worst(program, pts)))]
 
 
 def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
@@ -271,11 +268,11 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
         src[name] = how
 
     if theorem == "fixed":
-        set_entry("sigma0_hat_X", sigma0_hat_set(program, holders[0], feas.points),
+        set_entry("sigma0_hat_X", sigma_hat_set(program, holders[0], feas.points),
                   "chaining bound over the feasible grid")
-        set_entry("sigma0_breve_z", sigma0_breve(emp, anchors["z"]),
+        set_entry("sigma0_breve_z", sigma_breve(emp, 0, anchors["z"]),
                   "pointwise combined variance at the anchor z")
-        set_entry("sigma0_breve_x_star", sigma0_breve(emp, anchors["x_star"]),
+        set_entry("sigma0_breve_x_star", sigma_breve(emp, 0, anchors["x_star"]),
                   "pointwise combined variance at the grid minimizer")
         return prof
 
@@ -295,9 +292,9 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                   "pointwise combined constraint variance at z")
         set_entry("sigmaI_breve_x_star", sigmaI_breve(emp, anchors["x_star"]),
                   "pointwise combined constraint variance at the minimizer")
-        set_entry("sigma0_hat_ext", sigma0_hat_set(program, holders[0], ext.points),
+        set_entry("sigma0_hat_ext", sigma_hat_set(program, holders[0], ext.points),
                   "chaining bound over the inflated feasible grid")
-        set_entry("sigma0_breve_x_star", sigma0_breve(emp, anchors["x_star"]),
+        set_entry("sigma0_breve_x_star", sigma_breve(emp, 0, anchors["x_star"]),
                   "pointwise combined objective variance at the minimizer")
         if program.convex:
             set_entry("sigmaI_hat_active",
@@ -334,9 +331,9 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                   "pointwise combined constraint variance at z")
         set_entry("sigmaI_breve_y_star", sigmaI_breve(emp, anchors["y_star"]),
                   "pointwise combined constraint variance at the interior minimizer")
-        set_entry("sigma0_hat_X", sigma0_hat_set(program, holders[0], feas.points),
+        set_entry("sigma0_hat_X", sigma_hat_set(program, holders[0], feas.points),
                   "chaining bound over the feasible grid")
-        set_entry("sigma0_breve_y_star", sigma0_breve(emp, anchors["y_star"]),
+        set_entry("sigma0_breve_y_star", sigma_breve(emp, 0, anchors["y_star"]),
                   "pointwise combined objective variance at the interior minimizer")
         return prof
 

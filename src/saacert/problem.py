@@ -11,9 +11,7 @@ objective values are arithmetic means over the scenarios.
 from __future__ import annotations
 
 import csv
-import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,17 +23,18 @@ from .geometry import SpaceDescriptor, dists_to
 # per-scenario values, shape (N,).
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# seed of the population Monte Carlo draws behind every oracle fallback
+MC_SEED = 20_240_001
+
 
 @dataclass
 class HolderInfo:
     """Smoothness metadata for one integrand index.
 
-    ``alpha`` is the Holder exponent in (0, 1].  ``declared_l`` optionally
-    fixes the population root-mean-square modulus instead of estimating it.
+    ``alpha`` is the Holder exponent in (0, 1].
     """
 
     alpha: float = 1.0
-    declared_l: float | None = None
 
 
 @dataclass
@@ -43,7 +42,8 @@ class TrueOracle:
     """Population-side information used for certification and validation.
 
     Any field may be omitted; accessors fall back to Monte Carlo with the
-    ``sampler`` and a fixed internal seed, and report provenance accordingly.
+    ``sampler`` and the fixed seed ``MC_SEED``, and report provenance
+    accordingly.
     """
 
     fns: Sequence[Callable[[np.ndarray], float]] | None = None
@@ -52,12 +52,10 @@ class TrueOracle:
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     f_star: float | None = None
     x_star: np.ndarray | None = None
-    slater_point: np.ndarray | None = None
     slater_margin: float | None = None
     regularity_c: float | None = None
     dist_to_feasible: Callable[[np.ndarray], float] | None = None
     mc_budget: int = 1_000_000
-    mc_seed: int = 20_240_001
 
 
 @dataclass
@@ -126,7 +124,7 @@ class StochasticProgram:
         key = "_mc_cache"
         cache = getattr(self, key, None)
         if cache is None:
-            rng = np.random.default_rng(self.oracle.mc_seed)
+            rng = np.random.default_rng(MC_SEED)
             cache = self.oracle.sampler(rng, self.oracle.mc_budget)
             object.__setattr__(self, key, cache)
         return cache
@@ -169,30 +167,12 @@ class ScenarioSet:
     @classmethod
     def from_csv(cls, path_or_buffer) -> "ScenarioSet":
         """Read scenarios from CSV with header ``xi_1,...,xi_k``."""
-        if hasattr(path_or_buffer, "read"):
-            handle = path_or_buffer
-            rows = list(csv.reader(handle))
-        else:
-            with open(path_or_buffer, newline="") as handle:
-                rows = list(csv.reader(handle))
-        if not rows:
-            raise EmptySampleError("scenario CSV is empty")
-        header = [c.strip() for c in rows[0]]
+        header, data = read_table(path_or_buffer)
         expected = [f"xi_{j + 1}" for j in range(len(header))]
         if header != expected:
             raise DimensionMismatchError(
                 "scenario CSV header must be xi_1,...,xi_k",
                 got=header, expected=expected)
-        body = [r for r in rows[1:] if r]
-        if not body:
-            raise EmptySampleError("scenario CSV has a header but no rows")
-        try:
-            data = np.array([[float(v) for v in r] for r in body])
-        except ValueError as exc:
-            raise DimensionMismatchError(f"non-numeric scenario value: {exc}") from exc
-        if data.shape[1] != len(header):
-            raise DimensionMismatchError("ragged scenario rows",
-                                         expected=len(header))
         return cls(data=data)
 
     def to_csv(self, path_or_buffer) -> None:
@@ -203,11 +183,6 @@ class ScenarioSet:
             with open(path_or_buffer, "w", newline="") as handle:
                 np.savetxt(handle, self.data, delimiter=",", header=header, comments="")
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
     """Read a headed CSV of floats with free-form column names."""
@@ -217,16 +192,16 @@ def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
         with open(path_or_buffer, newline="") as handle:
             rows = list(csv.reader(handle))
     body = [r for r in rows[1:] if r]
-    if not rows or not body:
+    if not body:
         raise EmptySampleError("data CSV needs a header row plus data rows")
     header = [c.strip() for c in rows[0]]
+    if any(len(r) != len(header) for r in body):
+        raise DimensionMismatchError("data rows do not match the header",
+                                     expected=len(header))
     try:
         data = np.array([[float(v) for v in r] for r in body])
     except ValueError as exc:
         raise DimensionMismatchError(f"non-numeric data value: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise DimensionMismatchError("data rows do not match the header",
-                                     expected=len(header))
     return header, data
 
 
@@ -376,6 +351,11 @@ def _constraint_table(source, pts: np.ndarray) -> np.ndarray:
     for i in range(1, m + 1):
         table[i - 1] = _grid_values(source, i, pts)
     return table
+
+
+def _worst(source, pts: np.ndarray) -> np.ndarray:
+    """Largest constraint value at each point, or -inf when m = 0."""
+    return _constraint_table(source, pts).max(axis=0, initial=-np.inf)
 
 
 def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,

@@ -23,10 +23,7 @@ class SolverConfig:
     budget: int = 2000            # iteration cap for the subgradient method
     c0: float = 0.1               # step scale: step_k = c0 / sqrt(k)
     tol_opt: float = 1e-3         # certified-gap target for early success
-    tol_feas: float = 1e-9        # residual slack for switching steps
     grid_h: float = 0.01
-    seed: int = 0
-    fd_step: float = 1e-6         # finite-difference step for subgradients
 
 
 @dataclass
@@ -85,8 +82,9 @@ def grid_solve(emp: EmpiricalProblem, h: float, tol: float = 1e-9) -> SolveResul
                                 "feasible_points": int(mask.sum()), "h": h})
 
 
-def _fd_gradient(emp: EmpiricalProblem, i: int, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient of the empirical mean."""
+def _fd_gradient(emp: EmpiricalProblem, i: int, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient of the empirical mean (step 1e-6)."""
+    step = 1e-6
     g = np.zeros_like(x)
     for d in range(x.size):
         e = np.zeros_like(x)
@@ -96,12 +94,13 @@ def _fd_gradient(emp: EmpiricalProblem, i: int, x: np.ndarray, step: float) -> n
 
 
 def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
-                      grads=None, x0: np.ndarray | None = None) -> SolveResult:
+                      grads=None) -> SolveResult:
     """Projected switching subgradient method for convex empirical problems.
 
-    At iterate k the method steps along the objective when every residual is
-    within ``tol_feas``, and along the most violated constraint otherwise,
-    with step c0/sqrt(k) and projection back onto the hard set.  The output
+    Starting from the centroid of a coarse grid of the hard set, at iterate
+    k the method steps along the objective when every residual is at most
+    1e-9, and along the most violated constraint otherwise, with step
+    c0/sqrt(k) and projection back onto the hard set.  The output
     is the step-weighted average of the objective iterates; its certified
     gap uses the standard telescoping bound with the *observed* subgradient
     norms, so it is a heuristic certificate unless true norm bounds are
@@ -109,8 +108,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
     """
     program = emp.program
     space = program.space
-    x = space.project(np.asarray(x0, dtype=float) if x0 is not None
-                      else space.grid(space.diameter() / 2).mean(axis=0))
+    x = space.project(space.grid(space.diameter() / 2).mean(axis=0))
     diam = space.diameter()
     g_max = 0.0
     avg = np.zeros_like(x)
@@ -121,11 +119,11 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
         if grads is not None and grads[i] is not None:
             per = np.asarray(grads[i](pt, emp.scenarios.data), dtype=float)
             return per.mean(axis=0) if per.ndim == 2 else per
-        return _fd_gradient(emp, i, pt, config.fd_step)
+        return _fd_gradient(emp, i, pt)
 
     for k in range(1, config.budget + 1):
         res = emp.residuals(x)
-        if res.size == 0 or float(res.max()) <= config.tol_feas:
+        if res.size == 0 or float(res.max()) <= 1e-9:
             g = subgrad(0, x)
             step = config.c0 / math.sqrt(k)
             avg = avg + step * x
@@ -145,7 +143,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
     t = obj_steps
     gap = ((diam ** 2 + config.c0 ** 2 * g_max ** 2 * (1 + math.log(max(t, 1))))
            / (4 * config.c0 * (math.sqrt(t + 1) - 1))) if t >= 1 else math.inf
-    rec = emp.membership(x_out, tol=max(config.tol_feas, 1e-9))
+    rec = emp.membership(x_out, tol=1e-9)
     return SolveResult(
         x=x_out, value=emp.fhat(0, x_out), residuals=rec.residuals,
         feasible=rec.feasible, method="subgradient", iterations=config.budget,

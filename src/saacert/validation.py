@@ -9,7 +9,7 @@ without changing any count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from .certify import Certificate, certificate_from_profile
 from .distributions import Distribution
 from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableError
 from .geometry import a_alpha
-from .moments import estimate_holder, per_scenario_modulus, self_normalized, variance_profile
-from .problem import (ScenarioSet, StochasticProgram, _constraint_table,
-                      _sample_means, build_empirical)
+from .moments import per_scenario_modulus, self_normalized, variance_profile
+from .problem import (ScenarioSet, StochasticProgram, _sample_means, _worst,
+                      build_empirical)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -29,10 +29,11 @@ def replication_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(base_seed ^ index)
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval (two-sided 95%) for a binomial proportion."""
     if n <= 0:
         raise EmptySampleError("Wilson interval needs at least one trial")
+    z = WILSON_Z
     phat = successes / n
     denom = 1 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -117,40 +118,32 @@ def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
 
 def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
                             replications: int, constant: float, seed: int,
-                            h: float, anchor=None, probes=None,
-                            pop_l: float | None = None,
-                            pop_l_budget: int = 20_000) -> TailReport:
+                            h: float) -> TailReport:
     """Exceedance of the anchored sup-deviation vs the chaining bound.
 
     Per replication the statistic is sup over a grid of |[Fhat0 - f0](x) -
-    [Fhat0 - f0](y)|; the threshold is C * A_alpha * sqrt((1+t)(Lhat^2 +
-    L^2)/N) with the per-replication empirical modulus Lhat.  The grid sup
-    is a lower bound on the true sup (reported in details).
+    [Fhat0 - f0](y)| with y the first grid point; the threshold is C *
+    A_alpha * sqrt((1+t)(Lhat^2 + L^2)/N) with the per-replication empirical
+    modulus Lhat.  The grid sup is a lower bound on the true sup (reported
+    in details).
     """
     space = program.space
     oracle = program.oracle
     if oracle is None or oracle.sampler is None:
         raise ConfigError("uniform tail experiment needs an oracle sampler")
     grid = space.grid(h)
-    anchor = grid[0] if anchor is None else np.asarray(anchor, dtype=float)
-    pts = np.vstack([grid, anchor[None, :]])
+    pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
-    if probes is None:
-        probes = space.grid(max(space.diameter() / 8, 1e-12))
-    alpha = program.holder[0].alpha
-    comp = a_alpha(space, alpha, h=h)
+    probes = space.grid(max(space.diameter() / 8, 1e-12))
+    comp = a_alpha(space, program.holder[0].alpha, h=h)
 
-    if pop_l is None:
-        info = program.holder[0]
-        if info.declared_l is not None:
-            pop_l = float(info.declared_l)
-        elif oracle.holder_rms is not None and oracle.holder_rms[0] is not None:
-            pop_l = float(oracle.holder_rms[0])
-        else:
-            mc = per_scenario_modulus(
-                program, 0, oracle.sampler(np.random.default_rng(seed ^ 0x5EED),
-                                           pop_l_budget), probes)
-            pop_l = float(np.sqrt(np.mean(mc ** 2)))
+    if oracle.holder_rms is not None and oracle.holder_rms[0] is not None:
+        pop_l = float(oracle.holder_rms[0])
+    else:
+        mc = per_scenario_modulus(
+            program, 0, oracle.sampler(np.random.default_rng(seed ^ 0x5EED),
+                                       20_000), probes)
+        pop_l = float(np.sqrt(np.mean(mc ** 2)))
 
     sups = np.empty(replications)
     scales = np.empty(replications)
@@ -295,15 +288,13 @@ def coverage_certificate(plan: CoveragePlan) -> Certificate:
 def _event_checker(plan: CoveragePlan):
     """Precompute population grids; return (grid, per-replication closure)."""
     program = plan.program
-    m = program.n_constraints
     eps = plan.eps
     grid = program.space.grid(plan.h)
     f0 = program.true_fn_grid(0, grid)
-    worst = _constraint_table(program, grid).max(axis=0, initial=-np.inf)
+    worst = _worst(program, grid)
 
     if plan.event == "near-optimal-subset":
-        feas_true = worst <= 1e-12 if m else np.ones(len(grid), dtype=bool)
-        f_star = float(f0[feas_true].min())
+        f_star = float(f0[worst <= 1e-12].min())
         good = f0 <= f_star + 2 * eps + 1e-12
 
         def check(emp):
@@ -442,7 +433,7 @@ class CalibrationResult:
     c_grid: list
     matrix: dict               # C -> {plan name: pass flag}
     reports: dict              # C -> {plan name: CoverageReport json}
-    monotone_confirmed: bool | None
+    monotone_confirmed: bool
     seed: int
 
     def to_json(self) -> dict:
@@ -456,14 +447,12 @@ class CalibrationResult:
         }
 
 
-def calibrate_constant(plans: list, c_grid=None,
-                       confirm_monotone: bool = True) -> CalibrationResult:
+def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     """Smallest dyadic C for which every coverage plan passes.
 
     Plans are rerun per C with the same seeds; the certified N grows with C,
     so the scan ascends and stops at the first full pass.  The result is
-    optionally re-checked at 2*C (larger C certifies larger N, which must
-    also pass).
+    re-checked at 2*C (larger C certifies larger N, which must also pass).
     """
     if not plans:
         raise ConfigError("calibration needs at least one coverage plan")
@@ -476,14 +465,8 @@ def calibrate_constant(plans: list, c_grid=None,
     def run_all(c_value):
         row, row_reports, all_pass = {}, {}, True
         for plan in plans:
-            trial = CoveragePlan(
-                program=plan.program, theorem=plan.theorem, event=plan.event,
-                eps=plan.eps, p=plan.p, replications=plan.replications,
-                seed=plan.seed, h=plan.h, pilot_n=plan.pilot_n,
-                constant=c_value, scope=plan.scope, max_n=plan.max_n,
-                name=plan.name)
             try:
-                rep = coverage_experiment(trial)
+                rep = coverage_experiment(replace(plan, constant=c_value))
                 row[plan.name] = rep.passed
                 row_reports[plan.name] = rep.to_json()
             except BudgetError as exc:
@@ -505,12 +488,9 @@ def calibrate_constant(plans: list, c_grid=None,
             "no constant on the grid passes every coverage plan",
             c_grid=list(c_grid),
             matrix={str(c): v for c, v in matrix.items()})
-    monotone = None
-    if confirm_monotone:
-        row, row_reports, all_pass = run_all(2 * c_star)
-        matrix[2 * c_star] = row
-        reports[2 * c_star] = row_reports
-        monotone = all_pass
+    row, row_reports, all_pass = run_all(2 * c_star)
+    matrix[2 * c_star] = row
+    reports[2 * c_star] = row_reports
     return CalibrationResult(c_star=c_star, c_grid=list(c_grid), matrix=matrix,
-                             reports=reports, monotone_confirmed=monotone,
+                             reports=reports, monotone_confirmed=all_pass,
                              seed=seed)

@@ -128,6 +128,14 @@ def test_gap_bounds_interior_needs_room():
         gap_bounds(threshold_1d(), 0.6, c=1.0, h=0.025, kind="interior")
 
 
+def test_gap_bounds_without_constraints():
+    """With m = 0 every grid point is interior at every margin."""
+    program = make_family("quad1d")
+    for kind in ("exterior", "interior"):
+        gap = gap_bounds(program, 0.2, c=1.0, h=0.1, kind=kind)
+        assert gap.value == 0.0 and gap.zero_condition
+
+
 def quad_emp(seed=0, n=200, relax=0.0):
     program = make_family("halfspace_box", objective="interior")
     scen = ScenarioSet.from_sampler(program.oracle.sampler, n, seed=seed)
@@ -144,6 +152,18 @@ def test_deviation_ledger_shapes():
     assert set(ledger.levels) == {0.2, 0.0}
     assert ledger.delta("y").shape == (ledger.m,)
     assert ledger.Delta0_at("x_star", 0.2) >= 0.0
+
+
+def test_deviation_ledger_without_constraints():
+    """With m = 0 the population level sets are the whole grid at every level."""
+    program = make_family("quad1d")
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 50, seed=0)
+    ledger = deviation_ledger(build_empirical(program, scen), gamma=0.1,
+                              h=0.1, anchors={"x_star": [0.3]},
+                              levels=(-0.1, 0.0))
+    below = ledger.Delta0_at("x_star", -0.1)
+    assert below > 0.0
+    assert below == ledger.Delta0_at("x_star", 0.0)
 
 
 def test_checker_scheme_f_example():

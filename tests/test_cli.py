@@ -187,10 +187,7 @@ def test_report_validates_artifacts(capsys, tmp_path):
     assert "missing" in json.loads(err)["message"]
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SAA_CERTIFY_THREADS", "4")
+def test_artifact_params_have_no_threads(capsys):
     blob = artifact(capsys, "entropy", "--space", BOX01, "--theta", "0.5")
-    assert blob["params"]["threads"] == 4
-    monkeypatch.delenv("SAA_CERTIFY_THREADS")
-    blob = artifact(capsys, "entropy", "--space", BOX01, "--theta", "0.5")
-    assert blob["params"]["threads"] == 1
+    assert "threads" not in blob["params"]
+    assert blob["params"]["theta"] == 0.5

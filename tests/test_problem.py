@@ -8,7 +8,7 @@ from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.problem import (HolderInfo, RelaxedSetQuery, ScenarioSet,
                              StochasticProgram, TrueOracle, build_empirical,
-                             relaxed_set_grid)
+                             read_table, relaxed_set_grid)
 
 
 def toy_program():
@@ -86,6 +86,16 @@ def test_csv_rejects_wrong_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DimensionMismatchError):
         ScenarioSet.from_csv(path)
+
+
+@pytest.mark.parametrize("reader", [ScenarioSet.from_csv, read_table])
+def test_csv_rejects_ragged_rows(tmp_path, reader):
+    path = tmp_path / "ragged.csv"
+    path.write_text("xi_1,xi_2\n1,2\n3\n")
+    with pytest.raises(DimensionMismatchError,
+                       match="rows do not match the header") as err:
+        reader(path)
+    assert err.value.details == {"expected": 2}
 
 
 def test_sampler_draws_are_seeded():

@@ -108,7 +108,7 @@ def test_solve_true_quadratic():
 
 def test_solver_seed_reproducibility():
     emp = quad_emp()
-    cfg = SolverConfig(method="subgradient", budget=500, seed=3)
+    cfg = SolverConfig(method="subgradient", budget=500)
     a = solve(emp, cfg)
     b = solve(emp, cfg)
     assert np.array_equal(a.x, b.x)
