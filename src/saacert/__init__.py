@@ -62,9 +62,6 @@ from .moments import (
     estimate_holder,
     panchenko_vhat_singleton,
     self_normalized,
-    sigmaI_breve,
-    sigmaI_hat_active,
-    sigmaI_hat_set,
     sigma_breve,
     sigma_hat_set,
     sigma_hat_sq,

@@ -5,8 +5,10 @@ Two complementary toolkits live here:
 * the *a priori* side -- sample-size rules of the form
   ``N >= C * sigma^2 * (ln m + ln(1/p)) / eps^2`` with the variance proxy
   ``sigma`` assembled from a :class:`~saacert.moments.VarianceProfile`,
-  packaged as a :class:`Certificate`; one table gives each (theorem, scope)
-  its sigma components and guaranteed events;
+  packaged as a :class:`Certificate`; the guarantee table
+  ``moments._GUARANTEES`` gives each (theorem, scope) its sigma components
+  and guaranteed events, and ``moments.variance_profile`` reads the same
+  table to compute exactly the entries it names;
 * the *a posteriori* side -- deterministic deviation ledgers over grids and
   the checker that turns ledger inequalities into set-inclusion and
   optimality conclusions (``check_certificates``), together with grid
@@ -26,10 +28,10 @@ import numpy as np
 
 from .errors import ConfigError, EmptySampleError, SlaterMarginError
 from .geometry import dists_to
-from .moments import VarianceProfile, _max_ratio
+from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
 from .problem import EmpiricalProblem, StochasticProgram, _constraint_table, _worst
 
-_THEOREMS = ("fixed", "exterior", "interior")
+_THEOREMS = tuple(_GUARANTEES)
 
 
 # ---------------------------------------------------------------------------
@@ -76,62 +78,9 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
     return max(1, math.ceil(n - 1e-12))
 
 
-# per theorem and scope: the profile entries whose max gives sigma, and the
-# events the certificate guarantees; scope "all" joins every scope in order
-_GUARANTEES = {
-    "fixed": {
-        "near_optimality": (["sigma0_hat_X"], [
-            ("near-optimal-subset",
-             "every eps-near empirical minimizer is 2*eps-near optimal")]),
-        "value_lower": (["sigma0_hat_X", "sigma0_breve_z"], [
-            ("value-lower", "true optimum - 2*eps <= empirical optimum")]),
-        "value_upper": (["sigma0_breve_x_star"], [
-            ("value-upper", "empirical optimum <= true optimum + eps")]),
-    },
-    "exterior": {
-        "feasibility": (["sigmaI_hat_Y", "sigmaI_breve_z"], [
-            ("feasible-relaxed", "empirically feasible points satisfy "
-             "constraints at level 2*eps"),
-            ("feasible-exterior", "empirically feasible points lie within "
-             "2*c*eps of the feasible set")]),
-        "optimality": (
-            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
-             "sigma0_hat_ext"],
-            [("distance",
-              "one-sided deviation of the empirical set is <= 2*c*eps"),
-             ("near-optimal-value", "eps-near empirical minimizers cost at "
-              "most true optimum + 2*eps")]),
-        "value": (
-            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
-             "sigma0_hat_ext", "sigma0_breve_x_star"],
-            [("value-upper", "empirical optimum <= true optimum + eps"),
-             ("value-lower", "true optimum <= empirical optimum + eps + "
-              "relaxation gain at 2*eps")]),
-    },
-    "interior": {
-        "feasibility": (
-            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z"],
-            [("feasible-hard", "empirically feasible points satisfy every "
-              "constraint exactly (no relaxation)")]),
-        "optimality": (
-            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
-             "sigmaI_breve_y_star", "sigma0_hat_X"],
-            [("near-optimal-subset", "eps-near empirical minimizers are "
-              "(2*eps + interior gap)-near optimal")]),
-        "value": (
-            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
-             "sigmaI_breve_y_star", "sigma0_hat_X", "sigma0_breve_y_star"],
-            [("value-upper", "empirical optimum <= true optimum + eps + "
-              "interior gap at 2*eps"),
-             ("value-lower", "true optimum <= empirical optimum + 2*eps")]),
-    },
-}
 _RELAXATION = {"fixed": "none", "exterior": "+eps", "interior": "-eps"}
 _ASSUMPTIONS = {"exterior": ["metric regularity of the feasible set"],
                 "interior": ["Slater point with margin at least 2*eps"]}
-# for convex programs, the exterior whole-set bound can be swapped for the
-# active-set bound plus a pointwise term at an interior point
-_LOCALIZED_SWAP = {"sigmaI_hat_Y": ["sigmaI_hat_active", "sigmaI_breve_y"]}
 
 
 def _scope_terms(theorem: str, scope: str) -> tuple[list, list]:

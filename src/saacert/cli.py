@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -51,6 +52,14 @@ def _sanitize(obj):
     return obj
 
 
+def _need(spec: dict, key: str):
+    """``spec[key]``, or a ConfigError naming the missing field."""
+    if key not in spec:
+        raise ConfigError(f"spec is missing required field {key!r}",
+                          missing=key, have=sorted(spec))
+    return spec[key]
+
+
 def space_from_spec(spec) -> SpaceDescriptor:
     """Build a space descriptor from a CLI JSON spec."""
     if isinstance(spec, str):
@@ -58,25 +67,18 @@ def space_from_spec(spec) -> SpaceDescriptor:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("space spec must be a JSON object with a 'kind'")
     kind = spec["kind"]
-    norm = spec.get("norm")
-    try:
-        if kind == "box":
-            kw = {"norm": norm} if norm else {}
-            return SpaceDescriptor.box(spec["lo"], spec["hi"], **kw)
-        if kind == "ball":
-            kw = {"norm": norm} if norm else {}
-            return SpaceDescriptor.ball(spec["center"], spec["radius"], **kw)
-        if kind == "simplex":
-            kw = {"norm": norm} if norm else {}
-            return SpaceDescriptor.simplex(int(spec["dim"]), **kw)
-        if kind == "cloud":
-            kw = {"norm": norm} if norm else {}
-            return SpaceDescriptor.cloud(spec["points"], **kw)
-        if kind == "product":
-            parts = [space_from_spec(p) for p in spec["parts"]]
-            return SpaceDescriptor.product(*parts)
-    except KeyError as exc:
-        raise ConfigError(f"space spec is missing field {exc}") from exc
+    kw = {"norm": spec["norm"]} if spec.get("norm") else {}
+    if kind == "box":
+        return SpaceDescriptor.box(_need(spec, "lo"), _need(spec, "hi"), **kw)
+    if kind == "ball":
+        return SpaceDescriptor.ball(_need(spec, "center"), _need(spec, "radius"),
+                                    **kw)
+    if kind == "simplex":
+        return SpaceDescriptor.simplex(int(_need(spec, "dim")), **kw)
+    if kind == "cloud":
+        return SpaceDescriptor.cloud(_need(spec, "points"), **kw)
+    if kind == "product":
+        return SpaceDescriptor.product(*map(space_from_spec, _need(spec, "parts")))
     raise ConfigError(f"unknown space kind {kind!r}",
                       allowed=["box", "ball", "simplex", "cloud", "product"])
 
@@ -95,12 +97,19 @@ def _load_json(path_or_inline):
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
+def _c_star(source) -> float:
+    """The constant C* of a calibration artifact (file or inline JSON)."""
+    calib = _load_json(source)
+    return float(_need(calib.get("results", calib), "c_star"))
+
+
 def _program_from_spec(spec):
     obj = _load_json(spec) if isinstance(spec, str) else spec
-    if "family" not in obj:
-        raise ConfigError("problem spec needs a 'family' field",
-                          allowed_keys=["family", "params"])
-    return make_family(obj["family"], **obj.get("params", {}))
+    family = _need(obj, "family")
+    try:
+        return make_family(family, **obj.get("params", {}))
+    except TypeError as exc:
+        raise ConfigError(f"bad family params: {exc}", family=family) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +137,7 @@ def _cmd_aalpha(args):
 
 
 def _cmd_certify(args):
-    constant = args.C
-    if args.C_from:
-        calib = _load_json(args.C_from)
-        constant = float(calib.get("results", calib).get("c_star", constant))
+    constant = _c_star(args.C_from) if args.C_from else args.C
     if args.sigma is not None:
         cert = certificate_from_sigma(args.theorem, args.sigma, args.eps,
                                       args.p, m=args.m, constant=constant,
@@ -142,7 +148,7 @@ def _cmd_certify(args):
         raw = _load_json(args.profile)
         prof = VarianceProfile(theorem=raw.get("theorem", args.theorem),
                                entries={k: float(v)
-                                        for k, v in raw["entries"].items()},
+                                        for k, v in _need(raw, "entries").items()},
                                anchors=raw.get("anchors", {}))
         if prof.theorem != args.theorem:
             raise ConfigError("profile theorem does not match --theorem",
@@ -193,12 +199,21 @@ def _cmd_solve(args):
 
 
 def _plan_program(plan: dict):
-    if "family" in plan:
-        fam = plan["family"]
-        if isinstance(fam, str):
-            fam = {"family": fam, "params": plan.get("params", {})}
-        return _program_from_spec(fam)
-    raise ConfigError("plan needs a 'family' field")
+    fam = _need(plan, "family")
+    if isinstance(fam, str):
+        fam = {"family": fam, "params": plan.get("params", {})}
+    return _program_from_spec(fam)
+
+
+def _coverage_plan(spec: dict) -> CoveragePlan:
+    """One coverage plan from its JSON spec, for ``validate`` and ``calibrate``."""
+    return CoveragePlan(
+        program=_plan_program(spec), theorem=_need(spec, "theorem"),
+        event=_need(spec, "event"), eps=float(_need(spec, "eps")),
+        p=float(_need(spec, "p")),
+        replications=int(spec.get("replications", 400)),
+        seed=int(spec.get("seed", 0)), h=float(spec.get("h", 0.02)),
+        pilot_n=int(spec.get("pilot_n", 400)), name=spec.get("name", ""))
 
 
 def _cmd_validate(args):
@@ -207,39 +222,31 @@ def _cmd_validate(args):
     seed = int(plan.get("seed", 0))
     if kind == "tail":
         dist_spec = plan.get("distribution", {"name": "t3"})
-        dist = make_distribution(dist_spec["name"],
+        dist = make_distribution(_need(dist_spec, "name"),
                                  **{k: v for k, v in dist_spec.items()
                                     if k != "name"})
-        rep = tail_experiment(dist, int(plan["n"]), plan["t_grid"],
-                              int(plan["replications"]),
+        rep = tail_experiment(dist, int(_need(plan, "n")),
+                              _need(plan, "t_grid"),
+                              int(_need(plan, "replications")),
                               float(plan.get("constant", 3.0)), seed)
         return rep.to_json(), seed
     if kind == "uniform-tail":
         program = _plan_program(plan)
         rep = uniform_tail_experiment(
-            program, int(plan["n"]), plan["t_grid"],
-            int(plan["replications"]), float(plan.get("constant", 3.0)),
-            seed, h=float(plan.get("h", 0.25)))
+            program, int(_need(plan, "n")), _need(plan, "t_grid"),
+            int(_need(plan, "replications")),
+            float(plan.get("constant", 3.0)), seed,
+            h=float(plan.get("h", 0.25)))
         return rep.to_json(), seed
     if kind == "coverage":
-        program = _plan_program(plan)
-        constant = float(plan.get("constant", 1.0))
-        if "c_from" in plan:
-            calib = _load_json(plan["c_from"])
-            constant = float(calib.get("results", calib)["c_star"])
-        cov = CoveragePlan(program=program, theorem=plan["theorem"],
-                           event=plan["event"], eps=float(plan["eps"]),
-                           p=float(plan["p"]),
-                           replications=int(plan["replications"]), seed=seed,
-                           h=float(plan.get("h", 0.02)),
-                           pilot_n=int(plan.get("pilot_n", 400)),
-                           constant=constant)
-        rep = coverage_experiment(cov)
+        constant = (_c_star(plan["c_from"]) if "c_from" in plan
+                    else float(plan.get("constant", 1.0)))
+        rep = coverage_experiment(replace(_coverage_plan(plan), constant=constant))
         return rep.to_json(), seed
     if kind == "rate":
         program = _plan_program(plan)
-        rep = rate_experiment(program, plan["n_grid"],
-                              int(plan["replications"]), seed,
+        rep = rate_experiment(program, _need(plan, "n_grid"),
+                              int(_need(plan, "replications")), seed,
                               h=float(plan.get("h", 0.25)))
         return rep.to_json(), seed
     raise ConfigError(f"unknown experiment {kind!r}",
@@ -248,17 +255,8 @@ def _cmd_validate(args):
 
 def _cmd_calibrate(args):
     spec = _load_json(args.families)
-    plan_specs = spec["plans"] if isinstance(spec, dict) else spec
-    plans = []
-    for ps in plan_specs:
-        program = _plan_program(ps)
-        plans.append(CoveragePlan(
-            program=program, theorem=ps["theorem"], event=ps["event"],
-            eps=float(ps["eps"]), p=float(ps["p"]),
-            replications=int(ps.get("replications", 400)),
-            seed=int(ps.get("seed", 0)), h=float(ps.get("h", 0.02)),
-            pilot_n=int(ps.get("pilot_n", 400)),
-            name=ps.get("name", "")))
+    plan_specs = _need(spec, "plans") if isinstance(spec, dict) else spec
+    plans = [_coverage_plan(ps) for ps in plan_specs]
     c_grid = spec.get("c_grid") if isinstance(spec, dict) else None
     result = calibrate_constant(plans, c_grid=c_grid)
     return result.to_json(), plans[0].seed

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count, islice
 
 import numpy as np
 
@@ -488,7 +488,6 @@ class _LatticeEntropy:
     """Exact entropy of an axis-aligned box under the sup norm."""
 
     model = "lattice"
-    cap = math.inf
 
     def __init__(self, sides):
         self.sides = [float(s) for s in sides]
@@ -512,11 +511,10 @@ class _CloudEntropy:
         self.norm = norm
         self.min_gap = min_gap
         self.model = model
-        self.cap = math.log(len(self.points))
 
     def __call__(self, theta: float) -> float:
         if theta < self.min_gap:
-            return self.cap
+            return math.log(len(self.points))
         return math.log(len(greedy_pack(self.points, theta, self.norm)))
 
 
@@ -568,43 +566,42 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
         return AlphaComplexity(0.0, alpha, 0.0, np.zeros(0), 0, "degenerate", 0.0,
                                "none", False)
     model = _entropy_model(space, h)
-    terms = []
-    total = 0.0
-    prev_h = 0.0  # entropy at scale D / 2^0 is ln(1)
-    i = 0
+    chain = _chain_terms(model, diam, alpha)
+    terms, total = [], 0.0
     truncation = "level-cap"
-    while i < max_levels:
-        i += 1
-        cur_h = model(diam / 2.0**i)
-        term = (diam**alpha / 2.0 ** (i * alpha)) * math.sqrt(
-            cur_h + prev_h + math.log(i * (i + 1)))
+    for term in islice(chain, max_levels):
         terms.append(term)
         total += term
-        prev_h = cur_h
         if term < 1e-9 * total:
             truncation = "relative-tolerance"
             break
-    tail = _tail_estimate(model, diam, alpha, i, prev_h, total)
+    tail = _tail_estimate(chain, alpha, total)
     return AlphaComplexity(value=total, alpha=alpha, diameter=diam,
-                           terms=np.asarray(terms), levels=i, truncation=truncation,
-                           tail_bound=tail, entropy_model=model.model,
-                           approximate=model.model == "grid")
+                           terms=np.asarray(terms), levels=len(terms),
+                           truncation=truncation, tail_bound=tail,
+                           entropy_model=model.model, approximate=model.model == "grid")
 
 
-def _tail_estimate(model, diam: float, alpha: float, last_i: int,
-                   prev_h: float, total: float) -> float:
-    """Numeric bound on the terms beyond the truncation point."""
+def _chain_terms(model, diam: float, alpha: float):
+    """Terms of the chaining sum at levels 1, 2, ..., without end."""
+    prev_h = 0.0  # entropy at scale D / 2^0 is ln(1)
+    for i in count(1):
+        cur_h = model(diam / 2.0**i)
+        yield (diam**alpha / 2.0 ** (i * alpha)) * math.sqrt(
+            cur_h + prev_h + math.log(i * (i + 1)))
+        prev_h = cur_h
+
+
+def _tail_estimate(chain, alpha: float, total: float) -> float:
+    """Numeric bound on the terms of ``chain`` beyond the truncation point."""
     tail = 0.0
-    i = last_i
     term = math.inf
     # extend the series with the same entropy model (cheap past saturation)
-    while i < last_i + 400 and term > 1e-16 * max(total, 1.0):
-        i += 1
-        cur_h = min(model(diam / 2.0**i), model.cap) if model.cap < math.inf else model(diam / 2.0**i)
-        term = (diam**alpha / 2.0 ** (i * alpha)) * math.sqrt(
-            cur_h + prev_h + math.log(i * (i + 1)))
+    for _ in range(400):
+        if term <= 1e-16 * max(total, 1.0):
+            break
+        term = next(chain)
         tail += term
-        prev_h = cur_h
     # geometric bound on what is left after the extension
     q = 2.0**-alpha * 1.2
     if q < 1.0 and term < math.inf:

@@ -7,7 +7,8 @@ Three layers:
 * pointwise and set-level variance quantities -- the empirical variance
   around the population mean, its population counterpart, their combined
   ("breve") form, and the chaining-functional bounds ``A_alpha(Z) *
-  sqrt(Lhat^2 + L^2)`` over candidate sets,
+  sqrt(Lhat^2 + L^2)`` over candidate sets; ``variance_profile`` computes
+  the ones that the guarantee table ``_GUARANTEES`` names for a theorem,
 * the self-normalized deviation statistic and the symmetrized conditional
   second moment used by the tail experiments.
 """
@@ -140,63 +141,86 @@ def sigma_breve(emp: EmpiricalProblem, i: int, x) -> float:
     return math.sqrt(sigma_hat_sq(emp, i, x, pop_mean) + sigma_pop_sq(emp.program, i, x))
 
 
-def sigmaI_breve(emp: EmpiricalProblem, x) -> float:
-    """sup over constraints of the pointwise breve variance."""
-    m = emp.program.n_constraints
-    if m == 0:
-        return 0.0
-    return max(sigma_breve(emp, i, x) for i in range(1, m + 1))
-
-
 # ---------------------------------------------------------------------------
 # set-level (chaining) variance proxies
-
-
-def _as_cloud(points_or_space, norm: str) -> SpaceDescriptor:
-    if isinstance(points_or_space, SpaceDescriptor):
-        return points_or_space
-    pts = np.atleast_2d(np.asarray(points_or_space, dtype=float))
-    return SpaceDescriptor.cloud(pts, norm=norm)
 
 
 def sigma_hat_set(program: StochasticProgram, holder: HolderEstimate,
                   points_or_space) -> float:
     """A_alpha(Z) * sqrt(Lhat^2 + L^2) for one integrand over a set Z."""
-    space = _as_cloud(points_or_space, program.space.norm)
+    space = points_or_space
+    if not isinstance(space, SpaceDescriptor):
+        space = SpaceDescriptor.cloud(space, norm=program.space.norm)
     if space.kind == "cloud" and len(space.points) == 0:
         return 0.0
-    comp = a_alpha(space, holder.alpha)
-    return comp.value * holder.combined
-
-
-def sigmaI_hat_set(program: StochasticProgram, holders: list[HolderEstimate],
-                   points_or_space) -> float:
-    """sup over constraints of the set-level bound over a common set."""
-    vals = [sigma_hat_set(program, hol, points_or_space) for hol in holders]
-    return max(vals) if vals else 0.0
-
-
-def sigmaI_hat_active(program: StochasticProgram, holders: list[HolderEstimate],
-                      gamma: float, h: float,
-                      grid: np.ndarray | None = None) -> float:
-    """sup_i A_alpha_i(active set of constraint i at level gamma) * moduli.
-
-    The active sets are taken from the population-level relaxed set: points
-    of X_gamma where constraint i sits at the level (within grid tolerance).
-    """
-    vals = []
-    for hol in holders:
-        query = RelaxedSetQuery(kind="active", level=gamma, index=hol.index)
-        active = relaxed_set_grid(program, query, h, grid=grid)
-        if active.empty:
-            vals.append(0.0)
-        else:
-            vals.append(sigma_hat_set(program, hol, active.points))
-    return max(vals) if vals else 0.0
+    return a_alpha(space, holder.alpha).value * holder.combined
 
 
 # ---------------------------------------------------------------------------
 # variance profiles: everything a certificate assembly needs
+
+
+# per theorem and scope: the profile entries whose max gives sigma, and the
+# events the certificate guarantees; scope "all" joins every scope in order.
+# An entry name reads sigma<0|I>_<hat|breve>_<where>: the objective or the
+# max over constraints, as a chaining bound over a set or a pointwise
+# variance at an anchor; ``_WHERE`` names the set or the anchor.
+_GUARANTEES = {
+    "fixed": {
+        "near_optimality": (["sigma0_hat_X"], [
+            ("near-optimal-subset",
+             "every eps-near empirical minimizer is 2*eps-near optimal")]),
+        "value_lower": (["sigma0_hat_X", "sigma0_breve_z"], [
+            ("value-lower", "true optimum - 2*eps <= empirical optimum")]),
+        "value_upper": (["sigma0_breve_x_star"], [
+            ("value-upper", "empirical optimum <= true optimum + eps")]),
+    },
+    "exterior": {
+        "feasibility": (["sigmaI_hat_Y", "sigmaI_breve_z"], [
+            ("feasible-relaxed", "empirically feasible points satisfy "
+             "constraints at level 2*eps"),
+            ("feasible-exterior", "empirically feasible points lie within "
+             "2*c*eps of the feasible set")]),
+        "optimality": (
+            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
+             "sigma0_hat_ext"],
+            [("distance",
+              "one-sided deviation of the empirical set is <= 2*c*eps"),
+             ("near-optimal-value", "eps-near empirical minimizers cost at "
+              "most true optimum + 2*eps")]),
+        "value": (
+            ["sigmaI_hat_Y", "sigmaI_breve_z", "sigmaI_breve_x_star",
+             "sigma0_hat_ext", "sigma0_breve_x_star"],
+            [("value-upper", "empirical optimum <= true optimum + eps"),
+             ("value-lower", "true optimum <= empirical optimum + eps + "
+              "relaxation gain at 2*eps")]),
+    },
+    "interior": {
+        "feasibility": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z"],
+            [("feasible-hard", "empirically feasible points satisfy every "
+              "constraint exactly (no relaxation)")]),
+        "optimality": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
+             "sigmaI_breve_y_star", "sigma0_hat_X"],
+            [("near-optimal-subset", "eps-near empirical minimizers are "
+              "(2*eps + interior gap)-near optimal")]),
+        "value": (
+            ["sigmaI_hat_active0", "sigmaI_breve_y", "sigmaI_breve_z",
+             "sigmaI_breve_y_star", "sigma0_hat_X", "sigma0_breve_y_star"],
+            [("value-upper", "empirical optimum <= true optimum + eps + "
+              "interior gap at 2*eps"),
+             ("value-lower", "true optimum <= empirical optimum + 2*eps")]),
+    },
+}
+# for convex programs, the exterior whole-set bound can be swapped for the
+# active-set bound plus a pointwise term at an interior point
+_LOCALIZED_SWAP = {"sigmaI_hat_Y": ["sigmaI_hat_active", "sigmaI_breve_y"]}
+_WHERE = {"X": "the feasible grid", "Y": "the whole hard set",
+          "ext": "the inflated feasible grid", "z": "the anchor z",
+          "active": "per-constraint active sets at 2*eps",
+          "active0": "per-constraint boundary sets", "x_star": "the minimizer",
+          "y": "the interior point", "y_star": "the interior minimizer"}
 
 
 @dataclass
@@ -229,19 +253,27 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                      theorem: str, eps: float, h: float,
                      anchors: dict | None = None, c: float | None = None,
                      probes: np.ndarray | None = None) -> VarianceProfile:
-    """Build every variance entry the requested certificate family can use.
+    """Compute every variance entry that ``_GUARANTEES`` names for a theorem.
 
     ``theorem`` is one of ``fixed`` (no stochastic constraints),
     ``exterior`` (metric-regular feasible set, relaxations +eps) or
-    ``interior`` (Slater point, relaxations -eps).  Anchor points may be
+    ``interior`` (Slater point, relaxations -eps).  Convex exterior programs
+    also get the ``_LOCALIZED_SWAP`` entries.  Anchor points may be
     supplied; missing ones are located on the population grid.
     """
+    if theorem not in _GUARANTEES:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if theorem == "exterior" and c is None:
+        raise ValueError("exterior profiles need the regularity constant c")
+    names = dict.fromkeys(name for comps, _ in _GUARANTEES[theorem].values()
+                          for name in comps)
+    if theorem == "exterior" and program.convex:
+        names.update(dict.fromkeys(name for swap in _LOCALIZED_SWAP.values()
+                                   for name in swap))
     m = program.n_constraints
-    space = program.space
-    grid = space.grid(h)
+    grid = program.space.grid(h)
     holders = [estimate_holder(program, emp.scenarios.data, i, probes=probes)
                for i in range(m + 1)]
-    cons_holders = holders[1:]
     anchors = dict(anchors or {})
 
     feas = relaxed_set_grid(program, RelaxedSetQuery(kind="relaxed", level=0.0),
@@ -258,86 +290,53 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                         if not feas.empty else anchors["x_star"])
 
     prof = VarianceProfile(theorem=theorem, holder=holders, anchors=anchors)
-    ent, src, det = prof.entries, prof.provenance, prof.details
+    det = prof.details
     det["grid_points"] = len(grid)
     det["feasible_grid_points"] = len(feas.points)
     det["h"] = h
-
-    def set_entry(name, value, how):
-        ent[name] = float(value)
-        src[name] = how
-
-    if theorem == "fixed":
-        set_entry("sigma0_hat_X", sigma_hat_set(program, holders[0], feas.points),
-                  "chaining bound over the feasible grid")
-        set_entry("sigma0_breve_z", sigma_breve(emp, 0, anchors["z"]),
-                  "pointwise combined variance at the anchor z")
-        set_entry("sigma0_breve_x_star", sigma_breve(emp, 0, anchors["x_star"]),
-                  "pointwise combined variance at the grid minimizer")
-        return prof
+    sets = {"X": feas.points, "Y": program.space}
 
     if theorem == "exterior":
-        if c is None:
-            raise ValueError("exterior profiles need the regularity constant c")
         det["c"] = c
-        ext = relaxed_set_grid(program,
-                               RelaxedSetQuery(kind="exterior", level=2 * eps, c=c),
-                               h, grid=grid)
-        det["exterior_grid_points"] = len(ext.points)
+        sets["ext"] = relaxed_set_grid(
+            program, RelaxedSetQuery(kind="exterior", level=2 * eps, c=c),
+            h, grid=grid).points
+        det["exterior_grid_points"] = len(sets["ext"])
         if "y" not in anchors:
             anchors["y"] = _most_interior(program, grid)
-        set_entry("sigmaI_hat_Y", sigmaI_hat_set(program, cons_holders, space),
-                  "chaining bound over the whole hard set")
-        set_entry("sigmaI_breve_z", sigmaI_breve(emp, anchors["z"]),
-                  "pointwise combined constraint variance at z")
-        set_entry("sigmaI_breve_x_star", sigmaI_breve(emp, anchors["x_star"]),
-                  "pointwise combined constraint variance at the minimizer")
-        set_entry("sigma0_hat_ext", sigma_hat_set(program, holders[0], ext.points),
-                  "chaining bound over the inflated feasible grid")
-        set_entry("sigma0_breve_x_star", sigma_breve(emp, 0, anchors["x_star"]),
-                  "pointwise combined objective variance at the minimizer")
-        if program.convex:
-            set_entry("sigmaI_hat_active",
-                      sigmaI_hat_active(program, cons_holders, 2 * eps, h, grid=grid),
-                      "chaining bound over per-constraint active sets at 2*eps")
-            set_entry("sigmaI_breve_y", sigmaI_breve(emp, anchors["y"]),
-                      "pointwise combined constraint variance at the interior point")
-        return prof
-
     if theorem == "interior":
         inner = relaxed_set_grid(program,
                                  RelaxedSetQuery(kind="interior", level=2 * eps),
-                                 h, grid=grid)
-        det["inner_grid_points"] = len(inner.points)
+                                 h, grid=grid).points
+        det["inner_grid_points"] = len(inner)
+        if len(inner) == 0 and not {"y", "y_star"} <= anchors.keys():
+            raise EmptySampleError(
+                "no grid point is 2*eps-strictly feasible; shrink eps or "
+                "supply y and y_star anchors", eps=eps)
         if "y" not in anchors:
-            if inner.empty:
-                raise EmptySampleError(
-                    "no grid point is 2*eps-strictly feasible; shrink eps or "
-                    "supply a y anchor", eps=eps)
-            anchors["y"] = _most_interior(program, inner.points)
+            anchors["y"] = _most_interior(program, inner)
         if "y_star" not in anchors:
-            if inner.empty:
-                raise EmptySampleError(
-                    "no grid point is 2*eps-strictly feasible; cannot place y_star",
-                    eps=eps)
-            f_inner = program.true_fn_grid(0, inner.points)
-            anchors["y_star"] = inner.points[int(np.argmin(f_inner))]
-        set_entry("sigmaI_hat_active0",
-                  sigmaI_hat_active(program, cons_holders, 0.0, h, grid=grid),
-                  "chaining bound over per-constraint boundary sets")
-        set_entry("sigmaI_breve_y", sigmaI_breve(emp, anchors["y"]),
-                  "pointwise combined constraint variance at the interior point")
-        set_entry("sigmaI_breve_z", sigmaI_breve(emp, anchors["z"]),
-                  "pointwise combined constraint variance at z")
-        set_entry("sigmaI_breve_y_star", sigmaI_breve(emp, anchors["y_star"]),
-                  "pointwise combined constraint variance at the interior minimizer")
-        set_entry("sigma0_hat_X", sigma_hat_set(program, holders[0], feas.points),
-                  "chaining bound over the feasible grid")
-        set_entry("sigma0_breve_y_star", sigma_breve(emp, 0, anchors["y_star"]),
-                  "pointwise combined objective variance at the interior minimizer")
-        return prof
+            anchors["y_star"] = inner[int(np.argmin(program.true_fn_grid(0, inner)))]
 
-    raise ValueError(f"unknown theorem {theorem!r}")
+    def over(where: str, i: int):
+        if where.startswith("active"):
+            level = 2 * eps if where == "active" else 0.0
+            query = RelaxedSetQuery(kind="active", level=level, index=i)
+            return relaxed_set_grid(program, query, h, grid=grid).points
+        return sets[where]
+
+    for name in names:
+        which, kind, where = name.split("_", 2)
+        indices = [0] if which == "sigma0" else range(1, m + 1)
+        if kind == "hat":
+            values = [sigma_hat_set(program, holders[i], over(where, i))
+                      for i in indices]
+        else:
+            values = [sigma_breve(emp, i, anchors[where]) for i in indices]
+        prof.entries[name] = float(max(values, default=0.0))
+        prof.provenance[name] = (("chaining bound over " if kind == "hat" else
+                                  "pointwise combined variance at ") + _WHERE[where])
+    return prof
 
 
 # ---------------------------------------------------------------------------

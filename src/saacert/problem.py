@@ -202,6 +202,12 @@ def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
         data = np.array([[float(v) for v in r] for r in body])
     except ValueError as exc:
         raise DimensionMismatchError(f"non-numeric data value: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = (int(v) for v in bad[0])
+        raise DimensionMismatchError(
+            f"non-finite data value {body[row][col].strip()!r} in data row "
+            f"{row + 1}, column {header[col]!r}", row=row + 1, column=header[col])
     return header, data
 
 

@@ -17,7 +17,8 @@ from .certify import Certificate, certificate_from_profile
 from .distributions import Distribution
 from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableError
 from .geometry import a_alpha
-from .moments import per_scenario_modulus, self_normalized, variance_profile
+from .moments import (_GUARANTEES, per_scenario_modulus, self_normalized,
+                      variance_profile)
 from .problem import (ScenarioSet, StochasticProgram, _sample_means, _worst,
                       build_empirical)
 
@@ -174,11 +175,12 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
 # theorem coverage
 
 
+# coverage event -> {theorem: guarantee scope}, for the events that
+# _event_checker tests
 _EVENT_SCOPES = {
-    "near-optimal-subset": {"fixed": "near_optimality", "interior": "optimality"},
-    "feasible-relaxed": {"exterior": "feasibility"},
-    "feasible-hard": {"interior": "feasibility"},
-}
+    event: {theorem: scope for theorem, scopes in _GUARANTEES.items()
+            for scope, (_, events) in scopes.items() if event in dict(events)}
+    for event in ("near-optimal-subset", "feasible-relaxed", "feasible-hard")}
 
 
 @dataclass
@@ -255,11 +257,7 @@ class CoverageReport:
 
 
 def _relaxations_for(theorem: str, eps: float, m: int) -> np.ndarray:
-    if theorem == "exterior":
-        return np.full(m, eps)
-    if theorem == "interior":
-        return np.full(m, -eps)
-    return np.zeros(m)
+    return np.full(m, {"exterior": eps, "interior": -eps}.get(theorem, 0.0))
 
 
 def coverage_certificate(plan: CoveragePlan) -> Certificate:

@@ -191,3 +191,58 @@ def test_artifact_params_have_no_threads(capsys):
     blob = artifact(capsys, "entropy", "--space", BOX01, "--theta", "0.5")
     assert "threads" not in blob["params"]
     assert blob["params"]["theta"] == 0.5
+
+
+NO_CSTAR = '{"results": {"c_grid": [1.0]}}'
+COVERAGE = {"experiment": "coverage", "family": "quad1d", "theorem": "fixed",
+            "event": "near-optimal-subset", "eps": 0.1, "p": 0.1,
+            "replications": 5}
+
+
+def _without(spec, key):
+    return json.dumps({k: v for k, v in spec.items() if k != key})
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["validate", "--plan", _without(COVERAGE, "theorem")], "theorem"),
+    (["calibrate", "--families",
+      json.dumps([json.loads(_without(COVERAGE, "theorem"))])], "theorem"),
+    (["validate", "--plan",
+      '{"experiment":"tail","n":10,"replications":5}'], "t_grid"),
+    (["validate", "--plan", json.dumps({**COVERAGE, "c_from": NO_CSTAR})],
+     "c_star"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--sigma", "1", "--C-from", NO_CSTAR], "c_star"),
+])
+def test_plan_missing_field_exits_2(capsys, argv, field):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert field in payload["message"]
+
+
+@pytest.mark.parametrize("params", [
+    {"bogus": 1}, {"radius": "x"}, [1]])
+def test_family_params_errors_exit_2(capsys, params):
+    spec = json.dumps({"family": "ball2d", "params": params})
+    code, _, err = run_cli(capsys, "solve", "--problem", spec, "--n", "10")
+    assert code == 2
+    assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("command, text, column", [
+    ("lasso", "a,b,y\n1,2,3\nnan,1,2\n3,4,5\n2,2,2\n", "a"),
+    ("solve", "xi_1\n0.1\ninf\n0.3\n", "xi_1")], ids=["lasso", "solve"])
+def test_non_finite_csv_cells_exit_2(capsys, tmp_path, command, text, column):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    argv = (["lasso", "--data", str(path), "--radius", "1"]
+            if command == "lasso" else
+            ["solve", "--problem", '{"family":"quad1d"}', "--scenarios",
+             str(path)])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "dimension-mismatch"
+    assert payload["details"] == {"row": 2, "column": column}

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from saacert.certify import components_for
+from saacert.errors import EmptySampleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.moments import (estimate_holder, panchenko_vhat_singleton,
@@ -138,3 +140,43 @@ def test_variance_profile_nonnegative_and_finite():
     profile = variance_profile(program, emp, "fixed", eps=0.1, h=0.02)
     for name, value in profile.entries.items():
         assert np.isfinite(value) and value >= 0.0, name
+
+
+@pytest.mark.parametrize("theorem, family, params, convex", [
+    ("fixed", "quad1d", {"a": 0.3}, False),
+    ("exterior", "ball2d", {}, True),
+    ("exterior", "ball2d", {}, False),
+    ("interior", "halfspace_box", {"objective": "interior"}, True),
+])
+def test_variance_profile_computes_the_guarantee_entries(theorem, family,
+                                                         params, convex):
+    program = make_family(family, **params)
+    program.convex = convex
+    program.oracle.mc_budget = 500
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 60, seed=3),
+        np.zeros(program.n_constraints))
+    profile = variance_profile(program, emp, theorem, eps=0.1, h=0.2,
+                               c=1.0 if theorem == "exterior" else None)
+    expected = set(components_for(theorem, "all"))
+    if theorem == "exterior" and convex:
+        expected |= set(components_for(theorem, "all", localized=True))
+    assert set(profile.entries) == expected
+    assert set(profile.provenance) == expected
+
+
+@pytest.mark.parametrize("anchors", [{}, {"y": [0.0, 0.0]},
+                                     {"y_star": [0.0, 0.0]}])
+def test_interior_profile_without_inner_points_needs_anchors(anchors):
+    program = make_family("ball2d")
+    program.oracle.mc_budget = 500
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 60, seed=3),
+        np.zeros(1))
+    with pytest.raises(EmptySampleError):
+        variance_profile(program, emp, "interior", eps=0.45, h=0.2,
+                         anchors=anchors)
+    both = {"y": np.zeros(2), "y_star": np.zeros(2)}
+    profile = variance_profile(program, emp, "interior", eps=0.45, h=0.2,
+                               anchors=both)
+    assert profile.details["inner_grid_points"] == 0
