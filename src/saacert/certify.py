@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, SlaterMarginError
-from .geometry import dists_to
+from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
 from .problem import EmpiricalProblem, StochasticProgram, _constraint_table, _worst
 
@@ -262,19 +262,15 @@ def estimate_regularity(program: StochasticProgram, h: float,
     oracle = program.oracle
     exact = (use_exact_distance and oracle is not None
              and oracle.dist_to_feasible is not None)
-    c_hat, used, skipped = 0.0, 0, 0
-    for x, v in zip(grid, worst):
-        if v <= 0:
-            continue
-        if v < min_violation:
-            skipped += 1
-            continue
-        if exact:
-            d = float(oracle.dist_to_feasible(x))
-        else:
-            d = float(dists_to(feas_pts, x, program.space.norm).min())
-        c_hat = max(c_hat, d / v)
-        used += 1
+    scored = worst >= min_violation
+    pts, viol = grid[scored], worst[scored]
+    if exact:
+        dist = np.array([float(oracle.dist_to_feasible(x)) for x in pts])
+    else:
+        dist = _nearest_dists(pts, feas_pts, program.space.norm)
+    c_hat = max(0.0, (dist / viol).max(initial=0.0))
+    used = len(pts)
+    skipped = int(np.count_nonzero(worst > 0)) - used
     return RegularityEstimate(
         c_hat=c_hat, points_used=used, points_skipped=skipped,
         min_violation=min_violation, vacuous=used == 0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -52,12 +53,39 @@ def _sanitize(obj):
     return obj
 
 
-def _need(spec: dict, key: str):
-    """``spec[key]``, or a ConfigError naming the missing field."""
+_REQUIRED = object()
+
+
+def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
+    """``spec[key]`` converted by ``kind``, or ``default`` when it is absent.
+
+    Raises a ConfigError naming the field when ``spec`` is not a JSON
+    object, when a field without a default is missing, when a ``list`` or
+    ``dict`` field holds another JSON type, or when its value does not
+    convert.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError("spec must be a JSON object", field=key,
+                          got=type(spec).__name__)
     if key not in spec:
-        raise ConfigError(f"spec is missing required field {key!r}",
-                          missing=key, have=sorted(spec))
-    return spec[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"spec is missing required field {key!r}",
+                              missing=key, have=sorted(spec))
+        return default
+    value = spec[key]
+    if kind is None:
+        return value
+    if kind in (list, dict):
+        if isinstance(value, kind):
+            return value
+        raise ConfigError(f"field {key!r} must be a JSON "
+                          f"{'array' if kind is list else 'object'}",
+                          field=key, got=type(value).__name__)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {key!r} is not a valid {kind.__name__}: {exc}",
+                          field=key, value=value) from exc
 
 
 def space_from_spec(spec) -> SpaceDescriptor:
@@ -100,14 +128,14 @@ def _load_json(path_or_inline):
 def _c_star(source) -> float:
     """The constant C* of a calibration artifact (file or inline JSON)."""
     calib = _load_json(source)
-    return float(_need(calib.get("results", calib), "c_star"))
+    return _need(_need(calib, "results", default=calib), "c_star", float)
 
 
 def _program_from_spec(spec):
     obj = _load_json(spec) if isinstance(spec, str) else spec
     family = _need(obj, "family")
     try:
-        return make_family(family, **obj.get("params", {}))
+        return make_family(family, **_need(obj, "params", default={}))
     except TypeError as exc:
         raise ConfigError(f"bad family params: {exc}", family=family) from exc
 
@@ -146,10 +174,10 @@ def _cmd_certify(args):
                                       n_available=args.n_available)
     elif args.profile:
         raw = _load_json(args.profile)
-        prof = VarianceProfile(theorem=raw.get("theorem", args.theorem),
-                               entries={k: float(v)
-                                        for k, v in _need(raw, "entries").items()},
-                               anchors=raw.get("anchors", {}))
+        entries = _need(raw, "entries", dict)
+        prof = VarianceProfile(theorem=_need(raw, "theorem", default=args.theorem),
+                               entries={k: _need(entries, k, float) for k in entries},
+                               anchors=_need(raw, "anchors", dict, {}))
         if prof.theorem != args.theorem:
             raise ConfigError("profile theorem does not match --theorem",
                               profile=prof.theorem, requested=args.theorem)
@@ -201,7 +229,7 @@ def _cmd_solve(args):
 def _plan_program(plan: dict):
     fam = _need(plan, "family")
     if isinstance(fam, str):
-        fam = {"family": fam, "params": plan.get("params", {})}
+        fam = {"family": fam, "params": _need(plan, "params", default={})}
     return _program_from_spec(fam)
 
 
@@ -209,45 +237,46 @@ def _coverage_plan(spec: dict) -> CoveragePlan:
     """One coverage plan from its JSON spec, for ``validate`` and ``calibrate``."""
     return CoveragePlan(
         program=_plan_program(spec), theorem=_need(spec, "theorem"),
-        event=_need(spec, "event"), eps=float(_need(spec, "eps")),
-        p=float(_need(spec, "p")),
-        replications=int(spec.get("replications", 400)),
-        seed=int(spec.get("seed", 0)), h=float(spec.get("h", 0.02)),
-        pilot_n=int(spec.get("pilot_n", 400)), name=spec.get("name", ""))
+        event=_need(spec, "event"), eps=_need(spec, "eps", float),
+        p=_need(spec, "p", float),
+        replications=_need(spec, "replications", int, 400),
+        seed=_need(spec, "seed", int, 0), h=_need(spec, "h", float, 0.02),
+        pilot_n=_need(spec, "pilot_n", int, 400),
+        name=_need(spec, "name", default=""))
 
 
 def _cmd_validate(args):
     plan = _load_json(args.plan)
-    kind = plan.get("experiment")
-    seed = int(plan.get("seed", 0))
+    kind = _need(plan, "experiment", default=None)
+    seed = _need(plan, "seed", int, 0)
     if kind == "tail":
-        dist_spec = plan.get("distribution", {"name": "t3"})
+        dist_spec = _need(plan, "distribution", default={"name": "t3"})
         dist = make_distribution(_need(dist_spec, "name"),
                                  **{k: v for k, v in dist_spec.items()
                                     if k != "name"})
-        rep = tail_experiment(dist, int(_need(plan, "n")),
-                              _need(plan, "t_grid"),
-                              int(_need(plan, "replications")),
-                              float(plan.get("constant", 3.0)), seed)
+        rep = tail_experiment(dist, _need(plan, "n", int),
+                              _need(plan, "t_grid", list),
+                              _need(plan, "replications", int),
+                              _need(plan, "constant", float, 3.0), seed)
         return rep.to_json(), seed
     if kind == "uniform-tail":
         program = _plan_program(plan)
         rep = uniform_tail_experiment(
-            program, int(_need(plan, "n")), _need(plan, "t_grid"),
-            int(_need(plan, "replications")),
-            float(plan.get("constant", 3.0)), seed,
-            h=float(plan.get("h", 0.25)))
+            program, _need(plan, "n", int), _need(plan, "t_grid", list),
+            _need(plan, "replications", int),
+            _need(plan, "constant", float, 3.0), seed,
+            h=_need(plan, "h", float, 0.25))
         return rep.to_json(), seed
     if kind == "coverage":
         constant = (_c_star(plan["c_from"]) if "c_from" in plan
-                    else float(plan.get("constant", 1.0)))
+                    else _need(plan, "constant", float, 1.0))
         rep = coverage_experiment(replace(_coverage_plan(plan), constant=constant))
         return rep.to_json(), seed
     if kind == "rate":
         program = _plan_program(plan)
-        rep = rate_experiment(program, _need(plan, "n_grid"),
-                              int(_need(plan, "replications")), seed,
-                              h=float(plan.get("h", 0.25)))
+        rep = rate_experiment(program, _need(plan, "n_grid", list),
+                              _need(plan, "replications", int), seed,
+                              h=_need(plan, "h", float, 0.25))
         return rep.to_json(), seed
     raise ConfigError(f"unknown experiment {kind!r}",
                       allowed=["tail", "uniform-tail", "coverage", "rate"])
@@ -255,7 +284,7 @@ def _cmd_validate(args):
 
 def _cmd_calibrate(args):
     spec = _load_json(args.families)
-    plan_specs = _need(spec, "plans") if isinstance(spec, dict) else spec
+    plan_specs = _need(spec, "plans", list) if isinstance(spec, dict) else spec
     plans = [_coverage_plan(ps) for ps in plan_specs]
     c_grid = spec.get("c_grid") if isinstance(spec, dict) else None
     result = calibrate_constant(plans, c_grid=c_grid)
@@ -468,10 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Grid steps and separations must be finite and positive, alpha in (0, 1]."""
+    for flag in ("theta", "h", "cert_h"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be finite and "
+                              "positive", value=value)
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not 0 < alpha <= 1:
+        raise ConfigError("--alpha must lie in (0, 1]", value=alpha)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         results, seed = args.handler(args)
     except SaacertError as exc:
         json.dump(_sanitize(exc.to_json()), sys.stderr)

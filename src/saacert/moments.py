@@ -73,9 +73,14 @@ def _max_ratio(points: np.ndarray, values: np.ndarray, alpha: float,
     out = np.zeros(values.shape[1])
     for g in range(len(points) - 1):
         d = dists_to(points[g + 1:], points[g], norm) ** alpha
+        rest = values[g + 1:]
         ok = d > 0
-        if np.any(ok):
-            ratios = np.abs(values[g + 1:][ok] - values[g]) / d[ok, None]
+        if not ok.all():  # repeated probes: copy only the rows that count
+            rest, d = rest[ok], d[ok]
+        if len(d):
+            ratios = rest - values[g]
+            np.abs(ratios, out=ratios)
+            ratios /= d[:, None]
             np.maximum(out, ratios.max(axis=0), out=out)
     return out
 
@@ -278,12 +283,12 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
 
     feas = relaxed_set_grid(program, RelaxedSetQuery(kind="relaxed", level=0.0),
                             h, grid=grid)
-    f_on_feas = program.true_fn_grid(0, feas.points) if not feas.empty else None
 
     if "x_star" not in anchors:
         if feas.empty:
             raise EmptySampleError("population feasible set has no grid points; "
                                    "supply an x_star anchor or refine the grid")
+        f_on_feas = program.true_fn_grid(0, feas.points)
         anchors["x_star"] = feas.points[int(np.argmin(f_on_feas))]
     if "z" not in anchors:
         anchors["z"] = (_most_interior(program, feas.points)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySampleError
-from .geometry import SpaceDescriptor, dists_to
+from .geometry import SpaceDescriptor, _nearest_dists
 
 # An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
 # per-scenario values, shape (N,).
@@ -396,10 +396,8 @@ def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,
                                 h, grid=pts)
         if base.empty:
             return GridSet(points=pts[:0], query=query, resolution=h, source=label)
-        radius = query.c * query.level
-        keep = np.zeros(len(pts), dtype=bool)
-        for j, x in enumerate(pts):
-            keep[j] = dists_to(base.points, x, program.space.norm).min() <= radius + 1e-12
+        near = _nearest_dists(pts, base.points, program.space.norm)
+        keep = near <= query.c * query.level + 1e-12
         return GridSet(points=pts[keep], query=query, resolution=h, source=label)
 
     raise ValueError(f"unknown query kind {query.kind!r}")

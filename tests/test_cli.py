@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -246,3 +247,57 @@ def test_non_finite_csv_cells_exit_2(capsys, tmp_path, command, text, column):
     payload = json.loads(err)
     assert payload["error"] == "dimension-mismatch"
     assert payload["details"] == {"row": 2, "column": column}
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["validate", "--plan", "[1]"], "experiment"),
+    (["calibrate", "--families", "[1]"], "family"),
+    (["calibrate", "--families", '{"plans": 5}'], "plans"),
+    (["calibrate", "--families", '{"plans": "ab"}'], "plans"),
+    (["validate", "--plan", json.dumps({**COVERAGE, "eps": "x"})], "eps"),
+    (["validate", "--plan", json.dumps({**COVERAGE, "replications": "x"})],
+     "replications"),
+    (["validate", "--plan",
+      '{"experiment":"tail","n":"x","t_grid":[1],"replications":2}'], "n"),
+    (["validate", "--plan",
+      '{"experiment":"tail","n":1e400,"t_grid":[1],"replications":2}'], "n"),
+    (["validate", "--plan", json.dumps({**COVERAGE, "replications": math.inf})],
+     "replications"),
+    (["validate", "--plan",
+      '{"experiment":"tail","n":10,"t_grid":"x","replications":2}'], "t_grid"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--sigma", "1", "--C-from", "[1]"], "results"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--sigma", "1", "--C-from", '{"c_star": "x"}'], "c_star"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--profile", '{"entries": {"sigma0_hat_X": "x"}}'], "sigma0_hat_X"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--profile", '{"entries": [["sigma0_hat_X", 1]]}'], "entries"),
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--profile", '{"entries": {"sigma0_hat_X": 1}, "anchors": 5}'], "anchors"),
+])
+def test_malformed_plan_exits_2(capsys, argv, field):
+    """A plan that is not an object, or a value that is not a number."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["details"]["field"] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--space", BOX01, "--theta", "nan"],
+    ["entropy", "--space", BOX01, "--theta", "0"],
+    ["entropy", "--space", BOX01, "--theta", "0.5", "--h", "-0.1"],
+    ["aalpha", "--space", BOX01, "--alpha", "1", "--h", "-1"],
+    ["aalpha", "--space", BOX01, "--alpha", "1", "--h", "inf"],
+    ["aalpha", "--space", BOX01, "--alpha", "0"],
+    ["aalpha", "--space", BOX01, "--alpha", "1.5"],
+    ["aalpha", "--space", BOX01, "--alpha", "nan"],
+    ["solve", "--problem", '{"family":"quad1d"}', "--n", "10", "--h", "0"],
+])
+def test_bad_numeric_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"

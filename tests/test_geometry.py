@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saacert.geometry import (SpaceDescriptor, a_alpha, dists_to,
-                              entropy_number, packing_net, set_deviation,
-                              vec_norm)
+from saacert.geometry import (SpaceDescriptor, _entropy_model, _nearest_dists,
+                              a_alpha, cross_dists, dists_to, entropy_number,
+                              greedy_pack, max_pairwise, min_pairwise_gap,
+                              packing_net, set_deviation, vec_norm)
 
 # Frozen reference: chaining constant of the two-point set {0, 1},
 # recomputed independently in test_a_alpha_two_point_matches_series below.
@@ -194,3 +195,132 @@ def test_greedy_packing_attains_maximum_on_small_cases():
     sp = SpaceDescriptor.box([0.0, 0.0], [1.0, 1.0])
     assert packing_net(sp, 0.5, 0.25).size == exhaustive_max_packing(
         sp.grid(0.25), 0.5, sp.norm)
+
+
+# ---------------------------------------------------------------------------
+# pruned kernels against brute-force scans, bit for bit
+
+
+def brute_max(pts, norm):
+    return float(cross_dists(pts, pts, norm).max()) if len(pts) > 1 else 0.0
+
+
+def brute_gap(pts, norm):
+    if len(pts) < 2:
+        return math.inf
+    dist = cross_dists(pts, pts, norm)
+    np.fill_diagonal(dist, math.inf)
+    return float(dist.min())
+
+
+def brute_pack(cands, theta, norm):
+    """First fit in lexicographic order, scanning every candidate."""
+    cands = cands[np.lexsort(cands.T[::-1])]
+    alive = np.ones(len(cands), dtype=bool)
+    chosen = []
+    while alive.any():
+        idx = int(np.argmax(alive))
+        chosen.append(idx)
+        alive &= dists_to(cands, cands[idx], norm) > theta
+    return cands[np.array(chosen, dtype=int)]
+
+
+@st.composite
+def point_sets(draw, dims=(1, 2, 3, 4)):
+    """Gaussian clouds, lattice subsets and sets with repeated rows."""
+    n = draw(st.integers(0, 40))
+    d = draw(st.sampled_from(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8, 8))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e8, 3e-8]))
+    shape = draw(st.sampled_from(["gauss", "lattice", "repeats"]))
+    if shape == "gauss":
+        pts = rng.standard_normal((n, d)) * scale
+    elif shape == "lattice":
+        pts = rng.integers(-5, 6, size=(n, d)) * scale
+    else:
+        base = rng.standard_normal((max(1, n // 3), d)) * scale
+        pts = base[rng.integers(len(base), size=n)]
+    return pts.reshape(n, d) + offset
+
+
+NORM = st.sampled_from(["l1", "l2", "linf"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), NORM)
+def test_diameter_and_gap_match_brute_force(pts, norm):
+    assert max_pairwise(pts, norm) == brute_max(pts, norm)
+    assert min_pairwise_gap(pts, norm) == brute_gap(pts, norm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), NORM, st.floats(0.0, 3.0))
+def test_greedy_pack_matches_brute_force(pts, norm, rel_theta):
+    if not len(pts):
+        return
+    theta = rel_theta * float(np.ptp(pts)) if np.ptp(pts) > 0 else rel_theta
+    assert np.array_equal(greedy_pack(pts, theta, norm),
+                          brute_pack(pts, theta, norm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), point_sets(), NORM)
+def test_nearest_distances_match_brute_force(a, b, norm):
+    if a.shape[1] != b.shape[1] or not len(b):
+        return
+    nearest = cross_dists(a, b, norm).min(axis=1)
+    assert np.array_equal(_nearest_dists(a, b, norm), nearest)
+    expected = max(0.0, float(nearest.max())) if len(a) else 0.0
+    assert set_deviation(a, b, norm) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets(dims=(8, 9)), point_sets(dims=(8,)), NORM)
+def test_kernels_match_brute_force_in_eight_or_more_dims(pts, other, norm):
+    """From d = 8 on numpy sums pairwise; l1 and l2 keep cross_dists."""
+    assert max_pairwise(pts, norm) == brute_max(pts, norm)
+    assert min_pairwise_gap(pts, norm) == brute_gap(pts, norm)
+    if len(pts):
+        assert np.array_equal(greedy_pack(pts, 0.5 * float(np.ptp(pts)), norm),
+                              brute_pack(pts, 0.5 * float(np.ptp(pts)), norm))
+    if pts.shape[1] == other.shape[1] and len(other):
+        assert np.array_equal(_nearest_dists(pts, other, norm),
+                              cross_dists(pts, other, norm).min(axis=1))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_kernels_on_zero_one_and_two_points(norm):
+    empty, one = np.zeros((0, 2)), np.array([[0.5, -1.0]])
+    two = np.array([[0.0, 0.0], [3.0, -4.0]])
+    assert max_pairwise(empty, norm) == max_pairwise(one, norm) == 0.0
+    assert min_pairwise_gap(empty, norm) == min_pairwise_gap(one, norm) == math.inf
+    assert max_pairwise(two, norm) == min_pairwise_gap(two, norm) == brute_max(two, norm)
+    assert greedy_pack(empty, 1.0, norm).shape == (0, 2)
+    assert np.array_equal(greedy_pack(two, 1.0, norm), two)
+    assert np.array_equal(greedy_pack(two, 10.0, norm), two[:1])
+    assert set_deviation(empty, two, norm) == 0.0
+    assert _nearest_dists(empty, two, norm).shape == (0,)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_min_gap_is_zero_for_repeated_rows(norm):
+    """Repeated rows give a 0.0 gap, so cloud entropy never saturates early."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]])
+    assert min_pairwise_gap(pts, norm) == 0.0
+    cloud = SpaceDescriptor.cloud(pts, norm=norm)
+    assert cloud.grid_with_gap(1.0)[1] == 0.0
+    assert _entropy_model(cloud, None)(1e-3) == math.log(2)  # not ln 3
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_set_deviation_rejects_mismatched_widths(norm):
+    a = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        set_deviation(a, np.zeros((2, 3)), norm)
+    with pytest.raises(ValueError):
+        set_deviation(np.zeros((3, 3)), a, norm)
+    wide, narrow = np.arange(6.0).reshape(2, 3), np.array([[0.5], [4.0]])
+    for x, y in ((wide, narrow), (narrow, wide)):
+        assert set_deviation(x, y, norm) == float(
+            cross_dists(x, y, norm).min(axis=1).max())
