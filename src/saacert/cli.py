@@ -59,10 +59,11 @@ _REQUIRED = object()
 def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
     """``spec[key]`` converted by ``kind``, or ``default`` when it is absent.
 
-    Raises a ConfigError naming the field when ``spec`` is not a JSON
-    object, when a field without a default is missing, when a ``list`` or
-    ``dict`` field holds another JSON type, or when its value does not
-    convert.
+    ``kind`` may be a one-element list such as ``[float]``: the field must
+    be a JSON array and each element is converted.  Raises a ConfigError
+    naming the field when ``spec`` is not a JSON object, when a field
+    without a default is missing, when a ``list`` or ``dict`` field holds
+    another JSON type, or when its value does not convert.
     """
     if not isinstance(spec, dict):
         raise ConfigError("spec must be a JSON object", field=key,
@@ -81,10 +82,16 @@ def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
         raise ConfigError(f"field {key!r} must be a JSON "
                           f"{'array' if kind is list else 'object'}",
                           field=key, got=type(value).__name__)
+    if isinstance(kind, list):
+        value, (elem,) = _need(spec, key, list), kind
+        convert, name = (lambda items: [elem(v) for v in items],
+                         f"array of {elem.__name__}")
+    else:
+        convert, name = kind, kind.__name__
     try:
-        return kind(value)
+        return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {key!r} is not a valid {kind.__name__}: {exc}",
+        raise ConfigError(f"field {key!r} is not a valid {name}: {exc}",
                           field=key, value=value) from exc
 
 
@@ -97,12 +104,13 @@ def space_from_spec(spec) -> SpaceDescriptor:
     kind = spec["kind"]
     kw = {"norm": spec["norm"]} if spec.get("norm") else {}
     if kind == "box":
-        return SpaceDescriptor.box(_need(spec, "lo"), _need(spec, "hi"), **kw)
+        return SpaceDescriptor.box(_need(spec, "lo", [float]),
+                                   _need(spec, "hi", [float]), **kw)
     if kind == "ball":
-        return SpaceDescriptor.ball(_need(spec, "center"), _need(spec, "radius"),
-                                    **kw)
+        return SpaceDescriptor.ball(_need(spec, "center", [float]),
+                                    _need(spec, "radius", float), **kw)
     if kind == "simplex":
-        return SpaceDescriptor.simplex(int(_need(spec, "dim")), **kw)
+        return SpaceDescriptor.simplex(_need(spec, "dim", int), **kw)
     if kind == "cloud":
         return SpaceDescriptor.cloud(_need(spec, "points"), **kw)
     if kind == "product":
@@ -194,7 +202,7 @@ def _cmd_certify(args):
 def _relax_vector(raw, m):
     if raw is None:
         return np.zeros(m)
-    vals = [float(v) for v in raw.split(",")]
+    vals = _need({"relax": raw.split(",")}, "relax", [float])
     if len(vals) == 1:
         return np.full(m, vals[0])
     if len(vals) != m:
@@ -255,14 +263,14 @@ def _cmd_validate(args):
                                  **{k: v for k, v in dist_spec.items()
                                     if k != "name"})
         rep = tail_experiment(dist, _need(plan, "n", int),
-                              _need(plan, "t_grid", list),
+                              _need(plan, "t_grid", [float]),
                               _need(plan, "replications", int),
                               _need(plan, "constant", float, 3.0), seed)
         return rep.to_json(), seed
     if kind == "uniform-tail":
         program = _plan_program(plan)
         rep = uniform_tail_experiment(
-            program, _need(plan, "n", int), _need(plan, "t_grid", list),
+            program, _need(plan, "n", int), _need(plan, "t_grid", [float]),
             _need(plan, "replications", int),
             _need(plan, "constant", float, 3.0), seed,
             h=_need(plan, "h", float, 0.25))
@@ -274,7 +282,7 @@ def _cmd_validate(args):
         return rep.to_json(), seed
     if kind == "rate":
         program = _plan_program(plan)
-        rep = rate_experiment(program, _need(plan, "n_grid", list),
+        rep = rate_experiment(program, _need(plan, "n_grid", [int]),
                               _need(plan, "replications", int), seed,
                               h=_need(plan, "h", float, 0.25))
         return rep.to_json(), seed
@@ -286,7 +294,8 @@ def _cmd_calibrate(args):
     spec = _load_json(args.families)
     plan_specs = _need(spec, "plans", list) if isinstance(spec, dict) else spec
     plans = [_coverage_plan(ps) for ps in plan_specs]
-    c_grid = spec.get("c_grid") if isinstance(spec, dict) else None
+    c_grid = (_need(spec, "c_grid", [float], None) if isinstance(spec, dict)
+              else None)
     result = calibrate_constant(plans, c_grid=c_grid)
     return result.to_json(), plans[0].seed
 
@@ -296,7 +305,11 @@ def _cmd_portfolio(args):
         dataset = ReturnsDataset.from_csv(args.returns)
         sampler = None
     elif args.synthetic:
-        assets, n = (int(v) for v in args.synthetic.split(","))
+        sizes = _need({"synthetic": args.synthetic.split(",")}, "synthetic",
+                      [int])
+        if len(sizes) != 2:
+            raise ConfigError("--synthetic takes ASSETS,N", value=args.synthetic)
+        assets, n = sizes
         dataset = ReturnsDataset.synthetic(assets, n, args.seed)
         _, sampler = _returns_sampler(assets)
     else:

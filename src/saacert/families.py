@@ -1,7 +1,8 @@
 """Built-in synthetic problem families with full population oracles.
 
 Each family is desk-scale (d <= 3), has closed-form population means and
-variances, vectorized empirical means, and -- where the geometry allows --
+variances, closed-form per-scenario Lipschitz moduli L(xi) (declared on its
+``HolderInfo``), vectorized empirical means, and -- where the geometry allows --
 exact distance-to-feasible-set and regularity constants.  They back the
 Monte Carlo validation lab, calibration, and the CLI's problem configs.
 """
@@ -47,6 +48,10 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
         xbar = float(np.mean(xis[:, 0]))
         return (pts[:, 0] - a) ** 2 + s * xbar * pts[:, 0]
 
+    def modulus0(xis):  # |dF0/dx| = |2(x - a) + s*xi| is largest at x = 0 or 1
+        slope = s * xis[:, 0]
+        return np.maximum(np.abs(slope - 2 * a), np.abs(slope + 2 * (1 - a)))
+
     oracle = TrueOracle(
         fns=[lambda x: (x[0] - a) ** 2 + s * mu * x[0]],
         variance_fns=[lambda x: s ** 2 * x[0] ** 2 * var],
@@ -55,7 +60,7 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
         x_star=np.array([x_star]),
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
-                             holder=[HolderInfo(1.0)], oracle=oracle,
+                             holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
                              convex=False, fast_means=[mean0], name="quad1d")
 
 
@@ -83,6 +88,9 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
     def mean0(pts, xis):
         return pts @ np.mean(xis, axis=0)
 
+    def modulus0(xis):
+        return (xis.max(axis=1) - xis.min(axis=1)) / 2
+
     j = int(np.argmin(means))
     oracle = TrueOracle(
         fns=[lambda x: float(means @ x)],
@@ -92,7 +100,7 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
         x_star=np.eye(dim)[j],
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
-                             holder=[HolderInfo(1.0)], oracle=oracle,
+                             holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
                              convex=True, fast_means=[mean0],
                              name="linear_simplex")
 
@@ -128,6 +136,15 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
         xbar = float(np.mean(xis[:, 0]))
         return np.hypot(pts[:, 0], pts[:, 1]) - rho + s1 * xbar * pts[:, 0]
 
+    # Lipschitz moduli in l2 (self-dual): the objective's gradient is
+    # (1, 1 + s0*xi2); the constraint's is x/||x|| + (s1*xi1, 0), whose norm
+    # is largest along the first axis
+    def modulus0(xis):
+        return np.hypot(1.0, 1.0 + s0 * xis[:, 1])
+
+    def modulus1(xis):
+        return 1.0 + np.abs(s1 * xis[:, 0])
+
     # RMS Lipschitz modulus of the objective: ||(1, 1 + s0*xi)||_2 in l2
     l0 = math.sqrt(2.0 + s0 ** 2 * var)
     x_star = np.array([-rho / math.sqrt(2)] * 2)
@@ -145,7 +162,8 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
         dist_to_feasible=lambda x: max(0.0, math.hypot(x[0], x[1]) - rho),
     )
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
-                             holder=[HolderInfo(1.0), HolderInfo(1.0)],
+                             holder=[HolderInfo(1.0, modulus0),
+                                     HolderInfo(1.0, modulus1)],
                              oracle=oracle, convex=True,
                              fast_means=[mean0, mean1], name="ball2d")
 
@@ -177,6 +195,11 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
         xbar = float(np.mean(xis[:, 0]))
         return pts[:, 0] + pts[:, 1] - b + s1 * xbar * pts[:, 0]
 
+    # Lipschitz moduli in l-inf are l1 norms of the gradient; the
+    # constraint's is (1 + s1*xi1, 1)
+    def modulus1(xis):
+        return np.abs(1.0 + s1 * xis[:, 0]) + 1.0
+
     if objective == "corner":
         def f0(x, xis):
             return -x[0] - x[1] + s0 * xis[:, 1] * x[1]
@@ -185,10 +208,12 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
             xbar = float(np.mean(xis[:, 1]))
             return -pts[:, 0] - pts[:, 1] + s0 * xbar * pts[:, 1]
 
+        def modulus0(xis):  # gradient (-1, -1 + s0*xi2)
+            return 1.0 + np.abs(s0 * xis[:, 1] - 1.0)
+
         true0 = lambda x: -x[0] - x[1]
         var0 = lambda x: s0 ** 2 * x[1] ** 2 * var
         x_star, f_star = np.array([b / 2, b / 2]), -b
-        holder0 = HolderInfo(1.0)
     else:
         cx = 0.3
 
@@ -200,10 +225,16 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
             return ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cx) ** 2
                     + s0 * xbar * (pts[:, 0] + pts[:, 1]))
 
+        def modulus0(xis):
+            # each gradient coordinate 2(x_k - cx) + s0*xi2 is largest in
+            # absolute value at x_k = 0 or 1
+            slope = s0 * xis[:, 1]
+            return 2 * np.maximum(np.abs(slope - 2 * cx),
+                                  np.abs(slope + 2 * (1 - cx)))
+
         true0 = lambda x: (x[0] - cx) ** 2 + (x[1] - cx) ** 2
         var0 = lambda x: s0 ** 2 * (x[0] + x[1]) ** 2 * var
         x_star, f_star = np.array([cx, cx]), 0.0
-        holder0 = HolderInfo(1.0)
 
     oracle = TrueOracle(
         fns=[true0, lambda x: x[0] + x[1] - b],
@@ -216,7 +247,8 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
         dist_to_feasible=lambda x: max(0.0, (x[0] + x[1] - b) / 2),
     )
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
-                             holder=[holder0, HolderInfo(1.0)], oracle=oracle,
+                             holder=[HolderInfo(1.0, modulus0),
+                                     HolderInfo(1.0, modulus1)], oracle=oracle,
                              convex=True, fast_means=[mean0, mean1],
                              name=f"halfspace_box:{objective}")
 

@@ -48,12 +48,18 @@ class HolderEstimate:
 
 
 def per_scenario_modulus(program: StochasticProgram, i: int,
-                         scenarios: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Max Holder ratio over probe pairs, one value per scenario.
+                         scenarios: np.ndarray,
+                         probes: np.ndarray | None) -> np.ndarray:
+    """Holder modulus of integrand ``i``, one value per scenario.
 
-    For scenario j this is  max_{x != y} |F_i(x, xi_j) - F_i(y, xi_j)| /
-    ||x - y||^alpha  with the max over the supplied probe points.
+    The integrand's declared ``HolderInfo.modulus`` when it has one (then
+    ``probes`` is unused); otherwise, for scenario j, the probe-grid lower
+    bound  max_{x != y} |F_i(x, xi_j) - F_i(y, xi_j)| / ||x - y||^alpha
+    with the max over the supplied probe points.
     """
+    declared = program.holder[i].modulus
+    if declared is not None:
+        return np.asarray(declared(np.atleast_2d(scenarios)), dtype=float)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if len(probes) < 2:
         raise EmptySampleError("need at least two probe points for a modulus",
@@ -85,37 +91,52 @@ def _max_ratio(points: np.ndarray, values: np.ndarray, alpha: float,
     return out
 
 
+def _population_l(program: StochasticProgram, i: int, seed: int, n_draws: int,
+                  probes: np.ndarray | None, plug_in: float | None = None):
+    """(population RMS modulus, provenance): the oracle's ``holder_rms``,
+    else the RMS of ``per_scenario_modulus`` over ``n_draws`` oracle draws
+    from ``seed``, else ``plug_in``."""
+    oracle = program.oracle
+    if (oracle is not None and oracle.holder_rms is not None
+            and oracle.holder_rms[i] is not None):
+        return float(oracle.holder_rms[i]), "closed-form"
+    if oracle is None or oracle.sampler is None:
+        return plug_in, "plug-in"
+    draws = oracle.sampler(np.random.default_rng(seed), n_draws)
+    mc = per_scenario_modulus(program, i, np.atleast_2d(draws), probes)
+    declared = program.holder[i].modulus is not None
+    return (float(np.sqrt(np.mean(mc ** 2))),
+            "declared-monte-carlo" if declared else "monte-carlo")
+
+
 def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
                     probes: np.ndarray | None = None,
                     h: float | None = None) -> HolderEstimate:
-    """Estimate RMS Holder moduli for integrand ``i`` from probe pairs.
+    """Estimate RMS Holder moduli for integrand ``i``.
 
-    ``l_hat`` is the empirical RMS of per-scenario moduli; ``l_pop`` comes
-    from the oracle's closed form ``holder_rms`` or a Monte Carlo rerun of
-    the same probe statistic, in that order of preference, and falls back to
-    ``l_hat`` without an oracle sampler.
+    ``l_hat`` is the empirical RMS of per-scenario moduli, declared or
+    probe-grid (``provenance``); ``l_pop`` comes from the oracle's closed
+    form ``holder_rms`` or a Monte Carlo rerun of the same per-scenario
+    modulus, in that order of preference, and falls back to ``l_hat``
+    without an oracle sampler (``pop_provenance``).  No probe grid is built
+    when the modulus is declared.
     """
+    info = program.holder[i]
     space = program.space
-    if probes is None:
+    if info.modulus is not None:
+        probes = None
+    elif probes is None:
         step = h if h is not None else space.diameter() / 16
         probes = space.grid(max(step, 1e-12))
     per = per_scenario_modulus(program, i, scenarios, probes)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
-
-    info = program.holder[i]
     oracle = program.oracle
-    if (oracle is not None and oracle.holder_rms is not None
-            and oracle.holder_rms[i] is not None):
-        l_pop, pop_src = float(oracle.holder_rms[i]), "closed-form"
-    elif oracle is not None and oracle.sampler is not None:
-        rng = np.random.default_rng(MC_SEED + 7 * (i + 1))
-        draws = oracle.sampler(rng, min(oracle.mc_budget, 20_000))
-        mc = per_scenario_modulus(program, i, np.atleast_2d(draws), probes)
-        l_pop, pop_src = float(np.sqrt(np.mean(mc ** 2))), "monte-carlo"
-    else:
-        l_pop, pop_src = l_hat, "plug-in"
+    n_draws = min(oracle.mc_budget, 20_000) if oracle is not None else 0
+    l_pop, pop_src = _population_l(program, i, MC_SEED + 7 * (i + 1), n_draws,
+                                   probes, plug_in=l_hat)
     return HolderEstimate(index=i, alpha=info.alpha, l_hat=l_hat, l_pop=l_pop,
-                          per_scenario=per, pop_provenance=pop_src)
+                          per_scenario=per, pop_provenance=pop_src,
+                          provenance="declared" if probes is None else "probe-grid")
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,27 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # seed of the population Monte Carlo draws behind every oracle fallback
 MC_SEED = 20_240_001
 
+# A declared modulus L(xi) may sit below a secant ratio realised on probe
+# points only by rounding: by at most MODULUS_RTOL * max(L(xi), max_x
+# |F(x, xi)| / delta), delta the smallest probe distance.  The second scale
+# is the cancellation error of F(x) - F(y), a few ulps of |F| over the
+# distance; 1e-12 leaves three orders of magnitude above it.
+MODULUS_RTOL = 1e-12
+
 
 @dataclass
 class HolderInfo:
     """Smoothness metadata for one integrand index.
 
-    ``alpha`` is the Holder exponent in (0, 1].
+    ``alpha`` is the Holder exponent in (0, 1].  ``modulus``, when given,
+    maps scenarios (N, k) to the per-scenario modulus L(xi), shape (N,):
+    the smallest L with |F(x, xi) - F(y, xi)| <= L ||x - y||^alpha on the
+    whole space, in closed form (for alpha = 1 the sup of the gradient in
+    the dual norm).  Without it the modulus is estimated on a probe grid.
     """
 
     alpha: float = 1.0
+    modulus: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass

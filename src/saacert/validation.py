@@ -17,8 +17,8 @@ from .certify import Certificate, certificate_from_profile
 from .distributions import Distribution
 from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableError
 from .geometry import a_alpha
-from .moments import (_GUARANTEES, per_scenario_modulus, self_normalized,
-                      variance_profile)
+from .moments import (_GUARANTEES, VarianceProfile, _population_l,
+                      per_scenario_modulus, self_normalized, variance_profile)
 from .problem import (ScenarioSet, StochasticProgram, _sample_means, _worst,
                       build_empirical)
 
@@ -137,14 +137,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     true_vals = program.true_fn_grid(0, pts)
     probes = space.grid(max(space.diameter() / 8, 1e-12))
     comp = a_alpha(space, program.holder[0].alpha, h=h)
-
-    if oracle.holder_rms is not None and oracle.holder_rms[0] is not None:
-        pop_l = float(oracle.holder_rms[0])
-    else:
-        mc = per_scenario_modulus(
-            program, 0, oracle.sampler(np.random.default_rng(seed ^ 0x5EED),
-                                       20_000), probes)
-        pop_l = float(np.sqrt(np.mean(mc ** 2)))
+    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED, 20_000, probes)
 
     sups = np.empty(replications)
     scales = np.empty(replications)
@@ -260,21 +253,38 @@ def _relaxations_for(theorem: str, eps: float, m: int) -> np.ndarray:
     return np.full(m, {"exterior": eps, "interior": -eps}.get(theorem, 0.0))
 
 
-def coverage_certificate(plan: CoveragePlan) -> Certificate:
-    """Pilot-sample certificate fixing N for the coverage run."""
+def _coverage_sampler(program: StochasticProgram):
+    if program.oracle is None or program.oracle.sampler is None:
+        raise ConfigError("coverage experiments need an oracle sampler")
+    return program.oracle.sampler
+
+
+def _pilot_profile(plan: CoveragePlan) -> VarianceProfile:
+    """The variance profile of the plan's pilot sample; it does not depend
+    on ``plan.constant``."""
     program = plan.program
-    m = program.n_constraints
-    pilot = ScenarioSet.from_sampler(program.oracle.sampler, plan.pilot_n,
+    pilot = ScenarioSet.from_sampler(_coverage_sampler(program), plan.pilot_n,
                                      plan.seed ^ 0x9E3779B9)
-    emp = build_empirical(program, pilot,
-                          _relaxations_for(plan.theorem, plan.eps, m))
+    emp = build_empirical(program, pilot, _relaxations_for(
+        plan.theorem, plan.eps, program.n_constraints))
     c = None
     if plan.theorem == "exterior":
         c = program.oracle.regularity_c
         if c is None:
             c = program.space.diameter() / program.oracle.slater_margin
-    profile = variance_profile(program, emp, plan.theorem, plan.eps,
-                               h=plan.h, c=c)
+    return variance_profile(program, emp, plan.theorem, plan.eps, h=plan.h, c=c)
+
+
+def coverage_certificate(plan: CoveragePlan,
+                         profile: VarianceProfile | None = None) -> Certificate:
+    """Pilot-sample certificate fixing N for the coverage run.
+
+    ``profile`` is the plan's ``_pilot_profile``, computed here when omitted.
+    """
+    program = plan.program
+    m = program.n_constraints
+    if profile is None:
+        profile = _pilot_profile(plan)
     scope = plan.scope or _EVENT_SCOPES[plan.event][plan.theorem]
     margin = program.oracle.slater_margin if plan.theorem == "interior" else None
     return certificate_from_profile(profile, plan.eps, plan.p, m=max(m, 1)
@@ -319,8 +329,7 @@ def coverage_experiment(plan: CoveragePlan,
                         rep_range: tuple[int, int] | None = None) -> CoverageReport:
     """Monte Carlo frequency of a certificate's guaranteed event at its N."""
     program = plan.program
-    if program.oracle is None or program.oracle.sampler is None:
-        raise ConfigError("coverage experiments need an oracle sampler")
+    sampler = _coverage_sampler(program)
     cert = certificate if certificate is not None else coverage_certificate(plan)
     n = cert.n_required
     if n > plan.max_n:
@@ -333,7 +342,7 @@ def coverage_experiment(plan: CoveragePlan,
     successes = 0
     for r in range(start, stop):
         rng = replication_rng(plan.seed, r)
-        scen = ScenarioSet(np.atleast_2d(program.oracle.sampler(rng, n)))
+        scen = ScenarioSet(np.atleast_2d(sampler(rng, n)))
         emp = build_empirical(program, scen, relax)
         successes += bool(check(emp))
     count = stop - start
@@ -451,6 +460,8 @@ def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     Plans are rerun per C with the same seeds; the certified N grows with C,
     so the scan ascends and stops at the first full pass.  The result is
     re-checked at 2*C (larger C certifies larger N, which must also pass).
+    Each plan's pilot profile is computed once: only the certificate built
+    from it depends on C.
     """
     if not plans:
         raise ConfigError("calibration needs at least one coverage plan")
@@ -459,12 +470,17 @@ def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     c_grid = sorted(float(c) for c in c_grid)
     matrix, reports = {}, {}
     seed = plans[0].seed
+    profiles = {}
 
     def run_all(c_value):
         row, row_reports, all_pass = {}, {}, True
-        for plan in plans:
+        for k, plan in enumerate(plans):
+            trial = replace(plan, constant=c_value)
             try:
-                rep = coverage_experiment(replace(plan, constant=c_value))
+                if k not in profiles:
+                    profiles[k] = _pilot_profile(plan)
+                rep = coverage_experiment(trial, coverage_certificate(
+                    trial, profiles[k]))
                 row[plan.name] = rep.passed
                 row_reports[plan.name] = rep.to_json()
             except BudgetError as exc:

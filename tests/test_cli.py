@@ -301,3 +301,24 @@ def test_bad_numeric_flags_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["solve", "--problem", '{"family":"quad1d"}', "--n", "10",
+      "--relax", "a"], "relax"),
+    (["portfolio", "--synthetic", "x,5", "--p", "0.1", "--beta", "0.1"],
+     "synthetic"),
+    (["entropy", "--space", '{"kind":"box","lo":["a"],"hi":[1]}',
+      "--theta", "0.5"], "lo"),
+    (["validate", "--plan",
+      '{"experiment":"tail","n":10,"t_grid":["a"],"replications":2}'],
+     "t_grid"),
+])
+def test_malformed_list_element_exits_2(capsys, argv, field):
+    """A list flag or field holding a non-number names the field, exit 2."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["details"]["field"] == field

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from saacert.apps import ReturnsDataset, _returns_sampler, build_portfolio
 from saacert.certify import components_for
 from saacert.errors import EmptySampleError
 from saacert.families import make_family
-from saacert.geometry import SpaceDescriptor
-from saacert.moments import (estimate_holder, panchenko_vhat_singleton,
-                             per_scenario_modulus, self_normalized,
-                             sigma_breve, sigma_hat_sq, sigma_pop_sq,
-                             variance_profile)
-from saacert.problem import (HolderInfo, ScenarioSet, StochasticProgram,
-                             build_empirical)
+from saacert.geometry import SpaceDescriptor, min_pairwise_gap
+from saacert.moments import (_max_ratio, estimate_holder,
+                             panchenko_vhat_singleton, per_scenario_modulus,
+                             self_normalized, sigma_breve, sigma_hat_sq,
+                             sigma_pop_sq, variance_profile)
+from saacert.problem import (MC_SEED, MODULUS_RTOL, HolderInfo, ScenarioSet,
+                             StochasticProgram, build_empirical)
 
 
 def linear_noise_program():
@@ -180,3 +183,113 @@ def test_interior_profile_without_inner_points_needs_anchors(anchors):
     profile = variance_profile(program, emp, "interior", eps=0.45, h=0.2,
                                anchors=both)
     assert profile.details["inner_grid_points"] == 0
+
+
+# ---------------------------------------------------------------------------
+# declared per-scenario moduli
+
+
+def _declared_case(draw, variant):
+    """A family program of the variant, scenarios and a probe-grid step."""
+    noise = st.floats(0.0, 5.0)
+    if variant == "quad1d":
+        program = make_family("quad1d", a=draw(st.floats(-2.0, 3.0)),
+                              noise=draw(noise))
+        steps = [0.5, 0.1, 0.01, 0.002]
+    elif variant == "linear_simplex":
+        dim = draw(st.integers(1, 4))
+        offsets = draw(st.lists(st.floats(-10.0, 10.0), min_size=dim,
+                                max_size=dim))
+        program = make_family("linear_simplex", dim=dim, offsets=offsets)
+        steps = [0.5, 0.25, 0.1]
+    elif variant == "ball2d":
+        program = make_family("ball2d", radius=draw(st.floats(0.05, 1.5)),
+                              noise=draw(noise), obj_noise=draw(noise))
+        steps = [0.5, 0.2, 0.125, 0.1]
+    else:
+        program = make_family("halfspace_box", level=draw(st.floats(0.1, 2.5)),
+                              noise=draw(noise), obj_noise=draw(noise),
+                              objective=variant.split(":")[1])
+        steps = [0.5, 0.2, 0.125, 0.1]
+    k = program.oracle.sampler(np.random.default_rng(0), 1).shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xis = rng.standard_t(3, size=(16, k)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return program, xis, draw(st.sampled_from(steps))
+
+
+@pytest.mark.parametrize("variant", ["quad1d", "linear_simplex", "ball2d",
+                                     "halfspace_box:corner",
+                                     "halfspace_box:interior"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_declared_modulus_bounds_every_secant_ratio(variant, data):
+    """L(xi) >= every realised secant ratio, up to MODULUS_RTOL of rounding."""
+    program, xis, step = _declared_case(data.draw, variant)
+    probes = program.space.grid(step)
+    norm = program.space.norm
+    delta = min_pairwise_gap(probes, norm)
+    for i, info in enumerate(program.holder):
+        assert info.modulus is not None
+        vals = np.stack([program.integrand(i)(x, xis) for x in probes])
+        realised = _max_ratio(probes, vals, info.alpha, norm)
+        declared = per_scenario_modulus(program, i, xis, None)
+        scale = np.maximum(declared, np.abs(vals).max(axis=0) / delta)
+        assert declared.shape == (len(xis),)
+        assert np.all(realised <= declared + MODULUS_RTOL * scale)
+
+
+def test_holder_provenance_says_what_was_computed():
+    """declared / probe-grid per scenario; closed-form, declared-monte-carlo,
+    monte-carlo or plug-in for the population modulus."""
+    def provenance(program, i=0):
+        scen = ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=4)
+        est = estimate_holder(program, scen.data, i)
+        return est.provenance, est.pop_provenance
+
+    ball = make_family("ball2d")
+    ball.oracle.mc_budget = 500
+    assert provenance(ball, 0) == ("declared", "closed-form")
+    assert provenance(ball, 1) == ("declared", "declared-monte-carlo")
+    quad = make_family("quad1d")
+    quad.oracle.mc_budget = 500
+    assert provenance(quad) == ("declared", "declared-monte-carlo")
+    ds = ReturnsDataset.synthetic(2, 50, seed=5)
+    portfolio = build_portfolio(ds, p=0.2, beta=0.05,
+                                sampler=_returns_sampler(2)[1])
+    portfolio.program.oracle.mc_budget = 200
+    assert provenance(portfolio.program, 1) == ("probe-grid", "monte-carlo")
+    plain = estimate_holder(linear_noise_program(), np.array([[1.0], [-3.0]]), 0)
+    assert (plain.provenance, plain.pop_provenance) == ("probe-grid", "plug-in")
+    assert plain.l_pop == plain.l_hat
+
+
+def test_probe_grid_refinement_monotone_without_declared_modulus():
+    """The probe-grid fallback: more probe points never lower the ratio."""
+    program = make_family("quad1d", a=0.4)
+    program.holder = [HolderInfo(1.0)]
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 50, seed=1)
+    coarse = per_scenario_modulus(program, 0, scen.data,
+                                  np.linspace(0, 1, 3)[:, None])
+    fine = per_scenario_modulus(program, 0, scen.data,
+                                np.linspace(0, 1, 9)[:, None])
+    assert np.all(fine >= coarse)
+    assert np.all(fine <= make_family("quad1d", a=0.4).holder[0].modulus(
+        scen.data) * (1 + MODULUS_RTOL))
+
+
+def test_declared_modulus_builds_no_probe_grid(monkeypatch):
+    """With a declared modulus the population draws never meet a probe."""
+    program = make_family("quad1d")
+    program.oracle.mc_budget = 300
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=4)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("probe grid built for a declared modulus")
+
+    monkeypatch.setattr(program.space, "grid", no_grid)
+    est = estimate_holder(program, scen.data, 0)
+    draws = program.oracle.sampler(
+        np.random.default_rng(MC_SEED + 7), 300)
+    expect = program.holder[0].modulus(draws)
+    assert est.l_pop == float(np.sqrt(np.mean(expect ** 2)))
+    assert np.array_equal(est.per_scenario, program.holder[0].modulus(scen.data))

@@ -1,6 +1,8 @@
 """Monte Carlo experiments: tails, coverage, rates, calibration, Wilson."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,3 +158,49 @@ def test_calibration_unattainable():
                         max_n=50)
     with pytest.raises(UncalibratableError):
         calibrate_constant([plan], c_grid=[1.0, 2.0])
+
+
+def small_calibration_plans():
+    quad = make_family("quad1d", a=0.3)
+    ball = make_family("ball2d")
+    half = make_family("halfspace_box", objective="interior")
+    for program in (quad, ball, half):
+        program.oracle.mc_budget = 500
+    common = dict(p=0.1, replications=40, pilot_n=100)
+    return [
+        CoveragePlan(program=quad, theorem="fixed", event="near-optimal-subset",
+                     eps=0.1, seed=5, h=0.02, name="q", **common),
+        # max_n busts the budget at the doubled constant
+        CoveragePlan(program=ball, theorem="exterior", event="feasible-relaxed",
+                     eps=0.1, seed=6, h=0.1, max_n=100, name="b", **common),
+        CoveragePlan(program=half, theorem="interior", event="feasible-hard",
+                     eps=0.3, seed=7, h=0.1, name="h", **common),
+    ]
+
+
+def test_calibration_computes_each_pilot_profile_once(monkeypatch):
+    """One pilot profile per plan, and reports equal the per-C path."""
+    import saacert.validation as validation
+
+    calls = []
+    profile = validation.variance_profile
+
+    def counted(program, *args, **kwargs):
+        calls.append(program.name)
+        return profile(program, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "variance_profile", counted)
+    plans = small_calibration_plans()
+    result = calibrate_constant(plans, c_grid=[2.0 ** -9, 2.0 ** -8, 2.0 ** -7])
+    assert sorted(calls) == sorted(plan.program.name for plan in plans)
+    assert len(result.reports) >= 2
+    assert not result.monotone_confirmed
+    assert "error" in result.reports[2 * result.c_star]["b"]
+    monkeypatch.undo()
+    for c_value, row in result.reports.items():
+        for plan in plans:
+            try:
+                ref = coverage_experiment(replace(plan, constant=c_value)).to_json()
+            except BudgetError as exc:
+                ref = {"error": exc.to_json()}
+            assert json.dumps(row[plan.name]) == json.dumps(ref)
