@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -22,9 +21,8 @@ from . import __version__
 from .apps import (ReturnsDataset, _returns_sampler, build_lasso,
                    build_portfolio, cvar, lasso_scenarios)
 from .certify import certificate_from_profile, certificate_from_sigma
-from .distributions import make_distribution
-from .errors import ConfigError, SaacertError
-from .families import make_family
+from .errors import ConfigError, SaacertError, open_path
+from .families import _resolve_dist, make_family
 from .geometry import SpaceDescriptor, a_alpha, entropy_number
 from .moments import VarianceProfile, variance_profile
 from .problem import ScenarioSet, build_empirical, read_table
@@ -53,17 +51,59 @@ def _sanitize(obj):
     return obj
 
 
+# Named kinds: each turns one flag or JSON spec value into its type and
+# rejects the rest with a ValueError.  argparse takes them as ``type=`` and
+# ``_need`` as kinds, so a flag and a spec field of one kind accept the same
+# values.  Domain ranges (alpha in (0, 1], hi >= lo, ...) are checked where
+# the library uses the value, and raise ConfigError there.
+
+
+def _kind(name: str, convert, test):
+    def kind(value):
+        out = convert(value)
+        if not test(out):
+            raise ValueError(f"expected {name}, got {value!r}")
+        return out
+    kind.__name__ = name
+    return kind
+
+
+finite = _kind("finite float", float, math.isfinite)
+positive = _kind("positive finite float", finite, lambda v: v > 0)
+count = _kind("int >= 1", int, lambda v: v >= 1)
+natural = _kind("int >= 0", int, lambda v: v >= 0)
+
+
+def numbers(text) -> list[float]:
+    """Comma-separated finite floats, as ``--relax`` takes them."""
+    return [finite(part) for part in str(text).split(",")]
+
+
+def sizes(text) -> tuple[int, int]:
+    """``ASSETS,N`` (two ints >= 1), as ``--synthetic`` takes it."""
+    assets, n = map(count, str(text).split(","))
+    return assets, n
+
+
+def _convert(kind, value):
+    """``value`` as ``kind``: a kind; ``None`` for any JSON value, ``list`` or
+    ``dict`` for a JSON array or object, each taken as is; or ``[kind]`` for
+    a JSON array converted element-wise."""
+    if isinstance(kind, list):
+        return [_convert(kind[0], item) for item in _convert(list, value)]
+    if kind in (list, dict) and not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value if kind in (None, list, dict) else kind(value)
+
+
 _REQUIRED = object()
 
 
 def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
-    """``spec[key]`` converted by ``kind``, or ``default`` when it is absent.
-
-    ``kind`` may be a one-element list such as ``[float]``: the field must
-    be a JSON array and each element is converted.  Raises a ConfigError
-    naming the field when ``spec`` is not a JSON object, when a field
-    without a default is missing, when a ``list`` or ``dict`` field holds
-    another JSON type, or when its value does not convert.
+    """``spec[key]`` converted by ``kind`` (see ``_convert``), or ``default``
+    when it is absent.  Raises a ConfigError naming the field when ``spec``
+    is not a JSON object, when a field without a default is missing, or
+    when its value is not of ``kind``.
     """
     if not isinstance(spec, dict):
         raise ConfigError("spec must be a JSON object", field=key,
@@ -74,47 +114,33 @@ def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
                               missing=key, have=sorted(spec))
         return default
     value = spec[key]
-    if kind is None:
-        return value
-    if kind in (list, dict):
-        if isinstance(value, kind):
-            return value
-        raise ConfigError(f"field {key!r} must be a JSON "
-                          f"{'array' if kind is list else 'object'}",
-                          field=key, got=type(value).__name__)
-    if isinstance(kind, list):
-        value, (elem,) = _need(spec, key, list), kind
-        convert, name = (lambda items: [elem(v) for v in items],
-                         f"array of {elem.__name__}")
-    else:
-        convert, name = kind, kind.__name__
     try:
-        return convert(value)
+        return _convert(kind, value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {key!r} is not a valid {name}: {exc}",
+        raise ConfigError(f"field {key!r} is invalid: {exc}",
                           field=key, value=value) from exc
 
 
 def space_from_spec(spec) -> SpaceDescriptor:
-    """Build a space descriptor from a CLI JSON spec."""
+    """Build a space descriptor from a CLI JSON spec (inline or a file)."""
     if isinstance(spec, str):
-        spec = json.loads(spec)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("space spec must be a JSON object with a 'kind'")
-    kind = spec["kind"]
-    kw = {"norm": spec["norm"]} if spec.get("norm") else {}
+        spec = _load_json(spec)
+    kind = _need(spec, "kind")
+    norm = _need(spec, "norm", default=None)
+    kw = {"norm": norm} if norm else {}
     if kind == "box":
-        return SpaceDescriptor.box(_need(spec, "lo", [float]),
-                                   _need(spec, "hi", [float]), **kw)
+        return SpaceDescriptor.box(_need(spec, "lo", [finite]),
+                                   _need(spec, "hi", [finite]), **kw)
     if kind == "ball":
-        return SpaceDescriptor.ball(_need(spec, "center", [float]),
-                                    _need(spec, "radius", float), **kw)
+        return SpaceDescriptor.ball(_need(spec, "center", [finite]),
+                                    _need(spec, "radius", finite), **kw)
     if kind == "simplex":
-        return SpaceDescriptor.simplex(_need(spec, "dim", int), **kw)
+        return SpaceDescriptor.simplex(_need(spec, "dim", count), **kw)
     if kind == "cloud":
-        return SpaceDescriptor.cloud(_need(spec, "points"), **kw)
+        return SpaceDescriptor.cloud(_need(spec, "points", [[finite]]), **kw)
     if kind == "product":
-        return SpaceDescriptor.product(*map(space_from_spec, _need(spec, "parts")))
+        return SpaceDescriptor.product(*map(space_from_spec,
+                                            _need(spec, "parts", list)))
     raise ConfigError(f"unknown space kind {kind!r}",
                       allowed=["box", "ball", "simplex", "cloud", "product"])
 
@@ -123,9 +149,7 @@ def _load_json(path_or_inline):
     """Accept a path to a JSON file or an inline JSON string."""
     text = path_or_inline
     if not text.lstrip().startswith(("{", "[")):
-        if not os.path.exists(path_or_inline):
-            raise ConfigError("no such file", path=path_or_inline)
-        with open(path_or_inline) as handle:
+        with open_path(path_or_inline) as handle:
             text = handle.read()
     try:
         return json.loads(text)
@@ -136,16 +160,17 @@ def _load_json(path_or_inline):
 def _c_star(source) -> float:
     """The constant C* of a calibration artifact (file or inline JSON)."""
     calib = _load_json(source)
-    return _need(_need(calib, "results", default=calib), "c_star", float)
+    return _need(_need(calib, "results", default=calib), "c_star", finite)
 
 
-def _program_from_spec(spec):
-    obj = _load_json(spec) if isinstance(spec, str) else spec
-    family = _need(obj, "family")
-    try:
-        return make_family(family, **_need(obj, "params", default={}))
-    except TypeError as exc:
-        raise ConfigError(f"bad family params: {exc}", family=family) from exc
+def _program(spec):
+    """The program of a problem spec or plan (a JSON object, inline or a
+    file): ``family`` is a name, with ``params``, or such a spec itself."""
+    spec = _load_json(spec) if isinstance(spec, str) else spec
+    family = _need(spec, "family")
+    if not isinstance(family, str):
+        return _program(family)
+    return make_family(family, **_need(spec, "params", dict, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +209,7 @@ def _cmd_certify(args):
         raw = _load_json(args.profile)
         entries = _need(raw, "entries", dict)
         prof = VarianceProfile(theorem=_need(raw, "theorem", default=args.theorem),
-                               entries={k: _need(entries, k, float) for k in entries},
+                               entries={k: _need(entries, k, finite) for k in entries},
                                anchors=_need(raw, "anchors", dict, {}))
         if prof.theorem != args.theorem:
             raise ConfigError("profile theorem does not match --theorem",
@@ -199,10 +224,8 @@ def _cmd_certify(args):
     return cert.to_json(), None
 
 
-def _relax_vector(raw, m):
-    if raw is None:
-        return np.zeros(m)
-    vals = _need({"relax": raw.split(",")}, "relax", [float])
+def _relax_vector(args, m):
+    vals = [0.0] if args.relax is None else _need(vars(args), "relax", numbers)
     if len(vals) == 1:
         return np.full(m, vals[0])
     if len(vals) != m:
@@ -212,7 +235,7 @@ def _relax_vector(raw, m):
 
 
 def _cmd_solve(args):
-    program = _program_from_spec(args.problem)
+    program = _program(args.problem)
     if args.scenarios:
         scen = ScenarioSet.from_csv(args.scenarios)
     else:
@@ -222,7 +245,7 @@ def _cmd_solve(args):
             raise ConfigError("family has no sampler; supply --scenarios")
         scen = ScenarioSet.from_sampler(program.oracle.sampler, args.n, args.seed)
     emp = build_empirical(program, scen,
-                          _relax_vector(args.relax, program.n_constraints))
+                          _relax_vector(args, program.n_constraints))
     config = SolverConfig(method=args.method, grid_h=args.h,
                           budget=args.budget, c0=args.c0)
     res = solve(emp, config)
@@ -234,69 +257,53 @@ def _cmd_solve(args):
     return results, args.seed
 
 
-def _plan_program(plan: dict):
-    fam = _need(plan, "family")
-    if isinstance(fam, str):
-        fam = {"family": fam, "params": _need(plan, "params", default={})}
-    return _program_from_spec(fam)
-
-
 def _coverage_plan(spec: dict) -> CoveragePlan:
     """One coverage plan from its JSON spec, for ``validate`` and ``calibrate``."""
     return CoveragePlan(
-        program=_plan_program(spec), theorem=_need(spec, "theorem"),
-        event=_need(spec, "event"), eps=_need(spec, "eps", float),
-        p=_need(spec, "p", float),
-        replications=_need(spec, "replications", int, 400),
-        seed=_need(spec, "seed", int, 0), h=_need(spec, "h", float, 0.02),
-        pilot_n=_need(spec, "pilot_n", int, 400),
+        program=_program(spec), theorem=_need(spec, "theorem", str),
+        event=_need(spec, "event", str), eps=_need(spec, "eps", finite),
+        p=_need(spec, "p", finite),
+        replications=_need(spec, "replications", count, 400),
+        seed=_need(spec, "seed", natural, 0),
+        h=_need(spec, "h", positive, 0.02),
+        pilot_n=_need(spec, "pilot_n", count, 400),
         name=_need(spec, "name", default=""))
 
 
 def _cmd_validate(args):
     plan = _load_json(args.plan)
     kind = _need(plan, "experiment", default=None)
-    seed = _need(plan, "seed", int, 0)
+    seed = _need(plan, "seed", natural, 0)
+    if kind in ("tail", "uniform-tail"):
+        shared = (_need(plan, "n", count), _need(plan, "t_grid", [finite]),
+                  _need(plan, "replications", count),
+                  _need(plan, "constant", finite, 3.0), seed)
     if kind == "tail":
-        dist_spec = _need(plan, "distribution", default={"name": "t3"})
-        dist = make_distribution(_need(dist_spec, "name"),
-                                 **{k: v for k, v in dist_spec.items()
-                                    if k != "name"})
-        rep = tail_experiment(dist, _need(plan, "n", int),
-                              _need(plan, "t_grid", [float]),
-                              _need(plan, "replications", int),
-                              _need(plan, "constant", float, 3.0), seed)
-        return rep.to_json(), seed
-    if kind == "uniform-tail":
-        program = _plan_program(plan)
-        rep = uniform_tail_experiment(
-            program, _need(plan, "n", int), _need(plan, "t_grid", [float]),
-            _need(plan, "replications", int),
-            _need(plan, "constant", float, 3.0), seed,
-            h=_need(plan, "h", float, 0.25))
-        return rep.to_json(), seed
-    if kind == "coverage":
-        constant = (_c_star(plan["c_from"]) if "c_from" in plan
-                    else _need(plan, "constant", float, 1.0))
+        rep = tail_experiment(
+            _resolve_dist(_need(plan, "distribution", default="t3")), *shared)
+    elif kind == "uniform-tail":
+        rep = uniform_tail_experiment(_program(plan), *shared,
+                                      h=_need(plan, "h", positive, 0.25))
+    elif kind == "coverage":
+        constant = (_c_star(_need(plan, "c_from", str)) if "c_from" in plan
+                    else _need(plan, "constant", finite, 1.0))
         rep = coverage_experiment(replace(_coverage_plan(plan), constant=constant))
-        return rep.to_json(), seed
-    if kind == "rate":
-        program = _plan_program(plan)
-        rep = rate_experiment(program, _need(plan, "n_grid", [int]),
-                              _need(plan, "replications", int), seed,
-                              h=_need(plan, "h", float, 0.25))
-        return rep.to_json(), seed
-    raise ConfigError(f"unknown experiment {kind!r}",
-                      allowed=["tail", "uniform-tail", "coverage", "rate"])
+    elif kind == "rate":
+        rep = rate_experiment(_program(plan), _need(plan, "n_grid", [count]),
+                              _need(plan, "replications", count), seed,
+                              h=_need(plan, "h", positive, 0.25))
+    else:
+        raise ConfigError(f"unknown experiment {kind!r}",
+                          allowed=["tail", "uniform-tail", "coverage", "rate"])
+    return rep.to_json(), seed
 
 
 def _cmd_calibrate(args):
     spec = _load_json(args.families)
-    plan_specs = _need(spec, "plans", list) if isinstance(spec, dict) else spec
-    plans = [_coverage_plan(ps) for ps in plan_specs]
-    c_grid = (_need(spec, "c_grid", [float], None) if isinstance(spec, dict)
-              else None)
-    result = calibrate_constant(plans, c_grid=c_grid)
+    spec = {"plans": spec} if isinstance(spec, list) else spec
+    plans = [_coverage_plan(ps) for ps in _need(spec, "plans", list)]
+    result = calibrate_constant(plans,
+                                c_grid=_need(spec, "c_grid", [finite], None))
     return result.to_json(), plans[0].seed
 
 
@@ -305,11 +312,7 @@ def _cmd_portfolio(args):
         dataset = ReturnsDataset.from_csv(args.returns)
         sampler = None
     elif args.synthetic:
-        sizes = _need({"synthetic": args.synthetic.split(",")}, "synthetic",
-                      [int])
-        if len(sizes) != 2:
-            raise ConfigError("--synthetic takes ASSETS,N", value=args.synthetic)
-        assets, n = sizes
+        assets, n = _need(vars(args), "synthetic", sizes)
         dataset = ReturnsDataset.synthetic(assets, n, args.seed)
         _, sampler = _returns_sampler(assets)
     else:
@@ -376,7 +379,8 @@ _REQUIRED_ARTIFACT_FIELDS = ("schema_version", "kind", "params", "results",
 
 def _cmd_report(args):
     artifact = _load_json(args.artifact)
-    missing = [f for f in _REQUIRED_ARTIFACT_FIELDS if f not in artifact]
+    missing = [f for f in _REQUIRED_ARTIFACT_FIELDS
+               if not isinstance(artifact, dict) or f not in artifact]
     if missing:
         raise ConfigError("artifact is missing required fields",
                           missing=missing)
@@ -398,156 +402,139 @@ def _cmd_report(args):
 # parser and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Made with ``exit_on_error=False``, its failures raise ConfigError
+    instead of printing usage and exiting, so they take ``main``'s JSON
+    error path."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(str(exc),
+                              field=exc.argument_name.lstrip("-")) from exc
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="saacert",
+    parser = _Parser(
+        prog="saacert", exit_on_error=False,
         description="Finite-sample certificates for sample-average "
                     "approximation with stochastic constraints.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_default=0):
+    def command(name, handler, help):
+        sp = sub.add_parser(name, help=help, exit_on_error=False)
         sp.add_argument("--out", help="write the JSON artifact to this path")
-        sp.add_argument("--seed", type=int, default=seed_default)
+        sp.add_argument("--seed", type=natural, default=0)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("entropy", help="packing net size and entropy number")
+    def solver_flags(sp, method, h, budget):
+        sp.add_argument("--method", default=method,
+                        choices=["grid", "subgradient"])
+        sp.add_argument("--h", type=positive, default=h)
+        sp.add_argument("--budget", type=count, default=budget)
+
+    sp = command("entropy", _cmd_entropy, "packing net size and entropy number")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--h", type=float, default=None)
-    common(sp)
-    sp.set_defaults(handler=_cmd_entropy)
+    sp.add_argument("--theta", type=positive, required=True)
+    sp.add_argument("--h", type=positive, default=None)
 
-    sp = sub.add_parser("aalpha", help="chaining complexity A_alpha")
+    sp = command("aalpha", _cmd_aalpha, "chaining complexity A_alpha")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--h", type=float, default=None)
-    common(sp)
-    sp.set_defaults(handler=_cmd_aalpha)
+    sp.add_argument("--alpha", type=finite, required=True)
+    sp.add_argument("--h", type=positive, default=None)
 
-    sp = sub.add_parser("certify", help="sample-size certificate")
+    sp = command("certify", _cmd_certify, "sample-size certificate")
     sp.add_argument("--theorem", required=True,
                     choices=["fixed", "exterior", "interior"])
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--C", type=float, default=1.0)
+    sp.add_argument("--eps", type=finite, required=True)
+    sp.add_argument("--p", type=finite, required=True)
+    sp.add_argument("--m", type=natural, default=0)
+    sp.add_argument("--C", type=finite, default=1.0)
     sp.add_argument("--C-from", dest="C_from",
                     help="calibration artifact supplying the constant")
-    sp.add_argument("--sigma", type=float, default=None,
+    sp.add_argument("--sigma", type=finite, default=None,
                     help="variance aggregate (bypasses --profile)")
     sp.add_argument("--profile", help="variance profile JSON (file or inline)")
     sp.add_argument("--scope", default="all")
     sp.add_argument("--localized", action="store_true")
-    sp.add_argument("--slater", type=float, default=None)
-    sp.add_argument("--n-available", dest="n_available", type=int, default=None)
-    common(sp)
-    sp.set_defaults(handler=_cmd_certify)
+    sp.add_argument("--slater", type=finite, default=None)
+    sp.add_argument("--n-available", dest="n_available", type=natural, default=None)
 
-    sp = sub.add_parser("solve", help="solve an empirical problem")
+    sp = command("solve", _cmd_solve, "solve an empirical problem")
     sp.add_argument("--problem", required=True,
                     help="problem config JSON (file or inline)")
     sp.add_argument("--scenarios", help="scenario CSV (header xi_1,...,xi_k)")
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=count, default=None,
                     help="draw this many scenarios from the family sampler")
     sp.add_argument("--relax", default=None,
                     help="relaxation level(s), comma separated")
-    sp.add_argument("--method", default="grid",
-                    choices=["grid", "subgradient"])
-    sp.add_argument("--h", type=float, default=0.01)
-    sp.add_argument("--budget", type=int, default=2000)
-    sp.add_argument("--c0", type=float, default=0.1)
-    common(sp)
-    sp.set_defaults(handler=_cmd_solve)
+    solver_flags(sp, "grid", 0.01, 2000)
+    sp.add_argument("--c0", type=positive, default=0.1)
 
-    sp = sub.add_parser("validate", help="run a Monte Carlo experiment plan")
+    sp = command("validate", _cmd_validate, "run a Monte Carlo experiment plan")
     sp.add_argument("--plan", required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_validate)
 
-    sp = sub.add_parser("calibrate", help="calibrate the theorem constant C")
+    sp = command("calibrate", _cmd_calibrate, "calibrate the theorem constant C")
     sp.add_argument("--families", required=True,
                     help="JSON list of coverage plans (file or inline)")
-    common(sp)
-    sp.set_defaults(handler=_cmd_calibrate)
 
-    sp = sub.add_parser("portfolio", help="CVaR-constrained portfolio")
+    sp = command("portfolio", _cmd_portfolio, "CVaR-constrained portfolio")
     sp.add_argument("--returns", help="returns CSV")
     sp.add_argument("--synthetic", help="ASSETS,N synthetic dataset")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--method", default="grid",
-                    choices=["grid", "subgradient"])
-    sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--budget", type=int, default=4000)
+    sp.add_argument("--p", type=finite, required=True)
+    sp.add_argument("--beta", type=finite, required=True)
+    solver_flags(sp, "grid", 0.05, 4000)
     sp.add_argument("--certify", action="store_true")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--prob", type=float, default=0.1)
-    sp.add_argument("--C", type=float, default=1.0)
-    sp.add_argument("--cert-h", dest="cert_h", type=float, default=0.2)
-    sp.add_argument("--regularity-c", dest="regularity_c", type=float,
+    sp.add_argument("--eps", type=finite, default=0.1)
+    sp.add_argument("--prob", type=finite, default=0.1)
+    sp.add_argument("--C", type=finite, default=1.0)
+    sp.add_argument("--cert-h", dest="cert_h", type=positive, default=0.2)
+    sp.add_argument("--regularity-c", dest="regularity_c", type=finite,
                     default=1.0)
-    common(sp)
-    sp.set_defaults(handler=_cmd_portfolio)
 
-    sp = sub.add_parser("lasso", help="l1-ball least squares")
+    sp = command("lasso", _cmd_lasso, "l1-ball least squares")
     sp.add_argument("--data", required=True,
                     help="CSV with feature columns then the response column")
-    sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--radius", type=finite, required=True)
     sp.add_argument("--weighted", action="store_true")
-    sp.add_argument("--method", default="subgradient",
-                    choices=["grid", "subgradient"])
-    sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--budget", type=int, default=4000)
-    common(sp)
-    sp.set_defaults(handler=_cmd_lasso)
+    solver_flags(sp, "subgradient", 0.05, 4000)
 
-    sp = sub.add_parser("report", help="validate and summarize an artifact")
+    sp = command("report", _cmd_report, "validate and summarize an artifact")
     sp.add_argument("artifact")
-    common(sp)
-    sp.set_defaults(handler=_cmd_report)
-
     return parser
 
 
-def _check_flags(args) -> None:
-    """Grid steps and separations must be finite and positive, alpha in (0, 1]."""
-    for flag in ("theta", "h", "cert_h"):
-        value = getattr(args, flag, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"--{flag.replace('_', '-')} must be finite and "
-                              "positive", value=value)
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not 0 < alpha <= 1:
-        raise ConfigError("--alpha must lie in (0, 1]", value=alpha)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_flags(args)
+        args = build_parser().parse_args(argv)
         results, seed = args.handler(args)
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("handler", "command", "out") and v is not None}
+        artifact = {
+            "schema_version": SCHEMA_VERSION,
+            "kind": args.command,
+            "seed": seed,
+            "params": _sanitize(params),
+            "results": _sanitize(results),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        text = json.dumps(artifact, indent=2, sort_keys=True)
+        if args.out:
+            with open_path(args.out, "w") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except SaacertError as exc:
         json.dump(_sanitize(exc.to_json()), sys.stderr)
         sys.stderr.write("\n")
         return 2
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("handler", "command", "out") and v is not None}
-    artifact = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": args.command,
-        "seed": seed,
-        "params": _sanitize(params),
-        "results": _sanitize(results),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    text = json.dumps(artifact, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

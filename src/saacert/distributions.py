@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, from_table
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,4 @@ _FACTORIES = {
 
 
 def make_distribution(name: str, **params) -> Distribution:
-    if name not in _FACTORIES:
-        raise ConfigError(f"unknown distribution {name!r}",
-                          allowed=sorted(_FACTORIES))
-    return _FACTORIES[name](**params)
+    return from_table(_FACTORIES, "distribution", name, params)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .distributions import Distribution, make_distribution
-from .errors import ConfigError
+from .errors import ConfigError, from_table
 from .geometry import SpaceDescriptor
 from .problem import HolderInfo, StochasticProgram, TrueOracle
 
@@ -26,7 +26,7 @@ def _resolve_dist(dist) -> Distribution:
         return make_distribution(dist)
     if isinstance(dist, dict):
         spec = dict(dist)
-        return make_distribution(spec.pop("name"), **spec)
+        return make_distribution(spec.pop("name", None), **spec)
     raise ConfigError("distribution must be a name, spec dict, or Distribution",
                       got=type(dist).__name__)
 
@@ -262,7 +262,4 @@ FAMILIES = {
 
 
 def make_family(name: str, **params) -> StochasticProgram:
-    if name not in FAMILIES:
-        raise ConfigError(f"unknown problem family {name!r}",
-                          allowed=sorted(FAMILIES))
-    return FAMILIES[name](**params)
+    return from_table(FAMILIES, "problem family", name, params)

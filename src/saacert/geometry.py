@@ -15,7 +15,7 @@ from itertools import combinations, count, islice
 
 import numpy as np
 
-from .errors import BudgetError, DimensionMismatchError
+from .errors import BudgetError, ConfigError, DimensionMismatchError
 
 NORMS = ("l1", "l2", "linf")
 
@@ -35,7 +35,7 @@ def vec_norm(v, norm: str = "l2") -> float:
         return float(np.sqrt((v * v).sum()))
     if norm == "linf":
         return float(np.abs(v).max()) if v.size else 0.0
-    raise ValueError(f"unknown norm {norm!r}")
+    raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
 
 
 def _norm_rows(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -46,7 +46,7 @@ def _norm_rows(diff: np.ndarray, norm: str) -> np.ndarray:
         return np.sqrt((diff * diff).sum(axis=-1))
     if norm == "linf":
         return diff.max(axis=-1)
-    raise ValueError(f"unknown norm {norm!r}")
+    raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
 
 
 def dists_to(points: np.ndarray, x, norm: str = "l2") -> np.ndarray:
@@ -144,7 +144,7 @@ def _nearest_dists(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
     d = 8 on l1 and l2 go through ``cross_dists``.
     """
     if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+        raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     # widths combine as in cross_dists: equal, or one of them 1
@@ -227,6 +227,13 @@ class SpaceDescriptor:
     parts: tuple["SpaceDescriptor", ...] = ()
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.norm not in NORMS:
+            raise ConfigError(f"unknown norm {self.norm!r}",
+                              allowed=list(NORMS))
+        if self.dim < 1:
+            raise ConfigError(f"{self.kind} needs dim >= 1", dim=self.dim)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -237,7 +244,7 @@ class SpaceDescriptor:
             raise DimensionMismatchError("box bounds must have equal shape",
                                          lo=list(lo.shape), hi=list(hi.shape))
         if np.any(hi < lo):
-            raise ValueError("box upper bounds must dominate lower bounds")
+            raise ConfigError("box upper bounds must dominate lower bounds")
         return cls(kind="box", dim=lo.size, norm=norm, lo=lo, hi=hi)
 
     @classmethod
@@ -247,15 +254,13 @@ class SpaceDescriptor:
     @classmethod
     def ball(cls, center, radius: float, norm: str = "l2"):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if not radius >= 0:
+            raise ConfigError("ball radius must be nonnegative", radius=radius)
         return cls(kind="ball", dim=center.size, norm=norm, center=center,
                    radius=float(radius))
 
     @classmethod
     def simplex(cls, dim: int, norm: str = "l1"):
-        if dim < 1:
-            raise ValueError("simplex needs dim >= 1")
         return cls(kind="simplex", dim=dim, norm=norm)
 
     @classmethod
@@ -265,8 +270,6 @@ class SpaceDescriptor:
 
     @classmethod
     def product(cls, *parts: "SpaceDescriptor"):
-        if not parts:
-            raise ValueError("product needs at least one part")
         return cls(kind="product", dim=sum(p.dim for p in parts), norm="l1",
                    parts=tuple(parts))
 
@@ -348,8 +351,8 @@ class SpaceDescriptor:
 
     def grid_count(self, h: float) -> int:
         """Number of candidate points ``grid(h)`` would enumerate (pre-filter)."""
-        if h <= 0:
-            raise ValueError("grid resolution must be positive")
+        if not h > 0:
+            raise ConfigError("grid resolution must be positive", h=h)
         if self.kind == "box":
             count = 1
             for side in self.hi - self.lo:
@@ -516,8 +519,8 @@ def packing_net(space: SpaceDescriptor, theta: float, h: float | None = None) ->
     themselves for clouds).  ``h`` defaults to ``theta / 4`` so the grid
     resolves the separation scale.
     """
-    if theta <= 0:
-        raise ValueError("separation theta must be positive")
+    if not theta > 0:
+        raise ConfigError("separation theta must be positive", theta=theta)
     if space.kind == "cloud":
         cands = space.points
     else:
@@ -651,7 +654,7 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
     the truncated tail.
     """
     if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ConfigError("alpha must lie in (0, 1]", alpha=alpha)
     diam = space.diameter()
     if diam <= 0:
         return AlphaComplexity(0.0, alpha, 0.0, np.zeros(0), 0, "degenerate", 0.0,

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySampleError
+from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
+                     open_path)
 from .geometry import SpaceDescriptor, _nearest_dists
 
 # An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
@@ -105,11 +106,6 @@ class StochasticProgram:
             return float(self.oracle.fns[i](x))
         return float(np.mean(self.integrand(i)(x, self._mc_draws())))
 
-    def true_fn_provenance(self, i: int) -> str:
-        if self.oracle is not None and self.oracle.fns is not None:
-            return "closed-form"
-        return "monte-carlo"
-
     def true_variance(self, i: int, x) -> float:
         """Population variance of F_i(x, .) (closed form or MC)."""
         x = np.asarray(x, dtype=float)
@@ -119,12 +115,6 @@ class StochasticProgram:
                 return float(fn(x))
         draws = self.integrand(i)(x, self._mc_draws())
         return float(np.var(draws))
-
-    def true_variance_provenance(self, i: int) -> str:
-        if (self.oracle is not None and self.oracle.variance_fns is not None
-                and self.oracle.variance_fns[i] is not None):
-            return "closed-form"
-        return "monte-carlo"
 
     def true_fn_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -201,7 +191,7 @@ def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
     if hasattr(path_or_buffer, "read"):
         rows = list(csv.reader(path_or_buffer))
     else:
-        with open(path_or_buffer, newline="") as handle:
+        with open_path(path_or_buffer, newline="") as handle:
             rows = list(csv.reader(handle))
     body = [r for r in rows[1:] if r]
     if not body:
@@ -402,8 +392,9 @@ def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,
         return GridSet(points=pts[mask], query=query, resolution=h, source=label)
 
     if query.kind == "exterior":
-        if query.c is None or query.c <= 0:
-            raise ValueError("exterior query needs a positive regularity constant c")
+        if query.c is None or not query.c > 0:
+            raise ConfigError("exterior query needs a positive regularity "
+                              "constant c", c=query.c)
         base = relaxed_set_grid(source, RelaxedSetQuery(kind="relaxed", level=0.0),
                                 h, grid=pts)
         if base.empty:

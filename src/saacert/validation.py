@@ -193,6 +193,9 @@ class CoveragePlan:
     name: str = ""
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ConfigError("need at least one replication",
+                              got=self.replications)
         if self.event not in _EVENT_SCOPES:
             raise ConfigError(f"unknown coverage event {self.event!r}",
                               allowed=sorted(_EVENT_SCOPES))
@@ -401,9 +404,9 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
                     seed: int, h: float) -> RateReport:
     """Mean sup-deviation of Fhat0 over a grid, fitted against 1/sqrt(N)."""
     n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 3:
-        raise ConfigError("rate experiments need at least three sample sizes",
-                          got=len(n_grid))
+    if len(n_grid) < 3 or min(n_grid) < 1:
+        raise ConfigError("rate experiments need at least three sample "
+                          "sizes, each >= 1", n_grid=n_grid)
     oracle = program.oracle
     if oracle is None or oracle.sampler is None:
         raise ConfigError("rate experiments need an oracle sampler")

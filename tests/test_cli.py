@@ -1,12 +1,17 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saacert.cli import main
+from saacert.cli import build_parser, main
 
 BOX01 = '{"kind":"box","lo":[0],"hi":[1]}'
 
@@ -322,3 +327,129 @@ def test_malformed_list_element_exits_2(capsys, argv, field):
     payload = json.loads(err)
     assert payload["error"] == "config"
     assert payload["details"]["field"] == field
+
+
+MISSING = "{missing}"     # replaced by a path under a fresh tmp_path
+QUAD = '{"family":"quad1d"}'
+PF = ["--p", "0.1", "--beta", "0.1"]
+
+
+def _space(spec):
+    return ["entropy", "--space", spec, "--theta", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    _space('{"kind":"box","lo":[1],"hi":[0]}'),
+    _space('{"kind":"ball","center":[0],"radius":-1}'),
+    _space('{"kind":"cloud","points":[["a"]]}'),
+    _space('{"kind":"simplex","dim":0}'),
+    _space('{"kind":"box","lo":[0],"hi":[1],"norm":"l7"}'),
+    _space('{"kind":"product","parts":[]}'),
+    _space("BOX"),
+    ["portfolio", "--synthetic", "2,-5", *PF],
+    ["lasso", "--data", MISSING, "--radius", "1"],
+    ["portfolio", "--returns", MISSING, *PF],
+    ["solve", "--problem", QUAD, "--scenarios", MISSING],
+    ["portfolio", "--synthetic", "2,50", *PF, "--certify",
+     "--regularity-c", "-1"],
+    ["solve", "--problem", QUAD, "--n", "10", "--seed", "-1"],
+    ["entropy", "--space", BOX01, "--theta", "0.5", "--out", MISSING],
+    ["certify", "--theorem", "fixed", "--eps", "x", "--p", "0.1",
+     "--sigma", "1"],
+    ["entropy", "--space", BOX01],
+    ["entropy", "--space", BOX01, "--theta", "0.5", "--bogus"],
+    ["solve", "--problem", QUAD, "--n", "10", "--method", "subgradient",
+     "--budget", "-5"],
+    ["portfolio", "--synthetic", "2,50", "--p", "0.1", "--beta", "nan"],
+    ["solve", "--problem", QUAD, "--n", "10", "--method", "subgradient",
+     "--c0", "nan"],
+    ["validate", "--plan", json.dumps({**COVERAGE, "replications": 0})],
+    ["validate", "--plan", json.dumps({"experiment": "rate", "family": "quad1d",
+                                       "n_grid": [10, 0, 30],
+                                       "replications": 2})],
+    ["validate", "--plan", json.dumps({
+        "experiment": "tail", "distribution": {"name": "t3", "bogus": 1},
+        "n": 10, "t_grid": [1], "replications": 2})],
+], ids=["box-hi-lo", "ball-radius", "cloud-points", "simplex-dim", "norm",
+        "product-parts", "space-not-json", "synthetic-negative",
+        "lasso-missing-data", "portfolio-missing-returns",
+        "solve-missing-scenarios", "regularity-c", "seed", "out-dir",
+        "eps-not-float", "missing-flag", "unknown-flag", "budget", "beta-nan",
+        "c0-nan", "coverage-replications", "rate-n-grid", "tail-dist-params"])
+def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
+    """Every malformed input takes the one JSON error path: no traceback,
+    no usage text, no misleading downstream error, nothing on stdout."""
+    missing = str(tmp_path / "missing" / "x")
+    code, out, err = run_cli(capsys, *[missing if tok == MISSING else tok
+                                       for tok in argv])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+def test_every_numeric_flag_uses_a_named_kind():
+    """No flag converts with bare float or int: the named kinds are the
+    one place where flag text becomes a number."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    bare = [(name, action.dest) for name, parser in sub.choices.items()
+            for action in parser._actions if action.type in (float, int)]
+    assert bare == []
+
+
+SPACES = [BOX01, '{"kind":"ball","center":[0,0],"radius":1}',
+          '{"kind":"simplex","dim":3}', '{"kind":"cloud","points":[[0],[1],[3]]}',
+          '{"kind":"box","lo":[1],"hi":[0]}', '{"kind":"simplex","dim":0}',
+          '{"kind":"cloud","points":[["a"]]}', '{"kind":"box","lo":[0]}',
+          '{"kind":"product","parts":[]}', '{"kind":"cone"}', "BOX", "[1]"]
+REALS = ["0.5", "1", "0.05", "0", "-1", "nan", "inf", "x", ""]
+INTS = ["0", "1", "3", "-1", "2.5", "x"]
+STEPS = ["0.1", "0.25", "0", "-0.1", "inf", "x"]
+GRAMMAR = {
+    "entropy": {"--space": SPACES, "--theta": ["0.3", "0.5", *REALS[3:]],
+                "--h": STEPS},
+    "aalpha": {"--space": SPACES, "--alpha": ["0.5", "1", "0", "1.5", "nan", "x"],
+               "--h": STEPS},
+    "certify": {"--theorem": ["fixed", "exterior", "interior", "bogus"],
+                "--eps": REALS, "--p": REALS, "--sigma": REALS, "--m": INTS,
+                "--C": REALS, "--slater": REALS, "--n-available": INTS},
+    "solve": {"--problem": [QUAD, '{"family":"ball2d"}', '{"family":"nope"}',
+                            '{"family":"quad1d","params":{"bogus":1}}', "[1]"],
+              "--n": ["10", "50", "0", "-3", "x"],
+              "--h": ["0.05", "0.1", "0", "nan"],
+              "--relax": ["0.1", "0,0.1", "a", "nan", "-0.1", ""],
+              "--seed": INTS},
+    "portfolio": {"--synthetic": ["2,60", "3,40", "1,10", "2,-5", "x,5", "2",
+                                  "3,60,1"],
+                  "--p": REALS, "--beta": REALS,
+                  "--h": ["0.05", "0.1", "0", "x"], "--seed": INTS},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from GRAMMAR: each flag omitted or given one valid or invalid
+    token, sometimes followed by a stray token."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag, values in GRAMMAR[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], ["--bogus"], ["x"], ["--seed"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_exits_0_or_2_with_json(argv):
+    """Any argv exits 0 with an artifact on stdout, or 2 with exactly one
+    JSON error object on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert json.loads(out.getvalue())["kind"] == argv[0]
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())

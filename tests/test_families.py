@@ -83,3 +83,11 @@ def test_linear_simplex_vertex_optimum():
 def test_make_family_rejects_unknown():
     with pytest.raises(ConfigError):
         make_family("no-such-family")
+
+
+@pytest.mark.parametrize("factory, name", [(make_family, "quad1d"),
+                                           (make_distribution, "t3")])
+def test_factories_reject_unknown_params(factory, name):
+    """An unexpected keyword is a ConfigError naming the factory's entry."""
+    with pytest.raises(ConfigError, match="bogus"):
+        factory(name, bogus=1)

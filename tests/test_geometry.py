@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saacert.errors import ConfigError
 from saacert.geometry import (SpaceDescriptor, _entropy_model, _nearest_dists,
                               a_alpha, cross_dists, dists_to, entropy_number,
                               greedy_pack, max_pairwise, min_pairwise_gap,
@@ -324,3 +325,28 @@ def test_set_deviation_rejects_mismatched_widths(norm):
     for x, y in ((wide, narrow), (narrow, wide)):
         assert set_deviation(x, y, norm) == float(
             cross_dists(x, y, norm).min(axis=1).max())
+
+
+BOX = SpaceDescriptor.box([0.0], [1.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpaceDescriptor.box([1.0], [0.0]),
+    lambda: SpaceDescriptor.ball([0.0], -1.0),
+    lambda: SpaceDescriptor.simplex(0),
+    lambda: SpaceDescriptor.product(),
+    lambda: SpaceDescriptor.box([], []),
+    lambda: SpaceDescriptor.cloud([]),
+    lambda: SpaceDescriptor.box([0.0], [1.0], norm="l7"),
+    lambda: SpaceDescriptor.simplex(2, norm="l7"),
+    lambda: BOX.grid_count(0.0),
+    lambda: packing_net(BOX, 0.0),
+    lambda: a_alpha(BOX, 0.0),
+    lambda: a_alpha(BOX, 1.5),
+], ids=["box-hi-lo", "ball-radius", "simplex-dim", "product-empty",
+        "box-dim-0", "cloud-empty", "box-norm", "simplex-norm", "grid-h",
+        "packing-theta", "alpha-0", "alpha-1.5"])
+def test_domain_errors_are_config_errors(build):
+    """Values outside the domain raise ConfigError where they are used."""
+    with pytest.raises(ConfigError):
+        build()

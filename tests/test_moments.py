@@ -49,17 +49,6 @@ def test_estimate_holder_rms():
     assert est.combined >= est.l_hat - 1e-12
 
 
-def test_holder_refinement_monotone():
-    """More probe points can only increase the observed modulus."""
-    program = make_family("quad1d", a=0.4)
-    scen = ScenarioSet.from_sampler(program.oracle.sampler, 50, seed=1)
-    coarse = np.linspace(0, 1, 3)[:, None]
-    fine = np.linspace(0, 1, 9)[:, None]
-    m_coarse = per_scenario_modulus(program, 0, scen.data, coarse)
-    m_fine = per_scenario_modulus(program, 0, scen.data, fine)
-    assert np.all(m_fine >= m_coarse - 1e-12)
-
-
 def test_self_normalized_example():
     # mean 1, pop mean 0, second moments: mean(g^2)=1, var=1 -> sqrt(2/2)=1
     val = self_normalized(np.array([1.0, 1.0]), 0.0, 1.0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from saacert.errors import DimensionMismatchError, EmptySampleError
+from saacert.errors import (ConfigError, DimensionMismatchError,
+                            EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.problem import (HolderInfo, RelaxedSetQuery, ScenarioSet,
@@ -162,3 +163,16 @@ def test_true_fn_monte_carlo_fallback():
         name="mc-toy")
     # E (x - Z)^2 = x^2 + 1 for standard normal Z
     assert program.true_fn(0, np.array([0.5])) == pytest.approx(1.25, abs=0.02)
+
+
+def test_exterior_query_needs_positive_c():
+    with pytest.raises(ConfigError, match="regularity"):
+        relaxed_set_grid(make_family("ball2d"),
+                         RelaxedSetQuery(kind="exterior", level=0.1, c=-1.0),
+                         h=0.1)
+
+
+def test_read_table_missing_file_is_config_error(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        read_table(tmp_path / "missing.csv")
+    assert info.value.details == {"path": str(tmp_path / "missing.csv")}

@@ -95,6 +95,11 @@ def test_rate_needs_enough_sizes():
         rate_experiment(make_family("quad1d"), [64, 128], 10, seed=0, h=0.1)
 
 
+def test_rate_rejects_sample_sizes_below_one():
+    with pytest.raises(ConfigError, match="each >= 1"):
+        rate_experiment(make_family("quad1d"), [10, 0, 30], 2, seed=0, h=0.25)
+
+
 def fixed_plan(replications=60, seed=11, constant=1.0):
     return CoveragePlan(program=make_family("quad1d", a=0.3),
                         theorem="fixed", event="near-optimal-subset",
@@ -119,6 +124,11 @@ def test_coverage_half_run_merge_is_exact():
     first = coverage_experiment(plan, cert, rep_range=(0, 20))
     second = coverage_experiment(plan, cert, rep_range=(20, 40))
     assert first.successes + second.successes == full.successes
+
+
+def test_coverage_plan_rejects_zero_replications():
+    with pytest.raises(ConfigError, match="replication"):
+        fixed_plan(replications=0)
 
 
 def test_coverage_rejects_wide_interior_eps():
