@@ -71,9 +71,7 @@ from .moments import (
 from .problem import (
     EmpiricalProblem,
     FeasibilityRecord,
-    GridSet,
     HolderInfo,
-    RelaxedSetQuery,
     ScenarioSet,
     StochasticProgram,
     TrueOracle,

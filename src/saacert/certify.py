@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ConfigError, EmptySampleError, SlaterMarginError
 from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
-from .problem import EmpiricalProblem, StochasticProgram, _constraint_table, _worst
+from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
+                      _constraint_table, relaxed_set_grid)
 
 _THEOREMS = tuple(_GUARANTEES)
 
@@ -74,7 +75,14 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
             raise SlaterMarginError(
                 "interior certificates need eps <= slater_margin / 2",
                 eps=eps, slater_margin=slater_margin)
-    n = constant * sigma_hat ** 2 * log_term / eps ** 2
+    try:
+        n = constant * sigma_hat ** 2 * log_term / eps ** 2
+    except (OverflowError, ZeroDivisionError):  # sigma^2 overflows, eps^2 underflows
+        n = math.inf
+    if not math.isfinite(n):
+        raise ConfigError("sample-size threshold C*sigma^2*log/eps^2 is not a "
+                          "finite float", eps=eps, sigma_hat=sigma_hat,
+                          constant=constant)
     return max(1, math.ceil(n - 1e-12))
 
 
@@ -254,8 +262,9 @@ def estimate_regularity(program: StochasticProgram, h: float,
         return RegularityEstimate(0.0, 0, 0, 0.0, True, "no-constraints")
     grid = program.space.grid(h)
     min_violation = 2 * h
-    worst = _worst(program, grid)
-    feas_pts = grid[worst <= 1e-12]
+    table = _constraint_table(program, grid)
+    worst = table.max(axis=0)
+    feas_pts = grid[relaxed_set_grid(table)]
     if len(feas_pts) == 0:
         raise EmptySampleError("population feasible set has no grid points",
                                h=h)
@@ -311,19 +320,19 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     space = program.space
     grid = space.grid(h)
     f_vals = program.true_fn_grid(0, grid)
-    worst = _worst(program, grid)
-    feas = worst <= 1e-12
+    table = _constraint_table(program, grid)
+    feas = relaxed_set_grid(table)
     if not np.any(feas):
         raise EmptySampleError("population feasible set has no grid points", h=h)
     f_star = float(f_vals[feas].min())
 
     if kind == "exterior":
-        relaxed = worst <= gamma + 1e-12
+        relaxed = relaxed_set_grid(table, gamma)
         value = f_star - float(f_vals[relaxed].min())
         anchor_mask = relaxed & (f_vals <= f_vals[relaxed].min() + 1e-9)
         zero = bool(np.any(anchor_mask & feas))
     else:
-        inner = worst <= -gamma + 1e-12
+        inner = relaxed_set_grid(table, -gamma)
         if not np.any(inner):
             raise SlaterMarginError(
                 "no grid point satisfies the tightened constraints; gamma "
@@ -418,19 +427,14 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
     Delta_Y = np.array([max(0.0, float(np.max(f_true[i] - f_hat[i])))
                         for i in range(1, m + 1)]) if m else np.zeros(0)
 
-    # _worst's convention (-inf when m = 0), from the table already computed
-    worst = f_true[1:].max(axis=0, initial=-np.inf)
     Delta_active = []
     level_masks = []
     for lv in levels:
-        in_level = worst <= lv + 1e-12
+        in_level, active = relaxed_set_grid(f_true[1:], lv, tol_active)
         level_masks.append(in_level)
-        row = np.zeros(m)
-        for i in range(1, m + 1):
-            active = in_level & (np.abs(f_true[i] - lv) <= tol_active)
-            if np.any(active):
-                row[i - 1] = max(0.0, float(np.max(lv - f_hat[i][active])))
-        Delta_active.append(row)
+        # sup of lv - fhat_i over each active set, floored at 0 (0 when empty)
+        Delta_active.append(np.fmax(0.0, np.where(
+            active, lv - f_hat[1:], -np.inf).max(axis=1)))
 
     delta_at, delta_obj_at, Delta0 = {}, {}, {}
     for name, pt in anchors.items():
@@ -527,7 +531,7 @@ def _rows(c: SimpleNamespace, lhs: np.ndarray, rhs) -> list:
 
 
 def _anchor_feasible(remark: str = ""):
-    return lambda c: (bool(np.all(c.cons["x_star"] <= 1e-9)),
+    return lambda c: (bool(np.all(c.cons["x_star"] <= FEAS_TOL)),
                       "x_star must satisfy the population constraints"
                       + remark)
 
@@ -560,7 +564,7 @@ _HYPOTHESES = {
     "anchor-in-feasible-set/attested": _anchor_feasible(
         " (optimality is attested)"),
     "anchor-in-tightened-set": lambda c: (
-        bool(np.all(c.cons["y_star"] <= -c.gamma + 1e-9)),
+        bool(np.all(c.cons["y_star"] <= -c.gamma + FEAS_TOL)),
         "y_star must satisfy constraints at -gamma "
         "(its optimality there is attested)"),
 }

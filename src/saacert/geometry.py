@@ -265,7 +265,11 @@ class SpaceDescriptor:
 
     @classmethod
     def cloud(cls, points, norm: str = "l2"):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        try:
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+        except ValueError as exc:  # ragged rows or non-numeric entries
+            raise ConfigError(f"cloud points must form a rectangular array of "
+                              f"floats: {exc}") from exc
         return cls(kind="cloud", dim=points.shape[1], norm=norm, points=points)
 
     @classmethod
@@ -355,8 +359,13 @@ class SpaceDescriptor:
             raise ConfigError("grid resolution must be positive", h=h)
         if self.kind == "box":
             count = 1
-            for side in self.hi - self.lo:
-                count *= int(math.ceil(side / h)) + 1 if side > 0 else 1
+            for lo, hi in zip(self.lo.tolist(), self.hi.tolist()):
+                cells = (hi - lo) / h  # Python floats: inf on overflow, no warning
+                if not math.isfinite(cells):
+                    raise BudgetError("grid enumeration exceeds budget",
+                                      budget=GRID_BUDGET, resolution=h,
+                                      extent=hi - lo)
+                count *= int(math.ceil(cells)) + 1 if hi > lo else 1
             return count
         if self.kind == "ball":
             lo = self.center - self.radius

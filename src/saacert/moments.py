@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySampleError
-from .geometry import SpaceDescriptor, a_alpha, dists_to
-from .problem import (MC_SEED, EmpiricalProblem, RelaxedSetQuery,
-                      StochasticProgram, _worst, relaxed_set_grid)
+from .errors import ConfigError, EmptySampleError
+from .geometry import SpaceDescriptor, _nearest_dists, a_alpha, dists_to
+from .problem import (MC_SEED, SET_TOL, EmpiricalProblem, StochasticProgram,
+                      _constraint_table, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
@@ -267,12 +267,14 @@ class VarianceProfile:
         return self.entries[name]
 
 
-def _most_interior(program: StochasticProgram, pts: np.ndarray) -> np.ndarray:
-    """Grid point minimizing the largest constraint value (deepest inside X)."""
-    if program.n_constraints == 0:
+def _most_interior(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Point minimizing the largest constraint value (deepest inside X), from
+    the points' (m, G) constraint table; with m = 0, the point nearest the
+    centroid."""
+    if len(table) == 0:
         center = pts.mean(axis=0)
         return pts[int(np.argmin(np.linalg.norm(pts - center, axis=1)))]
-    return pts[int(np.argmin(_worst(program, pts)))]
+    return pts[int(np.argmin(table.max(axis=0)))]
 
 
 def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
@@ -285,12 +287,17 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
     ``exterior`` (metric-regular feasible set, relaxations +eps) or
     ``interior`` (Slater point, relaxations -eps).  Convex exterior programs
     also get the ``_LOCALIZED_SWAP`` entries.  Anchor points may be
-    supplied; missing ones are located on the population grid.
+    supplied; missing ones are located on the population grid.  Every set
+    is a mask of one population constraint table on the grid; the exterior
+    set inflates the feasible grid by ``c * 2 * eps`` in the space's norm.
     """
     if theorem not in _GUARANTEES:
         raise ValueError(f"unknown theorem {theorem!r}")
     if theorem == "exterior" and c is None:
         raise ValueError("exterior profiles need the regularity constant c")
+    if theorem == "exterior" and not c > 0:
+        raise ConfigError("exterior profiles need a positive regularity "
+                          "constant c", c=c)
     names = dict.fromkeys(name for comps, _ in _GUARANTEES[theorem].values()
                           for name in comps)
     if theorem == "exterior" and program.convex:
@@ -302,53 +309,50 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                for i in range(m + 1)]
     anchors = dict(anchors or {})
 
-    feas = relaxed_set_grid(program, RelaxedSetQuery(kind="relaxed", level=0.0),
-                            h, grid=grid)
+    table = _constraint_table(program, grid)
+    in_feas = relaxed_set_grid(table)
+    feas = grid[in_feas]
 
     if "x_star" not in anchors:
-        if feas.empty:
+        if len(feas) == 0:
             raise EmptySampleError("population feasible set has no grid points; "
                                    "supply an x_star anchor or refine the grid")
-        f_on_feas = program.true_fn_grid(0, feas.points)
-        anchors["x_star"] = feas.points[int(np.argmin(f_on_feas))]
+        anchors["x_star"] = feas[int(np.argmin(program.true_fn_grid(0, feas)))]
     if "z" not in anchors:
-        anchors["z"] = (_most_interior(program, feas.points)
-                        if not feas.empty else anchors["x_star"])
+        anchors["z"] = (_most_interior(feas, table[:, in_feas])
+                        if len(feas) else anchors["x_star"])
 
     prof = VarianceProfile(theorem=theorem, holder=holders, anchors=anchors)
     det = prof.details
     det["grid_points"] = len(grid)
-    det["feasible_grid_points"] = len(feas.points)
+    det["feasible_grid_points"] = len(feas)
     det["h"] = h
-    sets = {"X": feas.points, "Y": program.space}
+    sets = {"X": feas, "Y": program.space}
 
     if theorem == "exterior":
         det["c"] = c
-        sets["ext"] = relaxed_set_grid(
-            program, RelaxedSetQuery(kind="exterior", level=2 * eps, c=c),
-            h, grid=grid).points
+        sets["ext"] = grid[_nearest_dists(grid, feas, program.space.norm)
+                           <= c * (2 * eps) + SET_TOL] if len(feas) else feas
         det["exterior_grid_points"] = len(sets["ext"])
         if "y" not in anchors:
-            anchors["y"] = _most_interior(program, grid)
+            anchors["y"] = _most_interior(grid, table)
     if theorem == "interior":
-        inner = relaxed_set_grid(program,
-                                 RelaxedSetQuery(kind="interior", level=2 * eps),
-                                 h, grid=grid).points
+        in_inner = relaxed_set_grid(table, -2 * eps)
+        inner = grid[in_inner]
         det["inner_grid_points"] = len(inner)
         if len(inner) == 0 and not {"y", "y_star"} <= anchors.keys():
             raise EmptySampleError(
                 "no grid point is 2*eps-strictly feasible; shrink eps or "
                 "supply y and y_star anchors", eps=eps)
         if "y" not in anchors:
-            anchors["y"] = _most_interior(program, inner)
+            anchors["y"] = _most_interior(inner, table[:, in_inner])
         if "y_star" not in anchors:
             anchors["y_star"] = inner[int(np.argmin(program.true_fn_grid(0, inner)))]
 
     def over(where: str, i: int):
         if where.startswith("active"):
             level = 2 * eps if where == "active" else 0.0
-            query = RelaxedSetQuery(kind="active", level=level, index=i)
-            return relaxed_set_grid(program, query, h, grid=grid).points
+            return grid[relaxed_set_grid(table, level, h)[1][i - 1]]
         return sets[where]
 
     for name in names:

@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
-                     open_path)
-from .geometry import SpaceDescriptor, _nearest_dists
+from .errors import DimensionMismatchError, EmptySampleError, open_path
+from .geometry import SpaceDescriptor
 
 # An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
 # per-scenario values, shape (N,).
@@ -33,6 +32,18 @@ MC_SEED = 20_240_001
 # is the cancellation error of F(x) - F(y), a few ulps of |F| over the
 # distance; 1e-12 leaves three orders of magnitude above it.
 MODULUS_RTOL = 1e-12
+
+# A grid point lies in a level set when every constraint value is at most
+# level + SET_TOL.  The slack absorbs rounding of values that sit on the
+# level in exact arithmetic: grid coordinates such as k * h are inexact in
+# binary, so a boundary point's computed value (and a level such as 2 * eps)
+# can land a few ulps, about 1e-16 for values of order one, on either side.
+SET_TOL = 1e-12
+
+# x is empirically feasible when Fhat_i(x) <= eps_i + FEAS_TOL.  Looser than
+# SET_TOL: a sample mean accumulates rounding over N scenarios, and the
+# subgradient solver's averaged iterate reaches a boundary only approximately.
+FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -252,7 +263,7 @@ class EmpiricalProblem:
         m = self.program.n_constraints
         return np.array([self.fhat(i, x) for i in range(1, m + 1)]) - self.relaxations
 
-    def membership(self, x, tol: float = 1e-9) -> FeasibilityRecord:
+    def membership(self, x, tol: float = FEAS_TOL) -> FeasibilityRecord:
         """x is empirically feasible iff x in Y and Fhat_i(x) <= eps_i + tol."""
         x = np.asarray(x, dtype=float)
         in_y = self.program.space.contains(x, tol)
@@ -260,7 +271,7 @@ class EmpiricalProblem:
         return FeasibilityRecord(point=x, in_hard_set=in_y, residuals=res,
                                  feasible=bool(in_y and np.all(res <= tol)))
 
-    def feasible_mask(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def feasible_mask(self, points: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
         """Vectorized membership over grid points already inside Y."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         bounds = self.relaxations[:, None] + tol
@@ -306,101 +317,36 @@ def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
 
 
 # ---------------------------------------------------------------------------
-# relaxed-set queries on grids
-
-
-@dataclass
-class RelaxedSetQuery:
-    """Which sublevel/active/exterior set to enumerate on a grid.
-
-    kinds: ``relaxed`` is {max_i g_i <= level}; ``interior`` is
-    {max_i g_i <= -level}; ``active`` additionally pins constraint ``index``
-    to the level within ``tol_active``; ``exterior`` inflates the feasible
-    set by ``c * level`` in the space's norm (intersected with Y).
-    """
-
-    kind: str
-    level: float
-    index: int | None = None
-    c: float | None = None
-    tol_active: float | None = None
-
-
-@dataclass
-class GridSet:
-    """Grid representation of a relaxed-set query."""
-
-    points: np.ndarray
-    query: RelaxedSetQuery
-    resolution: float
-    source: str  # "true" or "empirical"
-
-    @property
-    def empty(self) -> bool:
-        return len(self.points) == 0
-
-
-def _grid_values(source, i: int, pts: np.ndarray) -> np.ndarray:
-    if isinstance(source, EmpiricalProblem):
-        return source.fhat_grid(i, pts)
-    return source.true_fn_grid(i, pts)
+# level sets on grids
 
 
 def _constraint_table(source, pts: np.ndarray) -> np.ndarray:
     """Constraint values on a grid, shape (m, G), one row per constraint.
 
     ``source`` is a :class:`StochasticProgram` (population values) or an
-    :class:`EmpiricalProblem` (sample means); a set's mask is a comparison
-    of this table against per-constraint levels.
+    :class:`EmpiricalProblem` (sample means); a level set is a mask of this
+    table (``relaxed_set_grid``).
     """
     empirical = isinstance(source, EmpiricalProblem)
     m = (source.program if empirical else source).n_constraints
+    values = source.fhat_grid if empirical else source.true_fn_grid
     table = np.empty((m, len(pts)))
     for i in range(1, m + 1):
-        table[i - 1] = _grid_values(source, i, pts)
+        table[i - 1] = values(i, pts)
     return table
 
 
-def _worst(source, pts: np.ndarray) -> np.ndarray:
-    """Largest constraint value at each point, or -inf when m = 0."""
-    return _constraint_table(source, pts).max(axis=0, initial=-np.inf)
+def relaxed_set_grid(table: np.ndarray, level: float = 0.0,
+                     tol_active: float | None = None):
+    """Mask of the level set {x : g_i(x) <= level for every i} on a grid.
 
-
-def relaxed_set_grid(source, query: RelaxedSetQuery, h: float,
-                     grid: np.ndarray | None = None) -> GridSet:
-    """Enumerate a relaxed/active/interior/exterior set on a grid of Y.
-
-    ``source`` is a :class:`StochasticProgram` (true functions, via oracle) or
-    an :class:`EmpiricalProblem` (empirical means).  A precomputed grid of Y
-    may be supplied to share enumeration across queries.
+    ``table`` is the (m, G) constraint table of the grid
+    (``_constraint_table``); with m = 0 the level set is the whole grid.  A
+    strictly feasible (interior) set at margin gamma is the level -gamma.
+    With ``tol_active`` the (m, G) active masks follow the level mask: row
+    i - 1 marks the level-set points with |g_i - level| <= tol_active.
     """
-    program = source.program if isinstance(source, EmpiricalProblem) else source
-    label = "empirical" if isinstance(source, EmpiricalProblem) else "true"
-    pts = program.space.grid(h) if grid is None else np.atleast_2d(grid)
-    m = program.n_constraints
-    tol = query.tol_active if query.tol_active is not None else h
-
-    if query.kind in ("relaxed", "interior", "active"):
-        if query.kind == "active" and (query.index is None
-                                       or not (1 <= query.index <= m)):
-            raise ValueError("active-set query needs a constraint index in 1..m")
-        threshold = -query.level if query.kind == "interior" else query.level
-        table = _constraint_table(source, pts)
-        mask = np.all(table <= threshold + 1e-12, axis=0)
-        if query.kind == "active":
-            mask &= np.abs(table[query.index - 1] - query.level) <= tol
-        return GridSet(points=pts[mask], query=query, resolution=h, source=label)
-
-    if query.kind == "exterior":
-        if query.c is None or not query.c > 0:
-            raise ConfigError("exterior query needs a positive regularity "
-                              "constant c", c=query.c)
-        base = relaxed_set_grid(source, RelaxedSetQuery(kind="relaxed", level=0.0),
-                                h, grid=pts)
-        if base.empty:
-            return GridSet(points=pts[:0], query=query, resolution=h, source=label)
-        near = _nearest_dists(pts, base.points, program.space.norm)
-        keep = near <= query.c * query.level + 1e-12
-        return GridSet(points=pts[keep], query=query, resolution=h, source=label)
-
-    raise ValueError(f"unknown query kind {query.kind!r}")
+    mask = (table <= level + SET_TOL).all(axis=0)
+    if tol_active is None:
+        return mask
+    return mask, mask & (np.abs(table - level) <= tol_active)

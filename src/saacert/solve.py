@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .problem import EmpiricalProblem, StochasticProgram, _constraint_table
+from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
+                      _constraint_table, relaxed_set_grid)
 
 
 @dataclass
@@ -65,7 +66,7 @@ def solve(emp: EmpiricalProblem, config: SolverConfig | None = None) -> SolveRes
                       allowed=["grid", "subgradient"])
 
 
-def grid_solve(emp: EmpiricalProblem, h: float, tol: float = 1e-9) -> SolveResult:
+def grid_solve(emp: EmpiricalProblem, h: float, tol: float = FEAS_TOL) -> SolveResult:
     """Exact minimizer of the empirical problem restricted to a grid of Y."""
     pts = emp.program.space.grid(h)
     mask = emp.feasible_mask(pts, tol)
@@ -99,7 +100,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
 
     Starting from the centroid of a coarse grid of the hard set, at iterate
     k the method steps along the objective when every residual is at most
-    1e-9, and along the most violated constraint otherwise, with step
+    ``FEAS_TOL``, and along the most violated constraint otherwise, with step
     c0/sqrt(k) and projection back onto the hard set.  The output
     is the step-weighted average of the objective iterates; its certified
     gap uses the standard telescoping bound with the *observed* subgradient
@@ -123,7 +124,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
 
     for k in range(1, config.budget + 1):
         res = emp.residuals(x)
-        if res.size == 0 or float(res.max()) <= 1e-9:
+        if res.size == 0 or float(res.max()) <= FEAS_TOL:
             g = subgrad(0, x)
             step = config.c0 / math.sqrt(k)
             avg = avg + step * x
@@ -143,7 +144,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
     t = obj_steps
     gap = ((diam ** 2 + config.c0 ** 2 * g_max ** 2 * (1 + math.log(max(t, 1))))
            / (4 * config.c0 * (math.sqrt(t + 1) - 1))) if t >= 1 else math.inf
-    rec = emp.membership(x_out, tol=1e-9)
+    rec = emp.membership(x_out)
     return SolveResult(
         x=x_out, value=emp.fhat(0, x_out), residuals=rec.residuals,
         feasible=rec.feasible, method="subgradient", iterations=config.budget,
@@ -198,7 +199,7 @@ def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
                level: float = 0.0, tol: float = 1e-9) -> TrueSolve:
     """Grid minimum of the population objective over the level-relaxed set."""
     pts = program.space.grid(h)
-    mask = np.all(_constraint_table(program, pts) <= level + 1e-12, axis=0)
+    mask = relaxed_set_grid(_constraint_table(program, pts), level)
     if not np.any(mask):
         raise InfeasibleError("population feasible set has no grid points",
                               level=level, h=h)

@@ -19,8 +19,8 @@ from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableEr
 from .geometry import a_alpha
 from .moments import (_GUARANTEES, VarianceProfile, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
-from .problem import (ScenarioSet, StochasticProgram, _sample_means, _worst,
-                      build_empirical)
+from .problem import (ScenarioSet, StochasticProgram, _constraint_table,
+                      _sample_means, build_empirical, relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -302,10 +302,10 @@ def _event_checker(plan: CoveragePlan):
     eps = plan.eps
     grid = program.space.grid(plan.h)
     f0 = program.true_fn_grid(0, grid)
-    worst = _worst(program, grid)
+    table = _constraint_table(program, grid)
 
     if plan.event == "near-optimal-subset":
-        f_star = float(f0[worst <= 1e-12].min())
+        f_star = float(f0[relaxed_set_grid(table)].min())
         good = f0 <= f_star + 2 * eps + 1e-12
 
         def check(emp):
@@ -319,7 +319,7 @@ def _event_checker(plan: CoveragePlan):
         return grid, check
 
     level = 2 * eps if plan.event == "feasible-relaxed" else 0.0
-    target = worst <= level + 1e-12
+    target = relaxed_set_grid(table, level)
 
     def check(emp):
         return bool(np.all(target[emp.feasible_mask(grid, tol=1e-12)]))

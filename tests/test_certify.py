@@ -369,6 +369,27 @@ def test_checker_schemes_pinned(scheme, m, noise):
     assert report.to_json()["conclusions"] == report.conclusions
 
 
+@pytest.mark.parametrize("noise", [0.01, 0.3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ledger_active_deviations_match_a_per_constraint_loop(m, noise):
+    """Delta_active per level is, per constraint i, max(0, sup of level -
+    Fhat_i) over the level-set points with |f_i - level| <= tol_active, and
+    0 on an empty active set."""
+    emp, ledger = pinned_case("F", m, noise)
+    grid = emp.program.space.grid(ledger.h)
+    f = [emp.program.true_fn_grid(i, grid) for i in range(1, m + 1)]
+    for level, got in zip(ledger.levels, ledger.Delta_active):
+        inside = np.ones(len(grid), dtype=bool)
+        for fi in f:
+            inside &= fi <= level + 1e-12
+        want = []
+        for i in range(1, m + 1):
+            active = inside & (np.abs(f[i - 1] - level) <= ledger.tol_active)
+            vals = level - emp.fhat_grid(i, grid)[active]
+            want.append(max(0.0, float(vals.max())) if active.any() else 0.0)
+        assert got.tolist() == want
+
+
 def test_checker_pinned_cases_hold_and_fail():
     """The pinned grid exercises both outcomes of every scheme."""
     for scheme in PINNED_SCHEMES:

@@ -387,6 +387,27 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning on stderr either
+@pytest.mark.parametrize("argv, kind", [
+    (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+      "--sigma", "1e308", "--C", "1e308"], "config"),
+    (["certify", "--theorem", "fixed", "--eps", "1e-300", "--p", "0.1",
+      "--sigma", "1"], "config"),
+    (_space('{"kind":"box","lo":[0],"hi":[1e308]}'), "budget-exceeded"),
+    (["aalpha", "--space", '{"kind":"ball","center":[0],"radius":1e308}',
+      "--alpha", "1"], "budget-exceeded"),
+    (_space('{"kind":"cloud","points":[[0],[1,2]]}'), "config"),
+], ids=["sigma-squared-overflows", "eps-squared-underflows",
+        "box-cells-overflow", "ball-extent-overflows", "cloud-ragged"])
+def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
+    """Finite values at the edge of float range fail where they are used,
+    with the JSON error path, not an OverflowError or a numpy traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == kind
+
+
 def test_every_numeric_flag_uses_a_named_kind():
     """No flag converts with bare float or int: the named kinds are the
     one place where flag text becomes a number."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from saacert.apps import ReturnsDataset, _returns_sampler, build_portfolio
 from saacert.certify import components_for
-from saacert.errors import EmptySampleError
+from saacert.errors import ConfigError, EmptySampleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor, min_pairwise_gap
 from saacert.moments import (_max_ratio, estimate_holder,
@@ -172,6 +172,48 @@ def test_interior_profile_without_inner_points_needs_anchors(anchors):
     profile = variance_profile(program, emp, "interior", eps=0.45, h=0.2,
                                anchors=both)
     assert profile.details["inner_grid_points"] == 0
+
+
+def _ball2d_case():
+    program = make_family("ball2d")
+    program.oracle.mc_budget = 500
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 60, seed=3),
+        np.zeros(1))
+    return program, emp
+
+
+def test_exterior_profile_inflates_the_feasible_set():
+    program, emp = _ball2d_case()
+    det = variance_profile(program, emp, "exterior", eps=0.05, h=0.05,
+                           c=1.0).details
+    assert det["exterior_grid_points"] > det["feasible_grid_points"]
+
+
+def test_exterior_profile_needs_positive_c():
+    program, emp = _ball2d_case()
+    for c in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="regularity"):
+            variance_profile(program, emp, "exterior", eps=0.05, h=0.1, c=c)
+
+
+def test_exterior_profile_evaluates_one_constraint_table(monkeypatch):
+    """Feasible, exterior, active sets and the z and y anchors all read one
+    population constraint table: constraint 1 is evaluated once, on the
+    whole 41 x 41 grid."""
+    program, emp = _ball2d_case()
+    calls = []
+    true_fn_grid = StochasticProgram.true_fn_grid
+
+    def counted(self, i, points):
+        calls.append((i, len(np.atleast_2d(points))))
+        return true_fn_grid(self, i, points)
+
+    monkeypatch.setattr(StochasticProgram, "true_fn_grid", counted)
+    profile = variance_profile(program, emp, "exterior", eps=0.1, h=0.05, c=1.0)
+    assert profile.details["grid_points"] == 1681
+    assert "sigmaI_hat_active" in profile.entries  # ball2d is convex
+    assert [call for call in calls if call[0] == 1] == [(1, 1681)]
 
 
 # ---------------------------------------------------------------------------

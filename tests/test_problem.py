@@ -1,15 +1,17 @@
-"""Programs, scenario sets, empirical means, and relaxed-set queries."""
+"""Programs, scenario sets, empirical means, and grid level sets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saacert.errors import (ConfigError, DimensionMismatchError,
                             EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
-from saacert.problem import (HolderInfo, RelaxedSetQuery, ScenarioSet,
-                             StochasticProgram, TrueOracle, build_empirical,
-                             read_table, relaxed_set_grid)
+from saacert.problem import (SET_TOL, HolderInfo, ScenarioSet,
+                             StochasticProgram, TrueOracle, _constraint_table,
+                             build_empirical, read_table, relaxed_set_grid)
 
 
 def toy_program():
@@ -108,39 +110,73 @@ def test_sampler_draws_are_seeded():
 
 
 class TestRelaxedSets:
-    """Grid enumeration of relaxed, interior, active and inflated sets."""
+    """Relaxed, interior and active sets as masks of one constraint table.
+
+    The constraint x1 + x2 <= 1.2 cuts [0, 1]^2, so every level between
+    -0.5 and 0.5 gives a set strictly between empty and the whole grid.
+    """
 
     def setup_method(self):
-        self.program = make_family("quad1d", a=0.3, noise=0.0)
+        program = make_family("halfspace_box", noise=0.0, obj_noise=0.0)
+        self.table = _constraint_table(program, program.space.grid(0.05))
 
     def test_relaxed_levels_nest(self):
-        sizes = []
-        for level in (0.0, 0.1, 0.3):
-            query = RelaxedSetQuery(kind="relaxed", level=level)
-            sizes.append(len(relaxed_set_grid(self.program, query, h=0.01).points))
-        assert sizes[0] <= sizes[1] <= sizes[2]
+        masks = [relaxed_set_grid(self.table, level) for level in (0.0, 0.1, 0.3)]
+        assert 0 < masks[0].sum() < masks[1].sum() < masks[2].sum() < masks[2].size
+        for inner, outer in zip(masks, masks[1:]):
+            assert np.all(outer[inner])
 
     def test_interior_tightens(self):
-        relaxed = relaxed_set_grid(
-            self.program, RelaxedSetQuery(kind="relaxed", level=0.0), h=0.01)
-        interior = relaxed_set_grid(
-            self.program, RelaxedSetQuery(kind="interior", level=0.1), h=0.01)
-        assert len(interior.points) <= len(relaxed.points)
+        relaxed = relaxed_set_grid(self.table)
+        interior = relaxed_set_grid(self.table, -0.1)
+        assert 0 < interior.sum() < relaxed.sum()
+        assert np.all(relaxed[interior])
 
     def test_active_set_sits_near_level(self):
-        program = make_family("halfspace_box", noise=0.0, obj_noise=0.0)
-        query = RelaxedSetQuery(kind="active", level=0.2, index=1)
-        active = relaxed_set_grid(program, query, h=0.05)
-        vals = program.true_fn_grid(1, active.points)
-        assert np.all(np.abs(vals - 0.2) <= 0.05 + 1e-12)
+        in_level, active = relaxed_set_grid(self.table, 0.2, tol_active=0.05)
+        assert np.array_equal(in_level, relaxed_set_grid(self.table, 0.2))
+        assert active.shape == self.table.shape
+        assert 0 < active.sum() < in_level.sum()
+        assert np.all(in_level[active[0]])
+        assert np.all(np.abs(self.table[0][active[0]] - 0.2) <= 0.05)
 
-    def test_exterior_inflates(self):
-        program = make_family("ball2d")
-        base = relaxed_set_grid(
-            program, RelaxedSetQuery(kind="relaxed", level=0.0), h=0.05)
-        inflated = relaxed_set_grid(
-            program, RelaxedSetQuery(kind="exterior", level=0.1, c=1.0), h=0.05)
-        assert len(inflated.points) > len(base.points)
+
+def _reference_level_set(table, level, tol_active):
+    """Per-point reference for the level-set rule: x is in the set when
+    every g_i(x) <= level + 1e-12, and in the active set of constraint i
+    when, in addition, |g_i(x) - level| <= tol_active."""
+    m, g = table.shape
+    inside = np.array([all(table[i, j] <= level + 1e-12 for i in range(m))
+                       for j in range(g)], dtype=bool)
+    active = np.array([[bool(inside[j]) and abs(table[i, j] - level) <= tol_active
+                        for j in range(g)] for i in range(m)],
+                      dtype=bool).reshape(m, g)
+    return inside, active
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(0, 3), g=st.integers(1, 6),
+       level=st.sampled_from([0.0, 0.2, -0.4, 1e-3]),
+       tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.05]))
+def test_level_set_masks_match_a_per_point_reference(data, m, g, level, tol):
+    """Values sit at and around level +- SET_TOL and level +- tol, a few
+    ulps either way; m = 0 gives the whole grid."""
+    anchors = st.sampled_from([level, level + SET_TOL, level - SET_TOL,
+                               level + tol, level - tol])
+    cell = st.one_of(
+        st.builds(lambda v, k: float(np.nextafter(v, np.inf * k)) if k else v,
+                  anchors, st.integers(-1, 1)),
+        st.floats(-1.0, 1.0))
+    table = np.array(data.draw(st.lists(st.lists(cell, min_size=g, max_size=g),
+                                        min_size=m, max_size=m)),
+                     dtype=float).reshape(m, g)
+    inside, active = _reference_level_set(table, level, tol)
+    assert np.array_equal(relaxed_set_grid(table, level), inside)
+    got_inside, got_active = relaxed_set_grid(table, level, tol)
+    assert np.array_equal(got_inside, inside)
+    assert np.array_equal(got_active, active)
+    if m == 0:
+        assert inside.all()
 
 
 def test_true_fn_uses_closed_form_when_available():
@@ -163,13 +199,6 @@ def test_true_fn_monte_carlo_fallback():
         name="mc-toy")
     # E (x - Z)^2 = x^2 + 1 for standard normal Z
     assert program.true_fn(0, np.array([0.5])) == pytest.approx(1.25, abs=0.02)
-
-
-def test_exterior_query_needs_positive_c():
-    with pytest.raises(ConfigError, match="regularity"):
-        relaxed_set_grid(make_family("ball2d"),
-                         RelaxedSetQuery(kind="exterior", level=0.1, c=-1.0),
-                         h=0.1)
 
 
 def test_read_table_missing_file_is_config_error(tmp_path):
