@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, SlaterMarginError
+from .errors import ConfigError, EmptySampleError, JsonResult, SlaterMarginError
 from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
 from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
@@ -129,8 +129,12 @@ def assemble_sigma(profile: VarianceProfile, scope: str,
 
 
 @dataclass
-class Certificate:
-    """An a priori finite-sample guarantee at confidence 1 - p."""
+class Certificate(JsonResult):
+    """An a priori finite-sample guarantee at confidence 1 - p.  Without
+    ``n_available`` its JSON leaves out ``n_available`` and ``satisfied``."""
+
+    _JSON_EXTRA = ("satisfied",)
+    _JSON_OPTIONAL = ("n_available", "satisfied")
 
     theorem: str
     scope: str
@@ -154,28 +158,6 @@ class Certificate:
             return None
         return self.n_available >= self.n_required
 
-    def to_json(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "scope": self.scope,
-            "eps": self.eps,
-            "p": self.p,
-            "constant": self.constant,
-            "m": self.m,
-            "sigma_hat": self.sigma_hat,
-            "sigma_components": dict(self.sigma_components),
-            "n_required": self.n_required,
-            "relaxation": self.relaxation,
-            "events": [{"tag": t, "statement": s} for t, s in self.events],
-            "assumptions": list(self.assumptions),
-            "localized": self.localized,
-            "details": dict(self.details),
-        }
-        if self.n_available is not None:
-            out["n_available"] = self.n_available
-            out["satisfied"] = self.satisfied
-        return out
-
 
 def _certificate(theorem: str, scope: str, sigma: float, components: dict,
                  eps: float, p: float, m: int, constant: float,
@@ -194,7 +176,8 @@ def _certificate(theorem: str, scope: str, sigma: float, components: dict,
     return Certificate(theorem=theorem, scope=scope, eps=eps, p=p,
                        constant=constant, m=m, sigma_hat=sigma,
                        sigma_components=components, n_required=n_req,
-                       relaxation=_RELAXATION[theorem], events=events,
+                       relaxation=_RELAXATION[theorem],
+                       events=[{"tag": t, "statement": s} for t, s in events],
                        assumptions=assumptions, localized=localized,
                        n_available=n_available, details=details or {})
 
@@ -377,7 +360,6 @@ class DeviationLedger:
     m: int
     anchors: dict
     delta_at: dict           # anchor name -> (m,) upward deviations at the point
-    delta_obj_at: dict       # anchor name -> objective upward deviation
     Delta_Y: np.ndarray      # (m,) downward deviations over the hard set
     levels: list             # levels at which active-set deviations were taken
     Delta_active: list       # per level: (m,) array
@@ -436,14 +418,13 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
         Delta_active.append(np.fmax(0.0, np.where(
             active, lv - f_hat[1:], -np.inf).max(axis=1)))
 
-    delta_at, delta_obj_at, Delta0 = {}, {}, {}
+    delta_at, Delta0 = {}, {}
     for name, pt in anchors.items():
         pt = np.asarray(pt, dtype=float)
         delta_at[name] = np.array([max(0.0, emp.fhat(i, pt)
                                        - program.true_fn(i, pt))
                                    for i in range(1, m + 1)])
         f_z, fh_z = program.true_fn(0, pt), emp.fhat(0, pt)
-        delta_obj_at[name] = max(0.0, fh_z - f_z)
         for j, mask in enumerate(level_masks):
             shifted = (f_true[0][mask] - f_z) - (f_hat[0][mask] - fh_z)
             Delta0[(name, j)] = max(0.0, float(shifted.max(initial=-np.inf)))
@@ -451,8 +432,7 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
     return DeviationLedger(gamma=gamma, h=h, tol_active=tol_active, m=m,
                            anchors={k: np.asarray(v, dtype=float)
                                     for k, v in anchors.items()},
-                           delta_at=delta_at, delta_obj_at=delta_obj_at,
-                           Delta_Y=Delta_Y, levels=levels,
+                           delta_at=delta_at, Delta_Y=Delta_Y, levels=levels,
                            Delta_active=Delta_active, Delta0=Delta0,
                            grid_size=len(grid))
 
@@ -463,6 +443,8 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
 
 @dataclass
 class Condition:
+    _JSON_EXTRA = ("ok",)
+
     name: str
     lhs: float
     rhs: float
@@ -480,7 +462,9 @@ class Hypothesis:
 
 
 @dataclass
-class CheckReport:
+class CheckReport(JsonResult):
+    _JSON_EXTRA = ("holds",)
+
     scheme: str
     conditions: list
     hypotheses: list
@@ -491,19 +475,6 @@ class CheckReport:
     def holds(self) -> bool:
         return (all(c.ok for c in self.conditions)
                 and all(hyp.ok for hyp in self.hypotheses))
-
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "holds": self.holds,
-            "conditions": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                            "ok": c.ok} for c in self.conditions],
-            "hypotheses": [{"name": hyp.name, "ok": hyp.ok, "note": hyp.note}
-                           for hyp in self.hypotheses],
-            "conclusions": list(self.conclusions) if self.holds else [],
-            "params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in self.params.items()},
-        }
 
 
 def _inputs(emp: EmpiricalProblem, ledger: DeviationLedger, params: dict,

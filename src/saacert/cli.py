@@ -21,7 +21,7 @@ from . import __version__
 from .apps import (ReturnsDataset, _returns_sampler, build_lasso,
                    build_portfolio, cvar, lasso_scenarios)
 from .certify import certificate_from_profile, certificate_from_sigma
-from .errors import ConfigError, SaacertError, open_path
+from .errors import ConfigError, SaacertError, open_path, to_json
 from .families import _resolve_dist, make_family
 from .geometry import SpaceDescriptor, a_alpha, entropy_number
 from .moments import VarianceProfile, variance_profile
@@ -32,23 +32,6 @@ from .validation import (CoveragePlan, calibrate_constant, coverage_experiment,
                          uniform_tail_experiment)
 
 SCHEMA_VERSION = 1
-
-
-def _sanitize(obj):
-    """Make numpy-laden structures JSON-serializable."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return repr(obj)
-    return obj
 
 
 # Named kinds: each turns one flag or JSON spec value into its type and
@@ -174,7 +157,8 @@ def _program(spec):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results dict, seed or None)
+# subcommand handlers: each returns (results, seed or None); results is a
+# dict or a result dataclass, encoded by ``to_json``
 
 
 def _cmd_entropy(args):
@@ -221,7 +205,7 @@ def _cmd_certify(args):
                                         n_available=args.n_available)
     else:
         raise ConfigError("certify needs --sigma or --profile")
-    return cert.to_json(), None
+    return cert, None
 
 
 def _relax_vector(args, m):
@@ -249,7 +233,7 @@ def _cmd_solve(args):
     config = SolverConfig(method=args.method, grid_h=args.h,
                           budget=args.budget, c0=args.c0)
     res = solve(emp, config)
-    results = {"solution": res.to_json(),
+    results = {"solution": res,
                "problem": {"family": program.name,
                            "constraints": program.n_constraints,
                            "n_scenarios": scen.n,
@@ -295,7 +279,7 @@ def _cmd_validate(args):
     else:
         raise ConfigError(f"unknown experiment {kind!r}",
                           allowed=["tail", "uniform-tail", "coverage", "rate"])
-    return rep.to_json(), seed
+    return rep, seed
 
 
 def _cmd_calibrate(args):
@@ -304,7 +288,7 @@ def _cmd_calibrate(args):
     plans = [_coverage_plan(ps) for ps in _need(spec, "plans", list)]
     result = calibrate_constant(plans,
                                 c_grid=_need(spec, "c_grid", [finite], None))
-    return result.to_json(), plans[0].seed
+    return result, plans[0].seed
 
 
 def _cmd_portfolio(args):
@@ -327,7 +311,7 @@ def _cmd_portfolio(args):
                           budget=args.budget)
     res = solve(emp, config)
     x, t = problem.split(res.x)
-    results = {"solution": res.to_json(),
+    results = {"solution": res,
                "weights": x.tolist(), "t": t,
                "cvar_of_solution": cvar(-(dataset.returns @ x), args.p),
                "p": args.p, "beta": args.beta,
@@ -347,7 +331,7 @@ def _cmd_portfolio(args):
         cert = certificate_from_profile(prof, args.eps, args.prob, m=1,
                                         constant=args.C,
                                         n_available=dataset.n)
-        results["certificate"] = cert.to_json()
+        results["certificate"] = cert
     return results, args.seed
 
 
@@ -365,7 +349,7 @@ def _cmd_lasso(args):
     config = SolverConfig(method=args.method, grid_h=args.h,
                           budget=args.budget)
     res = solve(emp, config)
-    results = {"solution": res.to_json(),
+    results = {"solution": res,
                "coefficients": problem.to_original(res.x).tolist(),
                "features": header[:-1], "response": header[-1],
                "radius": args.radius, "weighted": args.weighted,
@@ -521,8 +505,8 @@ def main(argv=None) -> int:
             "schema_version": SCHEMA_VERSION,
             "kind": args.command,
             "seed": seed,
-            "params": _sanitize(params),
-            "results": _sanitize(results),
+            "params": to_json(params),
+            "results": to_json(results),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         text = json.dumps(artifact, indent=2, sort_keys=True)
@@ -532,7 +516,7 @@ def main(argv=None) -> int:
         else:
             print(text)
     except SaacertError as exc:
-        json.dump(_sanitize(exc.to_json()), sys.stderr)
+        json.dump(to_json(exc.to_json()), sys.stderr)
         sys.stderr.write("\n")
         return 2
     return 0

@@ -3,10 +3,17 @@
 Every error carries a machine-readable ``kind`` tag and a ``details`` dict so
 the CLI can serialize failures as JSON without string parsing.  Two helpers
 raise them where user input meets the library: ``open_path`` for a path that
-does not open, ``from_table`` for an unknown name or bad params.
+does not open, ``from_table`` for an unknown name or bad params.  ``to_json``
+is the one encoder of artifact data; ``JsonResult`` gives a result dataclass
+its ``.to_json()``.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 
 class SaacertError(Exception):
@@ -73,3 +80,35 @@ def open_path(path, mode: str = "r", **kwargs):
     except OSError as exc:
         raise ConfigError(f"cannot open file: {exc.strerror}",
                           path=str(path)) from exc
+
+
+def to_json(obj):
+    """``obj`` as JSON-ready Python data.
+
+    A dataclass becomes its fields plus the derived values its class names in
+    ``_JSON_EXTRA``, less the ``_JSON_OPTIONAL`` keys whose value is None.
+    Dicts (keys become strings), lists, tuples and arrays are encoded item by
+    item; numpy scalars become Python values, and non-finite floats their
+    repr (``"inf"``, ``"-inf"``, ``"nan"``).
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        names = [f.name for f in fields(obj)] + list(getattr(obj, "_JSON_EXTRA", ()))
+        optional = getattr(obj, "_JSON_OPTIONAL", ())
+        obj = {name: value for name in names
+               if (value := getattr(obj, name)) is not None or name not in optional}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+class JsonResult:
+    """Mixin for result dataclasses: ``.to_json()`` is ``to_json(self)``."""
+
+    def to_json(self) -> dict:
+        return to_json(self)

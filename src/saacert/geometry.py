@@ -38,6 +38,20 @@ def vec_norm(v, norm: str = "l2") -> float:
     raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
 
 
+def _check_extent(sides: list, norm: str) -> None:
+    """Raise BudgetError when the ``norm`` of the per-axis extents ``sides``
+    overflows.  It bounds every ``norm`` distance in the space, so while it
+    is finite the diameter and the distance kernels do not overflow.
+    Python floats overflow to inf without a warning."""
+    if norm == "linf":
+        total = max(sides, default=0.0)
+    else:
+        total = sum(s * s if norm == "l2" else s for s in sides)
+    if not math.isfinite(total):
+        raise BudgetError("space extent overflows the float range", norm=norm,
+                          extent=sides)
+
+
 def _norm_rows(diff: np.ndarray, norm: str) -> np.ndarray:
     """Norm along the last axis of an array of absolute differences."""
     if norm == "l1":
@@ -245,6 +259,7 @@ class SpaceDescriptor:
                                          lo=list(lo.shape), hi=list(hi.shape))
         if np.any(hi < lo):
             raise ConfigError("box upper bounds must dominate lower bounds")
+        _check_extent([b - a for a, b in zip(lo.tolist(), hi.tolist())], norm)
         return cls(kind="box", dim=lo.size, norm=norm, lo=lo, hi=hi)
 
     @classmethod
@@ -256,6 +271,7 @@ class SpaceDescriptor:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not radius >= 0:
             raise ConfigError("ball radius must be nonnegative", radius=radius)
+        _check_extent([2.0 * float(radius)] * center.size, norm)
         return cls(kind="ball", dim=center.size, norm=norm, center=center,
                    radius=float(radius))
 
@@ -270,6 +286,10 @@ class SpaceDescriptor:
         except ValueError as exc:  # ragged rows or non-numeric entries
             raise ConfigError(f"cloud points must form a rectangular array of "
                               f"floats: {exc}") from exc
+        if len(points):
+            _check_extent([b - a for a, b in zip(points.min(axis=0).tolist(),
+                                                 points.max(axis=0).tolist())],
+                          norm)
         return cls(kind="cloud", dim=points.shape[1], norm=norm, points=points)
 
     @classmethod

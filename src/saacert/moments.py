@@ -110,8 +110,7 @@ def _population_l(program: StochasticProgram, i: int, seed: int, n_draws: int,
 
 
 def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
-                    probes: np.ndarray | None = None,
-                    h: float | None = None) -> HolderEstimate:
+                    probes: np.ndarray | None = None) -> HolderEstimate:
     """Estimate RMS Holder moduli for integrand ``i``.
 
     ``l_hat`` is the empirical RMS of per-scenario moduli, declared or
@@ -119,15 +118,15 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
     form ``holder_rms`` or a Monte Carlo rerun of the same per-scenario
     modulus, in that order of preference, and falls back to ``l_hat``
     without an oracle sampler (``pop_provenance``).  No probe grid is built
-    when the modulus is declared.
+    when the modulus is declared; otherwise ``probes`` defaults to the grid
+    of step diameter / 16.
     """
     info = program.holder[i]
     space = program.space
     if info.modulus is not None:
         probes = None
     elif probes is None:
-        step = h if h is not None else space.diameter() / 16
-        probes = space.grid(max(step, 1e-12))
+        probes = space.grid(max(space.diameter() / 16, 1e-12))
     per = per_scenario_modulus(program, i, scenarios, probes)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
     oracle = program.oracle
@@ -279,8 +278,8 @@ def _most_interior(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                      theorem: str, eps: float, h: float,
-                     anchors: dict | None = None, c: float | None = None,
-                     probes: np.ndarray | None = None) -> VarianceProfile:
+                     anchors: dict | None = None,
+                     c: float | None = None) -> VarianceProfile:
     """Compute every variance entry that ``_GUARANTEES`` names for a theorem.
 
     ``theorem`` is one of ``fixed`` (no stochastic constraints),
@@ -305,7 +304,7 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                                    for name in swap))
     m = program.n_constraints
     grid = program.space.grid(h)
-    holders = [estimate_holder(program, emp.scenarios.data, i, probes=probes)
+    holders = [estimate_holder(program, emp.scenarios.data, i)
                for i in range(m + 1)]
     anchors = dict(anchors or {})
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, JsonResult
 from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 
@@ -28,7 +28,7 @@ class SolverConfig:
 
 
 @dataclass
-class SolveResult:
+class SolveResult(JsonResult):
     x: np.ndarray
     value: float                  # empirical objective at x
     residuals: np.ndarray
@@ -39,21 +39,6 @@ class SolveResult:
     gap_provenance: str = ""
     budget_exhausted: bool = False
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "value": self.value,
-            "residuals": self.residuals.tolist(),
-            "feasible": self.feasible,
-            "method": self.method,
-            "iterations": self.iterations,
-            "certified_gap": self.certified_gap,
-            "gap_provenance": self.gap_provenance,
-            "budget_exhausted": self.budget_exhausted,
-            "details": {k: v for k, v in self.details.items()
-                        if isinstance(v, (int, float, str, bool))},
-        }
 
 
 def solve(emp: EmpiricalProblem, config: SolverConfig | None = None) -> SolveResult:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .certify import Certificate, certificate_from_profile
 from .distributions import Distribution
-from .errors import BudgetError, ConfigError, EmptySampleError, UncalibratableError
+from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
+                     UncalibratableError)
 from .geometry import a_alpha
 from .moments import (_GUARANTEES, VarianceProfile, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
@@ -50,6 +51,8 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 @dataclass
 class TailRow:
+    _JSON_EXTRA = ("passed",)
+
     t: float
     threshold: float
     frequency: float
@@ -61,7 +64,9 @@ class TailRow:
 
 
 @dataclass
-class TailReport:
+class TailReport(JsonResult):
+    _JSON_EXTRA = ("passed",)
+
     kind: str
     rows: list
     n: int
@@ -73,20 +78,6 @@ class TailReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "replications": self.replications,
-            "constant": self.constant,
-            "seed": self.seed,
-            "passed": self.passed,
-            "rows": [{"t": r.t, "threshold": r.threshold,
-                      "frequency": r.frequency, "bound": r.bound,
-                      "passed": r.passed} for r in self.rows],
-            "details": dict(self.details),
-        }
 
 
 def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
@@ -218,8 +209,10 @@ class CoveragePlan:
 
 
 @dataclass
-class CoverageReport:
-    plan_name: str
+class CoverageReport(JsonResult):
+    _JSON_EXTRA = ("passed",)
+
+    plan: str
     theorem: str
     event: str
     eps: float
@@ -238,18 +231,6 @@ class CoverageReport:
     @property
     def passed(self) -> bool:
         return self.wilson[0] >= self.floor - 0.02
-
-    def to_json(self) -> dict:
-        return {
-            "plan": self.plan_name, "theorem": self.theorem,
-            "event": self.event, "eps": self.eps, "p": self.p,
-            "constant": self.constant, "n_used": self.n_used,
-            "replications": self.replications, "successes": self.successes,
-            "frequency": self.frequency,
-            "wilson": [self.wilson[0], self.wilson[1]],
-            "floor": self.floor, "passed": self.passed, "seed": self.seed,
-            "sigma_hat": self.sigma_hat, "details": dict(self.details),
-        }
 
 
 def _relaxations_for(theorem: str, eps: float, m: int) -> np.ndarray:
@@ -297,7 +278,7 @@ def coverage_certificate(plan: CoveragePlan,
 
 
 def _event_checker(plan: CoveragePlan):
-    """Precompute population grids; return (grid, per-replication closure)."""
+    """Precompute population grids; return the per-replication check."""
     program = plan.program
     eps = plan.eps
     grid = program.space.grid(plan.h)
@@ -316,7 +297,7 @@ def _event_checker(plan: CoveragePlan):
             near = vals <= float(vals.min()) + eps + 1e-12
             return bool(np.all(good[hard][near]))
 
-        return grid, check
+        return check
 
     level = 2 * eps if plan.event == "feasible-relaxed" else 0.0
     target = relaxed_set_grid(table, level)
@@ -324,7 +305,7 @@ def _event_checker(plan: CoveragePlan):
     def check(emp):
         return bool(np.all(target[emp.feasible_mask(grid, tol=1e-12)]))
 
-    return grid, check
+    return check
 
 
 def coverage_experiment(plan: CoveragePlan,
@@ -340,7 +321,7 @@ def coverage_experiment(plan: CoveragePlan,
                           n_required=n, max_n=plan.max_n)
     m = program.n_constraints
     relax = _relaxations_for(plan.theorem, plan.eps, m)
-    _, check = _event_checker(plan)
+    check = _event_checker(plan)
     start, stop = rep_range if rep_range is not None else (0, plan.replications)
     successes = 0
     for r in range(start, stop):
@@ -351,7 +332,7 @@ def coverage_experiment(plan: CoveragePlan,
     count = stop - start
     freq = successes / count
     return CoverageReport(
-        plan_name=plan.name, theorem=plan.theorem, event=plan.event,
+        plan=plan.name, theorem=plan.theorem, event=plan.event,
         eps=plan.eps, p=plan.p, constant=plan.constant, n_used=n,
         replications=count, successes=successes, frequency=freq,
         wilson=wilson_interval(successes, count), floor=1 - plan.p,
@@ -365,8 +346,17 @@ def coverage_experiment(plan: CoveragePlan,
 
 
 @dataclass
-class RateReport:
-    rows: list                  # (n, mean deviation, standard error)
+class RateRow:
+    n: int
+    mean: float                 # mean sup-deviation over the replications
+    stderr: float
+
+
+@dataclass
+class RateReport(JsonResult):
+    _JSON_EXTRA = ("passed",)
+
+    rows: list                  # RateRow per sample size
     slope: float | None
     slope_stderr: float | None
     degenerate: bool
@@ -378,15 +368,6 @@ class RateReport:
     def passed(self) -> bool:
         return (not self.degenerate and self.slope is not None
                 and -0.6 <= self.slope <= -0.4)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [{"n": n, "mean": m, "stderr": se} for n, m, se in self.rows],
-            "slope": self.slope, "slope_stderr": self.slope_stderr,
-            "degenerate": self.degenerate, "passed": self.passed,
-            "replications": self.replications, "seed": self.seed,
-            "details": dict(self.details),
-        }
 
 
 def fit_loglog_slope(ns, means) -> tuple[float, float]:
@@ -420,14 +401,14 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
             xis = oracle.sampler(rng, n)
             hat = _sample_means(program, 0, grid, xis)
             sups[r] = float(np.max(np.abs(hat - true_vals)))
-        rows.append((n, float(np.mean(sups)),
-                     float(np.std(sups) / math.sqrt(replications))))
-    if any(mean <= 0 for _, mean, _ in rows):
+        rows.append(RateRow(n, float(np.mean(sups)),
+                            float(np.std(sups) / math.sqrt(replications))))
+    if any(row.mean <= 0 for row in rows):
         return RateReport(rows=rows, slope=None, slope_stderr=None,
                           degenerate=True, replications=replications,
                           seed=seed, details={"family": program.name})
-    slope, se = fit_loglog_slope([n for n, _, _ in rows],
-                                 [mean for _, mean, _ in rows])
+    slope, se = fit_loglog_slope([row.n for row in rows],
+                                 [row.mean for row in rows])
     return RateReport(rows=rows, slope=slope, slope_stderr=se,
                       degenerate=False, replications=replications, seed=seed,
                       details={"family": program.name, "grid_points": len(grid)})
@@ -438,23 +419,13 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
 
 
 @dataclass
-class CalibrationResult:
+class CalibrationResult(JsonResult):
     c_star: float
     c_grid: list
     matrix: dict               # C -> {plan name: pass flag}
     reports: dict              # C -> {plan name: CoverageReport json}
     monotone_confirmed: bool
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "c_star": self.c_star,
-            "c_grid": list(self.c_grid),
-            "matrix": {str(c): dict(v) for c, v in self.matrix.items()},
-            "reports": {str(c): dict(v) for c, v in self.reports.items()},
-            "monotone_confirmed": self.monotone_confirmed,
-            "seed": self.seed,
-        }
 
 
 def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:

@@ -2,16 +2,21 @@
 
 import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saacert
 from saacert.cli import build_parser, main
+from saacert.errors import to_json
 
 BOX01 = '{"kind":"box","lo":[0],"hi":[1]}'
 
@@ -397,8 +402,13 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     (["aalpha", "--space", '{"kind":"ball","center":[0],"radius":1e308}',
       "--alpha", "1"], "budget-exceeded"),
     (_space('{"kind":"cloud","points":[[0],[1,2]]}'), "config"),
+    (["aalpha", "--space", '{"kind":"box","lo":[-1e308],"hi":[1e308]}',
+      "--alpha", "1"], "budget-exceeded"),
+    (["aalpha", "--space", '{"kind":"cloud","points":[[-1e308],[1e308]]}',
+      "--alpha", "1"], "budget-exceeded"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
-        "box-cells-overflow", "ball-extent-overflows", "cloud-ragged"])
+        "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
+        "box-extent-overflows", "cloud-extent-overflows"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     """Finite values at the edge of float range fail where they are used,
     with the JSON error path, not an OverflowError or a numpy traceback."""
@@ -474,3 +484,108 @@ def test_fuzzed_argv_exits_0_or_2_with_json(argv):
         assert code == 2
         assert out.getvalue() == ""
         assert "error" in json.loads(err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# the artifact encoder
+
+
+def key_paths(obj, prefix=""):
+    """Every key path of a JSON value; list items share the path ``[]``."""
+    if isinstance(obj, dict):
+        return {path for key, value in obj.items()
+                for path in key_paths(value, f"{prefix}.{key}" if prefix else key)}
+    if isinstance(obj, list):
+        return {prefix + "[]"} | {path for value in obj
+                                  for path in key_paths(value, prefix + "[]")}
+    return {prefix}
+
+
+def _paths(params, results):
+    return sorted({"kind", "schema_version", "seed", "timestamp",
+                   *(f"params.{key}" for key in params.split()),
+                   *(f"results.{key}" for key in results.split())})
+
+
+CERT_PARAMS = "C eps localized m p scope seed sigma theorem"
+CERT_RESULTS = ("assumptions[] constant eps events[] events[].statement "
+                "events[].tag localized m n_required p relaxation scope "
+                "sigma_components.sigma sigma_hat theorem")
+SOLVE_PARAMS = "budget c0 h method n problem seed"
+SOLVE_RESULTS = ("problem.constraints problem.family problem.n_scenarios "
+                 "problem.relaxations[] solution.budget_exhausted "
+                 "solution.certified_gap solution.feasible "
+                 "solution.gap_provenance solution.iterations solution.method "
+                 "solution.residuals[] solution.value solution.x[]")
+COVERAGE_RESULTS = ("constant details.h details.pilot_n details.rep_range[] "
+                    "eps event floor frequency n_used p passed plan "
+                    "replications seed sigma_hat successes theorem wilson[]")
+RATE_RESULTS = ("degenerate details.family passed replications rows[] "
+                "rows[].mean rows[].n rows[].stderr seed slope slope_stderr")
+SIGMA_ARGV = ["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.05",
+              "--sigma", "2"]
+SOLVE_ARGV = ["solve", "--problem", '{"family":"quad1d","params":{"a":0.3}}',
+              "--n", "20"]
+SMALL_RATE = {"experiment": "rate", "family": "quad1d", "n_grid": [8, 16, 32],
+              "replications": 3}
+CALIBRATED = f"{COVERAGE['family']}:{COVERAGE['event']}"
+
+
+@pytest.mark.parametrize("argv, paths", [
+    (SIGMA_ARGV, _paths(CERT_PARAMS, CERT_RESULTS)),
+    (SIGMA_ARGV + ["--n-available", "9"],
+     _paths(CERT_PARAMS + " n_available",
+            CERT_RESULTS + " n_available satisfied")),
+    (SOLVE_ARGV, _paths(SOLVE_PARAMS, SOLVE_RESULTS + " solution.details.h "
+                        "solution.details.grid_points "
+                        "solution.details.feasible_points")),
+    (SOLVE_ARGV + ["--method", "subgradient", "--budget", "20"],
+     _paths(SOLVE_PARAMS, SOLVE_RESULTS + " solution.details.c0 "
+            "solution.details.g_max solution.details.objective_steps")),
+    (["validate", "--plan", json.dumps({"experiment": "tail", "n": 10,
+                                        "t_grid": [1.0], "replications": 5})],
+     _paths("plan seed", "constant details.distribution kind n passed "
+            "replications rows[] rows[].bound rows[].frequency rows[].passed "
+            "rows[].t rows[].threshold seed")),
+    (["validate", "--plan", json.dumps(COVERAGE)],
+     _paths("plan seed", COVERAGE_RESULTS)),
+    (["validate", "--plan", json.dumps(SMALL_RATE)],
+     _paths("plan seed", RATE_RESULTS + " details.grid_points")),
+    (["validate", "--plan", json.dumps(
+        {**SMALL_RATE, "family": {"family": "quad1d",
+                                  "params": {"noise": 0.0}}})],
+     _paths("plan seed", RATE_RESULTS)),
+    (["calibrate", "--families", json.dumps(
+        {"plans": [{**COVERAGE, "replications": 40}], "c_grid": [0.015625]})],
+     _paths("families seed", " ".join(
+         [f"c_grid[] c_star monotone_confirmed seed "
+          f"matrix.0.015625.{CALIBRATED} matrix.0.03125.{CALIBRATED}"]
+         + [f"reports.{c}.{CALIBRATED}.{key}" for c in ("0.015625", "0.03125")
+            for key in COVERAGE_RESULTS.split()]))),
+], ids=["certify-sigma", "certify-sigma-n-available", "solve-grid",
+        "solve-subgradient", "validate-tail", "validate-coverage",
+        "validate-rate", "validate-rate-degenerate", "calibrate"])
+def test_artifact_key_paths_are_pinned(capsys, argv, paths):
+    """Each artifact keeps exactly its keys: a result's fields plus its
+    listed derived flags, and nothing else."""
+    assert sorted(key_paths(artifact(capsys, *argv))) == paths
+
+
+def test_to_json_writes_non_finite_numpy_floats_as_their_repr():
+    """numpy infinities and NaNs become strings, so the artifact stays valid
+    JSON (no bare Infinity or NaN)."""
+    blob = to_json({"a": np.float64("inf"), "b": [np.float64("nan")],
+                    "c": np.array([-np.inf, 1.0]), 2: np.int64(3)})
+    assert blob == {"a": "inf", "b": ["nan"], "c": ["-inf", 1.0], "2": 3}
+    assert json.loads(json.dumps(blob, allow_nan=False)) == blob
+
+
+def test_only_the_encoder_defines_to_json():
+    """Result classes are their own schema: no class writes its fields out a
+    second time in a to_json of its own."""
+    owners = set()
+    for info in pkgutil.iter_modules(saacert.__path__):
+        module = importlib.import_module(f"saacert.{info.name}")
+        owners |= {name for name, cls in inspect.getmembers(module, inspect.isclass)
+                   if cls.__module__ == module.__name__ and "to_json" in vars(cls)}
+    assert owners == {"SaacertError", "JsonResult"}

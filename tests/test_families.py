@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from saacert.apps import (ReturnsDataset, build_lasso, build_portfolio,
+                          lasso_scenarios)
 from saacert.distributions import make_distribution
 from saacert.errors import ConfigError
 from saacert.families import FAMILIES, make_family
@@ -91,3 +95,60 @@ def test_factories_reject_unknown_params(factory, name):
     """An unexpected keyword is a ConfigError naming the factory's entry."""
     with pytest.raises(ConfigError, match="bogus"):
         factory(name, bogus=1)
+
+
+def _fast_means_case(draw, variant):
+    """A program of the variant, scenario rows and a grid step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    noise = st.floats(0.0, 5.0)
+    if variant == "portfolio":
+        data = ReturnsDataset.synthetic(draw(st.integers(1, 4)), n,
+                                        seed=draw(st.integers(0, 99)))
+        program = build_portfolio(data, p=draw(st.floats(0.05, 1.0)),
+                                  beta=draw(st.floats(-0.5, 0.5))).program
+        return program, data.returns, 0.25
+    if variant == "lasso-weighted":
+        d = draw(st.integers(1, 4))
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, d)
+        response = rng.normal(size=n) * 10.0 ** draw(st.floats(-2.0, 2.0))
+        radius = draw(st.floats(0.1, 10.0))
+        program = build_lasso(features, response, radius, weighted=True).program
+        data = lasso_scenarios(features, response, weighted=True).data
+        return program, data, radius / 4
+    if variant == "quad1d":
+        program = make_family("quad1d", a=draw(st.floats(-2.0, 3.0)),
+                              noise=draw(noise))
+    elif variant == "linear_simplex":
+        program = make_family("linear_simplex", dim=draw(st.integers(1, 4)))
+    elif variant == "ball2d":
+        program = make_family("ball2d", radius=draw(st.floats(0.05, 1.5)),
+                              noise=draw(noise), obj_noise=draw(noise))
+    else:
+        program = make_family("halfspace_box", level=draw(st.floats(0.1, 2.5)),
+                              noise=draw(noise), obj_noise=draw(noise),
+                              objective=variant.split(":")[1])
+    data = program.oracle.sampler(rng, n) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return program, np.atleast_2d(data), 0.125
+
+
+@pytest.mark.parametrize("variant", ["quad1d", "linear_simplex", "ball2d",
+                                     "halfspace_box:corner",
+                                     "halfspace_box:interior", "portfolio",
+                                     "lasso-weighted"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fast_means_agree_with_integrand(variant, data):
+    """Each vectorised grid mean is the scenario average of its integrand."""
+    program, xis, step = _fast_means_case(data.draw, variant)
+    grid = program.space.grid(step)
+    picks = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1,
+                               max_size=8))
+    pts = grid[picks]
+    assert len(program.fast_means) == program.n_constraints + 1
+    for i, fast in enumerate(program.fast_means):
+        means = fast(pts, xis)
+        for x, mean in zip(pts, means):
+            vals = program.integrand(i)(x, xis)
+            scale = max(1.0, float(np.abs(vals).max()))
+            assert abs(mean - vals.mean()) <= 1e-12 * scale, (variant, i, x)
