@@ -154,22 +154,31 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
                                       - beta)
         return out
 
+    # moduli in the l1 product norm: simplex steps sum to 0, so |xi^T dx|
+    # <= (max xi - min xi) / 2 * ||dx||_1, as for linear_simplex
+    def modulus0(xis):
+        return (xis.max(axis=1) - xis.min(axis=1)) / 2
+
+    def modulus1(xis):  # the pieces t and t (1 - 1/p) - xi^T x / p
+        spread = (xis.max(axis=1) - xis.min(axis=1)) / (2 * p)
+        return np.maximum(np.maximum(spread, 1.0), 1 / p - 1)
+
     oracle = None
     if sampler is not None:
         oracle = TrueOracle(sampler=lambda rng, n: np.atleast_2d(sampler(rng, n)))
     program = StochasticProgram(
         objective=f0, constraints=[f1], space=space,
-        holder=[HolderInfo(1.0), HolderInfo(1.0)], oracle=oracle, convex=True,
-        fast_means=[mean0, mean1], name="portfolio")
+        holder=[HolderInfo(1.0, modulus0), HolderInfo(1.0, modulus1)],
+        oracle=oracle, convex=True, fast_means=[mean0, mean1],
+        gradients=portfolio_gradients(d, p), name="portfolio")
     return PortfolioProblem(program=program, dataset=dataset, p=p, beta=beta,
                             t_bounds=(t_lo, t_hi),
                             details={"assets": d, "scenarios": dataset.n})
 
 
-def portfolio_gradients(problem: PortfolioProblem):
-    """Per-scenario subgradients of the portfolio integrands over (x, t)."""
-    d = problem.assets
-    p = problem.p
+def portfolio_gradients(d: int, p: float):
+    """Per-scenario subgradients of the portfolio integrands over (x, t),
+    for d assets and CVaR level p."""
 
     def g0(point, xis):
         g = np.zeros((len(xis), d + 1))
@@ -240,13 +249,21 @@ def build_lasso(features, response, radius: float,
             out[start:start + 256] = np.mean(resid ** 2, axis=0)
         return out
 
+    def grad0(x, xis):
+        return -2 * (xis[:, d] - xis[:, :d] @ x)[:, None] * xis[:, :d]
+
+    def modulus0(xis):  # sup over the ball of |y - <phi, x>| is |y| + R |phi|_inf
+        a_max = np.abs(xis[:, :d]).max(axis=1)
+        return 2 * (np.abs(xis[:, d]) + radius * a_max) * a_max
+
     oracle = None
     if sampler is not None:
         oracle = TrueOracle(sampler=lambda rng, n: np.atleast_2d(sampler(rng, n)))
     space = SpaceDescriptor.ball(np.zeros(d), radius, norm="l1")
     program = StochasticProgram(
-        objective=f0, constraints=[], space=space, holder=[HolderInfo(1.0)],
-        oracle=oracle, convex=True, fast_means=[mean0], name="lasso")
+        objective=f0, constraints=[], space=space,
+        holder=[HolderInfo(1.0, modulus0)], oracle=oracle, convex=True,
+        fast_means=[mean0], gradients=[grad0], name="lasso")
     return LassoProblem(program=program, radius=radius, weighted=weighted,
                         diag=diag,
                         details={"features": d, "scenarios": len(response),

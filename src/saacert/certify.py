@@ -215,7 +215,7 @@ def certificate_from_profile(profile: VarianceProfile, eps: float, p: float,
 
 def robinson_constant(diameter: float, slater_margin: float) -> float:
     """Metric-regularity constant from a Slater margin: c = D / margin."""
-    if slater_margin <= 0:
+    if slater_margin is None or slater_margin <= 0:
         raise SlaterMarginError("Slater margin must be positive",
                                 slater_margin=slater_margin)
     if diameter <= 0:

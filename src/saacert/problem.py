@@ -93,6 +93,10 @@ class StochasticProgram:
     oracle: TrueOracle | None = None
     convex: bool = False  # attestation required by the convexity-based schemes
     fast_means: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray] | None] | None = None
+    # per integrand, None or (x, scenarios (N, k)) -> per-scenario
+    # (sub)gradients in x, shape (N, d); the solver falls back to finite
+    # differences of the empirical mean where an entry is None
+    gradients: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray] | None] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -100,6 +104,10 @@ class StochasticProgram:
             raise DimensionMismatchError(
                 "need one HolderInfo per integrand (objective plus constraints)",
                 expected=self.n_constraints + 1, got=len(self.holder))
+        if self.gradients is not None and len(self.gradients) != self.n_constraints + 1:
+            raise DimensionMismatchError(
+                "need one gradient entry per integrand (objective plus constraints)",
+                expected=self.n_constraints + 1, got=len(self.gradients))
 
     @property
     def n_constraints(self) -> int:

@@ -17,6 +17,17 @@ from .errors import ConfigError, InfeasibleError, JsonResult
 from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 
+# A value within OPT_TOL of the optimum attains it: the slack absorbs the
+# rounding of a mean over N scenarios (or over a population Monte Carlo
+# sample), as FEAS_TOL does for constraint values, so grid points that tie
+# in exact arithmetic all count as minimizers.
+OPT_TOL = 1e-9
+
+# Step of the central finite differences behind ``_fd_gradient``: of the
+# order of the cube root of machine epsilon (6e-6), which balances the
+# O(step^2) truncation error against the O(eps / step) rounding error.
+FD_STEP = 1e-6
+
 
 @dataclass
 class SolverConfig:
@@ -69,30 +80,29 @@ def grid_solve(emp: EmpiricalProblem, h: float, tol: float = FEAS_TOL) -> SolveR
 
 
 def _fd_gradient(emp: EmpiricalProblem, i: int, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of the empirical mean (step 1e-6)."""
-    step = 1e-6
-    g = np.zeros_like(x)
-    for d in range(x.size):
-        e = np.zeros_like(x)
-        e[d] = step
-        g[d] = (emp.fhat(i, x + e) - emp.fhat(i, x - e)) / (2 * step)
-    return g
+    """Central finite-difference gradient of the empirical mean: the 2d
+    stencil points x +- FD_STEP e_k in one ``fhat_grid`` call."""
+    shift = FD_STEP * np.eye(x.size)
+    vals = emp.fhat_grid(i, np.vstack([x + shift, x - shift]))
+    return (vals[:x.size] - vals[x.size:]) / (2 * FD_STEP)
 
 
-def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
-                      grads=None) -> SolveResult:
+def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResult:
     """Projected switching subgradient method for convex empirical problems.
 
     Starting from the centroid of a coarse grid of the hard set, at iterate
     k the method steps along the objective when every residual is at most
     ``FEAS_TOL``, and along the most violated constraint otherwise, with step
-    c0/sqrt(k) and projection back onto the hard set.  The output
+    c0/sqrt(k) and projection back onto the hard set.  A step's subgradient
+    is the scenario mean of the program's declared ``gradients`` entry, else
+    a central finite difference (``_fd_gradient``).  The output
     is the step-weighted average of the objective iterates; its certified
     gap uses the standard telescoping bound with the *observed* subgradient
     norms, so it is a heuristic certificate unless true norm bounds are
     supplied.
     """
     program = emp.program
+    grads = program.gradients
     space = program.space
     x = space.project(space.grid(space.diameter() / 2).mean(axis=0))
     diam = space.diameter()
@@ -103,8 +113,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
 
     def subgrad(i: int, pt: np.ndarray) -> np.ndarray:
         if grads is not None and grads[i] is not None:
-            per = np.asarray(grads[i](pt, emp.scenarios.data), dtype=float)
-            return per.mean(axis=0) if per.ndim == 2 else per
+            return grads[i](pt, emp.scenarios.data).mean(axis=0)
         return _fd_gradient(emp, i, pt)
 
     for k in range(1, config.budget + 1):
@@ -142,7 +151,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig,
 def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
                        h: float | None = None,
                        bracket: tuple[float, float] | None = None,
-                       tol: float = 1e-9) -> bool | None:
+                       tol: float = OPT_TOL) -> bool | None:
     """Is x within eps of the empirical optimum?  True / False / None.
 
     With no ``bracket`` the empirical optimum is bracketed by its grid
@@ -181,7 +190,7 @@ class TrueSolve:
 
 
 def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
-               level: float = 0.0, tol: float = 1e-9) -> TrueSolve:
+               level: float = 0.0, tol: float = OPT_TOL) -> TrueSolve:
     """Grid minimum of the population objective over the level-relaxed set."""
     pts = program.space.grid(h)
     mask = relaxed_set_grid(_constraint_table(program, pts), level)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certify import Certificate, certificate_from_profile
+from .certify import Certificate, certificate_from_profile, robinson_constant
 from .distributions import Distribution
 from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
                      UncalibratableError)
@@ -24,6 +24,10 @@ from .problem import (ScenarioSet, StochasticProgram, _constraint_table,
                       _sample_means, build_empirical, relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# A coverage report passes when its Wilson lower bound is at least
+# 1 - p - COVERAGE_SLACK.
+COVERAGE_SLACK = 0.02
 
 
 def replication_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -230,7 +234,7 @@ class CoverageReport(JsonResult):
 
     @property
     def passed(self) -> bool:
-        return self.wilson[0] >= self.floor - 0.02
+        return self.wilson[0] >= self.floor - COVERAGE_SLACK
 
 
 def _relaxations_for(theorem: str, eps: float, m: int) -> np.ndarray:
@@ -255,7 +259,8 @@ def _pilot_profile(plan: CoveragePlan) -> VarianceProfile:
     if plan.theorem == "exterior":
         c = program.oracle.regularity_c
         if c is None:
-            c = program.space.diameter() / program.oracle.slater_margin
+            c = robinson_constant(program.space.diameter(),
+                                  program.oracle.slater_margin)
     return variance_profile(program, emp, plan.theorem, plan.eps, h=plan.h, c=c)
 
 
@@ -428,6 +433,15 @@ class CalibrationResult(JsonResult):
     seed: int
 
 
+def _min_replications(p: float) -> int:
+    """Fewest replications R whose all-success Wilson lower bound, R / (R +
+    z^2), reaches 1 - p - COVERAGE_SLACK (p in (0, 1), so R < 200)."""
+    r = 1
+    while wilson_interval(r, r)[0] < 1 - p - COVERAGE_SLACK:
+        r += 1
+    return r
+
+
 def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     """Smallest dyadic C for which every coverage plan passes.
 
@@ -435,10 +449,20 @@ def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     so the scan ascends and stops at the first full pass.  The result is
     re-checked at 2*C (larger C certifies larger N, which must also pass).
     Each plan's pilot profile is computed once: only the certificate built
-    from it depends on C.
+    from it depends on C.  A plan too small to pass even with every
+    replication a success raises before the scan.
     """
     if not plans:
         raise ConfigError("calibration needs at least one coverage plan")
+    for plan in plans:
+        r = plan.replications
+        if 0 < plan.p < 1 and wilson_interval(r, r)[0] < 1 - plan.p - COVERAGE_SLACK:
+            need = _min_replications(plan.p)
+            raise UncalibratableError(
+                f"coverage plan {plan.name!r} cannot pass with {r} "
+                f"replications: the Wilson lower bound of {r} successes in "
+                f"{r} is below 1 - p - {COVERAGE_SLACK}; it needs at least "
+                f"{need}", plan=plan.name, replications=r, min_replications=need)
     if c_grid is None:
         c_grid = [2.0 ** k for k in range(-6, 7)]
     c_grid = sorted(float(c) for c in c_grid)

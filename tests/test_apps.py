@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saacert.apps import (ReturnsDataset, build_lasso, build_portfolio, cvar,
-                          lasso_scenarios, portfolio_gradients)
+                          lasso_scenarios)
 from saacert.errors import ConfigError, DegenerateFeatureError
 from saacert.problem import ScenarioSet, build_empirical
 from saacert.solve import SolverConfig, solve
@@ -102,21 +102,31 @@ def test_portfolio_solution_satisfies_budget():
     assert cvar(-(ds.returns @ weights), p) <= beta + 1e-9
 
 
-def test_portfolio_gradients_match_finite_differences():
+def test_declared_gradients_match_finite_differences():
+    """Every declared ``gradients`` entry averages to the central finite
+    difference of its integrand's sample mean (portfolio: inactive and
+    partly active hinge; lasso: weighted features)."""
     ds = ReturnsDataset.synthetic(2, 60, seed=13)
-    problem = build_portfolio(ds, 0.25, 0.05)
-    g0, g1 = portfolio_gradients(problem)
-    point = np.array([0.4, 0.6, 0.2])
-    xis = ds.returns
-    for fn, grad in ((problem.program.integrand(0), g0),
-                     (problem.program.integrand(1), g1)):
-        analytic = np.mean(grad(point, xis), axis=0)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1e-7
-            fd = (np.mean(fn(point + e, xis)) -
-                  np.mean(fn(point - e, xis))) / 2e-7
-            assert analytic[j] == pytest.approx(fd, abs=1e-5)
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(80, 3)) * np.array([1.0, 3.0, 0.5])
+    y = X @ np.array([0.5, -0.2, 1.0]) + rng.normal(size=80)
+    cases = [(build_portfolio(ds, 0.25, 0.05).program, ds.returns,
+              [[0.4, 0.6, 0.2], [0.7, 0.3, -0.02]]),
+             (build_lasso(X, y, 2.0, weighted=True).program,
+              lasso_scenarios(X, y, weighted=True).data,
+              [[0.3, -0.5, 0.2], [0.0, 0.0, 0.0]])]
+    for program, xis, points in cases:
+        assert len(program.gradients) == program.n_constraints + 1
+        for i, grad in enumerate(program.gradients):
+            fn = program.integrand(i)
+            for point in np.asarray(points):
+                per = grad(point, xis)
+                assert per.shape == (len(xis), point.size)
+                for j, e in enumerate(1e-7 * np.eye(point.size)):
+                    fd = (np.mean(fn(point + e, xis)) -
+                          np.mean(fn(point - e, xis))) / 2e-7
+                    assert per[:, j].mean() == pytest.approx(fd, rel=1e-5,
+                                                             abs=1e-5)
 
 
 def test_portfolio_rejects_bad_level():

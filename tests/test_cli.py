@@ -153,6 +153,21 @@ def test_calibrate_then_consume_constant(capsys, tmp_path):
     assert blob["results"]["constant"] == pytest.approx(c_star)
 
 
+def test_calibrate_plan_too_small_to_pass_exits_2(capsys):
+    """At p = 0.1 no plan with 28 or fewer replications can pass the
+    coverage gate: calibrate says so instead of scanning every C."""
+    plan = {"family": "quad1d", "theorem": "fixed",
+            "event": "near-optimal-subset", "eps": 0.1, "p": 0.1,
+            "replications": 5, "seed": 5, "h": 0.01, "name": "tiny"}
+    code, out, err = run_cli(capsys, "calibrate", "--families",
+                             json.dumps([plan]))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "uncalibratable"
+    assert "'tiny' cannot pass with 5 replications" in error["message"]
+    assert error["details"]["min_replications"] == 29
+
+
 def test_portfolio_artifact(capsys):
     blob = artifact(capsys, "portfolio", "--synthetic", "2,120",
                     "--p", "0.2", "--beta", "0.05", "--seed", "3",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saacert.apps import ReturnsDataset, _returns_sampler, build_portfolio
+from saacert.apps import ReturnsDataset, build_lasso, build_portfolio
 from saacert.certify import components_for
 from saacert.errors import ConfigError, EmptySampleError
 from saacert.families import make_family
@@ -17,7 +17,7 @@ from saacert.moments import (_max_ratio, estimate_holder,
                              self_normalized, sigma_breve, sigma_hat_sq,
                              sigma_pop_sq, variance_profile)
 from saacert.problem import (MC_SEED, MODULUS_RTOL, HolderInfo, ScenarioSet,
-                             StochasticProgram, build_empirical)
+                             StochasticProgram, TrueOracle, build_empirical)
 
 
 def linear_noise_program():
@@ -221,8 +221,25 @@ def test_exterior_profile_evaluates_one_constraint_table(monkeypatch):
 
 
 def _declared_case(draw, variant):
-    """A family program of the variant, scenarios and a probe-grid step."""
+    """A program of the variant, scenarios and a probe-grid step."""
     noise = st.floats(0.0, 5.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    def scenarios(k):
+        return rng.standard_t(3, size=(16, k)) * scale
+
+    if variant == "portfolio":
+        xis = scenarios(draw(st.integers(2, 3)))
+        program = build_portfolio(ReturnsDataset(xis), p=draw(st.floats(0.05, 1.0)),
+                                  beta=draw(st.floats(-1.0, 1.0))).program
+        return program, xis, program.space.diameter() / draw(
+            st.sampled_from([2, 4, 8, 16]))
+    if variant == "lasso":
+        xis = scenarios(draw(st.integers(1, 3)) + 1)
+        radius = draw(st.floats(0.1, 3.0))
+        program = build_lasso(xis[:, :-1], xis[:, -1], radius).program
+        return program, xis, radius * draw(st.sampled_from([1.0, 0.5, 0.25, 0.2]))
     if variant == "quad1d":
         program = make_family("quad1d", a=draw(st.floats(-2.0, 3.0)),
                               noise=draw(noise))
@@ -243,14 +260,13 @@ def _declared_case(draw, variant):
                               objective=variant.split(":")[1])
         steps = [0.5, 0.2, 0.125, 0.1]
     k = program.oracle.sampler(np.random.default_rng(0), 1).shape[1]
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    xis = rng.standard_t(3, size=(16, k)) * 10.0 ** draw(st.floats(-3.0, 3.0))
-    return program, xis, draw(st.sampled_from(steps))
+    return program, scenarios(k), draw(st.sampled_from(steps))
 
 
 @pytest.mark.parametrize("variant", ["quad1d", "linear_simplex", "ball2d",
                                      "halfspace_box:corner",
-                                     "halfspace_box:interior"])
+                                     "halfspace_box:interior", "portfolio",
+                                     "lasso"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_declared_modulus_bounds_every_secant_ratio(variant, data):
@@ -284,11 +300,10 @@ def test_holder_provenance_says_what_was_computed():
     quad = make_family("quad1d")
     quad.oracle.mc_budget = 500
     assert provenance(quad) == ("declared", "declared-monte-carlo")
-    ds = ReturnsDataset.synthetic(2, 50, seed=5)
-    portfolio = build_portfolio(ds, p=0.2, beta=0.05,
-                                sampler=_returns_sampler(2)[1])
-    portfolio.program.oracle.mc_budget = 200
-    assert provenance(portfolio.program, 1) == ("probe-grid", "monte-carlo")
+    sampled = linear_noise_program()
+    sampled.oracle = TrueOracle(
+        sampler=lambda rng, n: rng.normal(size=(n, 1)), mc_budget=200)
+    assert provenance(sampled) == ("probe-grid", "monte-carlo")
     plain = estimate_holder(linear_noise_program(), np.array([[1.0], [-3.0]]), 0)
     assert (plain.provenance, plain.pop_provenance) == ("probe-grid", "plug-in")
     assert plain.l_pop == plain.l_hat

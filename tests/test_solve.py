@@ -1,18 +1,24 @@
 """Grid and projected-subgradient solvers on the empirical problem."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from saacert.apps import ReturnsDataset, build_portfolio, portfolio_gradients
+from saacert.apps import (ReturnsDataset, build_lasso, build_portfolio,
+                          lasso_scenarios)
 from saacert.errors import InfeasibleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.moments import estimate_holder
-from saacert.problem import ScenarioSet, build_empirical
-from saacert.solve import (SolverConfig, grid_solve, near_optimal_check,
-                           solve, solve_true, subgradient_solve)
+from saacert.problem import EmpiricalProblem, ScenarioSet, build_empirical
+from saacert.solve import (FD_STEP, SolverConfig, _fd_gradient, grid_solve,
+                           near_optimal_check, solve, solve_true,
+                           subgradient_solve)
+
+# the package re-exports the function ``solve`` under the module's name
+solve_module = importlib.import_module("saacert.solve")
 
 
 def quad_emp(n=300, seed=1, a=0.3):
@@ -67,10 +73,56 @@ def test_subgradient_portfolio_with_analytic_gradients():
                           np.zeros(1))
     res_g = solve(emp, SolverConfig(method="grid", grid_h=0.02))
     res_s = subgradient_solve(emp, SolverConfig(method="subgradient",
-                                                budget=8000, c0=0.5),
-                              grads=portfolio_gradients(problem))
+                                                budget=8000, c0=0.5))
     assert res_s.feasible
     assert res_s.value <= res_g.value + res_s.certified_gap + 0.02 * 2 + 1e-6
+
+
+def test_declared_gradients_replace_finite_differences(monkeypatch):
+    """portfolio and lasso declare every gradient: the solver never falls
+    back to finite differences."""
+    def no_fd(*args):
+        raise AssertionError("finite differences for a declared gradient")
+
+    monkeypatch.setattr(solve_module, "_fd_gradient", no_fd)
+    ds = ReturnsDataset.synthetic(3, 50, seed=2)
+    portfolio = build_portfolio(ds, p=0.2, beta=0.05).program
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(60, 3))
+    y = X @ np.array([1.0, 0.0, -0.5]) + 0.1 * rng.normal(size=60)
+    lasso = build_lasso(X, y, 1.0).program
+    config = SolverConfig(method="subgradient", budget=200)
+    for emp in (build_empirical(portfolio, ScenarioSet(ds.returns), np.zeros(1)),
+                build_empirical(lasso, lasso_scenarios(X, y))):
+        assert subgradient_solve(emp, config).iterations == 200
+
+
+def test_fd_fallback_is_one_batched_call_per_gradient(monkeypatch):
+    """Without declared gradients each subgradient is one ``fhat_grid``
+    call on the 2d-point stencil, equal to per-coordinate differences."""
+    program = make_family("ball2d")
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 200, seed=3)
+    emp = build_empirical(program, scen, np.array([0.1]))
+    assert program.gradients is None
+    calls = []
+    fhat_grid = EmpiricalProblem.fhat_grid
+
+    def counted(self, i, points):
+        calls.append(len(points))
+        return fhat_grid(self, i, points)
+
+    monkeypatch.setattr(EmpiricalProblem, "fhat_grid", counted)
+    x = np.array([0.3, -0.2])
+    for i in (0, 1):
+        g = _fd_gradient(emp, i, x)
+        loop = [(emp.fhat(i, x + FD_STEP * e) - emp.fhat(i, x - FD_STEP * e))
+                / (2 * FD_STEP) for e in np.eye(2)]
+        # a few ulps of the sample means, over the stencil width
+        assert g == pytest.approx(loop, abs=64 * np.finfo(float).eps / FD_STEP)
+    assert calls == [4, 4]
+    calls.clear()
+    subgradient_solve(emp, SolverConfig(method="subgradient", budget=30))
+    assert calls == [4] * 30
 
 
 def test_budget_exhaustion_reported():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from saacert.distributions import make_distribution
-from saacert.errors import BudgetError, ConfigError, UncalibratableError
+from saacert.errors import (BudgetError, ConfigError, SlaterMarginError,
+                            UncalibratableError)
 from saacert.families import make_family
 from saacert.validation import (WILSON_Z, CoveragePlan, calibrate_constant,
                                 coverage_certificate, coverage_experiment,
@@ -164,10 +165,51 @@ def test_calibration_unattainable():
     """A plan whose certified N always busts the budget cannot calibrate."""
     plan = CoveragePlan(program=make_family("quad1d", a=0.3),
                         theorem="fixed", event="near-optimal-subset",
-                        eps=0.005, p=0.01, replications=5, seed=2, h=0.01,
+                        eps=0.005, p=0.01, replications=200, seed=2, h=0.01,
                         max_n=50)
-    with pytest.raises(UncalibratableError):
+    with pytest.raises(UncalibratableError) as info:
         calibrate_constant([plan], c_grid=[1.0, 2.0])
+    assert "matrix" in info.value.details
+
+
+def test_calibration_rejects_plans_too_small_to_pass(monkeypatch):
+    """At p = 0.1 even 28 successes in 28 leave the Wilson lower bound below
+    0.88: such a plan raises before any coverage run, naming the least R."""
+    import saacert.validation as validation
+
+    assert wilson_interval(28, 28)[0] < 0.88 <= wilson_interval(29, 29)[0]
+    assert validation._min_replications(0.1) == 29
+    for p in (0.01, 0.05, 0.3, 0.9):
+        r = validation._min_replications(p)
+        assert wilson_interval(r, r)[0] >= 1 - p - validation.COVERAGE_SLACK
+        assert r == 1 or wilson_interval(r - 1, r - 1)[0] < 1 - p - 0.02
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("coverage run for a plan that cannot pass")
+
+    monkeypatch.setattr(validation, "coverage_experiment", no_run)
+    plans = [fixed_plan(replications=50, seed=21),
+             fixed_plan(replications=28, seed=22)]
+    with pytest.raises(UncalibratableError) as info:
+        calibrate_constant(plans)
+    assert info.value.details["min_replications"] == 29
+    assert "28 replications" in str(info.value)
+
+
+@pytest.mark.parametrize("margin", [0.0, None])
+def test_exterior_pilot_without_regularity_needs_a_positive_margin(margin):
+    """Without a declared regularity constant the exterior pilot takes
+    Robinson's D / margin, and a zero or missing margin is a typed error."""
+    from saacert.validation import _pilot_profile
+
+    ball = make_family("ball2d")
+    ball.oracle.regularity_c = None
+    ball.oracle.slater_margin = margin
+    plan = CoveragePlan(program=ball, theorem="exterior",
+                        event="feasible-relaxed", eps=0.1, p=0.1,
+                        replications=40, seed=3, h=0.1, pilot_n=50)
+    with pytest.raises(SlaterMarginError):
+        _pilot_profile(plan)
 
 
 def small_calibration_plans():
