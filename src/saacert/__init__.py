@@ -60,7 +60,6 @@ from .moments import (
     HolderEstimate,
     VarianceProfile,
     estimate_holder,
-    panchenko_vhat_singleton,
     self_normalized,
     sigma_breve,
     sigma_hat_set,

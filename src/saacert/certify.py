@@ -26,13 +26,28 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, JsonResult, SlaterMarginError
+from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
+                     JsonResult, SlaterMarginError)
 from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
 from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
+from .solve import OPT_TOL
 
 _THEOREMS = tuple(_GUARANTEES)
+
+# Two ledger levels within LEVEL_TOL are one level: a level the checker asks
+# for (gamma, 0, -gamma) is recomputed from params, so it may differ from the
+# ledger's by rounding.  A gamma this close to 0 gets the single level 0.
+LEVEL_TOL = 1e-12
+
+# A ledger inequality lhs <= rhs holds up to CONDITION_SLACK: both sides are
+# sums and differences of values of order one, rounded in different orders.
+CONDITION_SLACK = 1e-12
+
+# A level gamma within MARGIN_TOL above a Slater margin (or eps above half of
+# it) still counts as inside: the margin and the level are computed apart.
+MARGIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +86,7 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
         if slater_margin <= 0:
             raise SlaterMarginError("Slater margin must be positive",
                                     slater_margin=slater_margin)
-        if eps > slater_margin / 2 + 1e-12:
+        if eps > slater_margin / 2 + MARGIN_TOL:
             raise SlaterMarginError(
                 "interior certificates need eps <= slater_margin / 2",
                 eps=eps, slater_margin=slater_margin)
@@ -293,7 +308,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     they are tightened to -gamma.  The bound is (local modulus) * (c*gamma)^
     alpha_0 with the modulus minimized over grid minimizers of the relaxed
     (resp. original) problem, per the metric-regularity argument; grid
-    minimizers are the points within 1e-9 of the grid minimum.  With no
+    minimizers are the points within ``OPT_TOL`` of the grid minimum.  With no
     constraints both gaps are 0 and the zero condition holds.
     """
     if gamma <= 0:
@@ -312,7 +327,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     if kind == "exterior":
         relaxed = relaxed_set_grid(table, gamma)
         value = f_star - float(f_vals[relaxed].min())
-        anchor_mask = relaxed & (f_vals <= f_vals[relaxed].min() + 1e-9)
+        anchor_mask = relaxed & (f_vals <= f_vals[relaxed].min() + OPT_TOL)
         zero = bool(np.any(anchor_mask & feas))
     else:
         inner = relaxed_set_grid(table, -gamma)
@@ -321,7 +336,7 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
                 "no grid point satisfies the tightened constraints; gamma "
                 "exceeds the attainable margin", gamma=gamma)
         value = float(f_vals[inner].min()) - f_star
-        anchor_mask = feas & (f_vals <= f_star + 1e-9)
+        anchor_mask = feas & (f_vals <= f_star + OPT_TOL)
         zero = bool(np.any(anchor_mask & inner))
 
     alpha0 = program.holder[0].alpha
@@ -360,16 +375,16 @@ class DeviationLedger:
     m: int
     anchors: dict
     delta_at: dict           # anchor name -> (m,) upward deviations at the point
+    cons_at: dict            # anchor name -> (m,) population constraint values
     Delta_Y: np.ndarray      # (m,) downward deviations over the hard set
     levels: list             # levels at which active-set deviations were taken
     Delta_active: list       # per level: (m,) array
     Delta0: dict             # (anchor name, level index) -> anchored objective dev
     grid_size: int = 0
-    details: dict = field(default_factory=dict)
 
     def _level_index(self, level: float) -> int:
         for j, lv in enumerate(self.levels):
-            if abs(lv - level) <= 1e-12:
+            if abs(lv - level) <= LEVEL_TOL:
                 return j
         raise KeyError(f"ledger has no level {level}; have {self.levels}")
 
@@ -390,51 +405,53 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
 
     ``probes`` are extra evaluation points appended to the grid (e.g. exact
     boundary roots, so that sups over active sets are continuum-exact for
-    piecewise-affine trials).  ``levels`` defaults to (gamma, 0).
+    piecewise-affine trials).  ``levels`` defaults to (gamma, 0).  Grid,
+    probes and anchors are evaluated together: one (m + 1, G + A) table per
+    side, objective in row 0 and the A anchors in the last columns.
     """
     program = emp.program
-    m = program.n_constraints
     grid = program.space.grid(h)
     if probes is not None:
-        grid = np.vstack([grid, np.atleast_2d(np.asarray(probes, dtype=float))])
+        probes = np.atleast_2d(np.asarray(probes, dtype=float))
+        grid = np.concatenate([grid, probes])
     if levels is None:
-        levels = (gamma, 0.0) if abs(gamma) > 1e-12 else (0.0,)
+        levels = (gamma, 0.0) if abs(gamma) > LEVEL_TOL else (0.0,)
     levels = list(dict.fromkeys(float(lv) for lv in levels))
     tol_active = h if tol_active is None else tol_active
+    anchors = {k: np.asarray(v, dtype=float) for k, v in anchors.items()}
+    bad = sorted(k for k, z in anchors.items() if z.size != program.space.dim)
+    if bad:
+        raise DimensionMismatchError("each ledger anchor needs one coordinate "
+                                     "per space dimension", anchors=bad,
+                                     expected=program.space.dim)
+    g = len(grid)
+    pts = np.concatenate([grid, *(z.reshape(1, -1) for z in anchors.values())])
 
-    f_true = np.vstack([program.true_fn_grid(0, grid),
-                        _constraint_table(program, grid)])
-    f_hat = np.vstack([emp.fhat_grid(0, grid), _constraint_table(emp, grid)])
+    f_true = _constraint_table(program, pts, objective=True)
+    f_hat = _constraint_table(emp, pts, objective=True)
+    f, fh = f_true[:, :g], f_hat[:, :g]           # grid and probe columns
+    f_z, fh_z = f_true[:, g:], f_hat[:, g:]       # anchor columns
 
-    Delta_Y = np.array([max(0.0, float(np.max(f_true[i] - f_hat[i])))
-                        for i in range(1, m + 1)]) if m else np.zeros(0)
+    # objective deviations anchored at each z, one row per anchor: (A, G)
+    shifted = (f[0] - f_z[0, :, None]) - (fh[0] - fh_z[0, :, None])
+    lv = np.array(levels)[:, None, None]          # one mask per level
+    in_level, active = relaxed_set_grid(f[1:], lv, tol_active)
+    # sup of lv - fhat_i over each active set, floored at 0 (0 when empty)
+    Delta_active = np.fmax(0.0, np.where(active, lv - fh[1:], -np.inf).max(
+        axis=2))
+    Delta0 = np.fmax(0.0, np.where(in_level[:, None], shifted, -np.inf).max(
+        axis=2, initial=-np.inf))
 
-    Delta_active = []
-    level_masks = []
-    for lv in levels:
-        in_level, active = relaxed_set_grid(f_true[1:], lv, tol_active)
-        level_masks.append(in_level)
-        # sup of lv - fhat_i over each active set, floored at 0 (0 when empty)
-        Delta_active.append(np.fmax(0.0, np.where(
-            active, lv - f_hat[1:], -np.inf).max(axis=1)))
-
-    delta_at, Delta0 = {}, {}
-    for name, pt in anchors.items():
-        pt = np.asarray(pt, dtype=float)
-        delta_at[name] = np.array([max(0.0, emp.fhat(i, pt)
-                                       - program.true_fn(i, pt))
-                                   for i in range(1, m + 1)])
-        f_z, fh_z = program.true_fn(0, pt), emp.fhat(0, pt)
-        for j, mask in enumerate(level_masks):
-            shifted = (f_true[0][mask] - f_z) - (f_hat[0][mask] - fh_z)
-            Delta0[(name, j)] = max(0.0, float(shifted.max(initial=-np.inf)))
-
-    return DeviationLedger(gamma=gamma, h=h, tol_active=tol_active, m=m,
-                           anchors={k: np.asarray(v, dtype=float)
-                                    for k, v in anchors.items()},
-                           delta_at=delta_at, Delta_Y=Delta_Y, levels=levels,
-                           Delta_active=Delta_active, Delta0=Delta0,
-                           grid_size=len(grid))
+    return DeviationLedger(
+        gamma=gamma, h=h, tol_active=tol_active, m=program.n_constraints,
+        anchors=anchors,
+        delta_at=dict(zip(anchors, np.fmax(0.0, fh_z[1:] - f_z[1:]).T)),
+        cons_at=dict(zip(anchors, f_z[1:].T)),
+        Delta_Y=np.fmax(0.0, (f[1:] - fh[1:]).max(axis=1)), levels=levels,
+        Delta_active=list(Delta_active),
+        Delta0={(name, j): v for j, row in enumerate(Delta0.tolist())
+                for name, v in zip(anchors, row)},
+        grid_size=g)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +468,7 @@ class Condition:
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.rhs + 1e-12
+        return self.lhs <= self.rhs + CONDITION_SLACK
 
 
 @dataclass
@@ -483,13 +500,11 @@ def _inputs(emp: EmpiricalProblem, ledger: DeviationLedger, params: dict,
     constraint values ``cons``, their max ``top`` and the ledger's upward
     deviations ``delta``."""
     m = emp.program.n_constraints
-    cons = {role: np.array([emp.program.true_fn(i, ledger.anchors[name])
-                            for i in range(1, m + 1)])
-            for role, name in anchors.items()}
+    cons = {role: ledger.cons_at[name] for role, name in anchors.items()}
     return SimpleNamespace(
         m=m, convex=bool(emp.program.convex), eps=emp.relaxations,
         ledger=ledger, params=params, at=anchors, cons=cons,
-        top={role: v.max() if m else float("-inf")
+        top={role: max(v.tolist(), default=float("-inf"))
              for role, v in cons.items()},
         delta={role: ledger.delta(name) for role, name in anchors.items()},
         gamma=params.get("gamma", ledger.gamma), t=params.get("t"),
@@ -502,7 +517,7 @@ def _rows(c: SimpleNamespace, lhs: np.ndarray, rhs) -> list:
 
 
 def _anchor_feasible(remark: str = ""):
-    return lambda c: (bool(np.all(c.cons["x_star"] <= FEAS_TOL)),
+    return lambda c: (bool((c.cons["x_star"] <= FEAS_TOL).all()),
                       "x_star must satisfy the population constraints"
                       + remark)
 
@@ -514,19 +529,19 @@ _HYPOTHESES = {
     "gamma-positive": lambda c: (c.gamma > 0, f"gamma={c.gamma}"),
     "convexity-attested": lambda c: (c.convex, ""),
     "slack-point": lambda c: (
-        bool(np.all(c.cons["y"] < c.params["eps_mid"]))
+        bool((c.cons["y"] < c.params["eps_mid"]).all())
         and c.params["eps_mid"] < c.gamma,
         f"needs f_i(y) < {c.params['eps_mid']} < {c.gamma}; "
         f"max f_i(y) = {c.top['y']}"),
     "interior-at-half-level": lambda c: (
-        bool(np.all(c.cons["y"] < c.gamma / 2)),
+        bool((c.cons["y"] < c.gamma / 2).all()),
         f"needs f_i(y) < gamma/2 = {c.gamma / 2}; "
         f"max f_i(y) = {c.top['y']}"),
     "level-within-margin": lambda c: (
-        0 < c.gamma <= c.params["slater_margin"] + 1e-12,
+        0 < c.gamma <= c.params["slater_margin"] + MARGIN_TOL,
         f"needs 0 < gamma <= {c.params['slater_margin']}, got {c.gamma}"),
     "interior-point": lambda c: (
-        bool(np.all(c.cons["y"] < -c.gamma)),
+        bool((c.cons["y"] < -c.gamma).all()),
         f"needs f_i(y) < -gamma = {-c.gamma}; max f_i(y) = {c.top['y']}"),
     "no-stochastic-constraints": lambda c: (
         c.m == 0, f"scheme M0 needs m=0, got m={c.m}"),
@@ -535,7 +550,7 @@ _HYPOTHESES = {
     "anchor-in-feasible-set/attested": _anchor_feasible(
         " (optimality is attested)"),
     "anchor-in-tightened-set": lambda c: (
-        bool(np.all(c.cons["y_star"] <= -c.gamma + FEAS_TOL)),
+        bool((c.cons["y_star"] <= -c.gamma + FEAS_TOL).all()),
         "y_star must satisfy constraints at -gamma "
         "(its optimality there is attested)"),
 }

@@ -426,8 +426,11 @@ class SpaceDescriptor:
                 axes.append(np.linspace(a, b, n))
                 if n > 1:
                     steps.append(side / (n - 1))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            if len(axes) == 1:      # the same points without the mesh
+                pts = axes[0][:, None]
+            else:
+                mesh = np.meshgrid(*axes, indexing="ij")
+                pts = np.stack([m.ravel() for m in mesh], axis=-1)
             return pts, (min(steps) if steps else math.inf)
         if self.kind == "ball":
             outer = SpaceDescriptor.box(self.center - self.radius,

@@ -388,10 +388,3 @@ def self_normalized(values: np.ndarray, pop_mean: float, pop_var: float) -> floa
         return 0.0
     return num / math.sqrt(scale_sq)
 
-
-def panchenko_vhat_singleton(values: np.ndarray, pop_mean: float, pop_var: float) -> float:
-    """Closed form of the symmetrized second moment for one function:
-    N * ((1/N) sum (g_j - Pg)^2 + Var g)."""
-    vals = np.asarray(values, dtype=float)
-    n = vals.size
-    return n * (float(np.mean((vals - pop_mean) ** 2)) + pop_var)

@@ -118,12 +118,17 @@ class StochasticProgram:
 
     # -- population-side accessors -------------------------------------------
 
+    def _population_fn(self, i: int) -> Callable[[np.ndarray], float]:
+        """x -> f_i(x): the oracle's closed form, else the mean over the
+        cached Monte Carlo draws."""
+        if self.oracle is not None and self.oracle.fns is not None:
+            return self.oracle.fns[i]
+        fn, draws = self.integrand(i), self._mc_draws()
+        return lambda x: _mean(fn(x, draws))
+
     def true_fn(self, i: int, x) -> float:
         """Population value f_i(x) from the oracle (closed form or MC)."""
-        x = np.asarray(x, dtype=float)
-        if self.oracle is not None and self.oracle.fns is not None:
-            return float(self.oracle.fns[i](x))
-        return float(np.mean(self.integrand(i)(x, self._mc_draws())))
+        return float(self._population_fn(i)(np.asarray(x, dtype=float)))
 
     def true_variance(self, i: int, x) -> float:
         """Population variance of F_i(x, .) (closed form or MC)."""
@@ -137,7 +142,8 @@ class StochasticProgram:
 
     def true_fn_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.true_fn(i, x) for x in pts])
+        fn = self._population_fn(i)
+        return np.array([float(fn(x)) for x in pts])
 
     def _mc_draws(self) -> np.ndarray:
         if self.oracle is None or self.oracle.sampler is None:
@@ -260,7 +266,7 @@ class EmpiricalProblem:
 
     def fhat(self, i: int, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(np.mean(self.program.integrand(i)(x, self.scenarios.data)))
+        return _mean(self.program.integrand(i)(x, self.scenarios.data))
 
     def fhat_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         """Empirical means over a batch of points (vectorized when possible)."""
@@ -286,6 +292,14 @@ class EmpiricalProblem:
         return np.all(_constraint_table(self, pts) <= bounds, axis=0)
 
 
+def _mean(values) -> float:
+    """``np.mean`` of one point's per-scenario values, bit for bit, without
+    its dispatch: the same pairwise sum over all elements (float64, as
+    ``np.mean`` accumulates non-float input) divided by the count."""
+    v = np.asarray(values, dtype=float)
+    return float(np.add.reduce(v, axis=None)) / v.size
+
+
 def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
                   data: np.ndarray) -> np.ndarray:
     """Means of F_i over the scenario rows of ``data`` at each point."""
@@ -293,7 +307,7 @@ def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
     if fm is not None and fm[i] is not None:
         return np.asarray(fm[i](pts, data), dtype=float)
     fn = program.integrand(i)
-    return np.array([float(np.mean(fn(x, data))) for x in pts])
+    return np.array([_mean(fn(x, data)) for x in pts])
 
 
 def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
@@ -308,7 +322,7 @@ def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
     if relaxations.shape != (m,):
         raise DimensionMismatchError("need one relaxation level per constraint",
                                      expected=m, got=relaxations.shape[0])
-    if not np.all(np.isfinite(relaxations)):
+    if not np.isfinite(relaxations).all():
         raise DimensionMismatchError("relaxation levels must be finite")
     # probe one integrand to surface scenario-dimension mismatches early
     probe = program.space.project(np.zeros(program.space.dim))
@@ -328,19 +342,22 @@ def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
 # level sets on grids
 
 
-def _constraint_table(source, pts: np.ndarray) -> np.ndarray:
+def _constraint_table(source, pts: np.ndarray,
+                      objective: bool = False) -> np.ndarray:
     """Constraint values on a grid, shape (m, G), one row per constraint.
 
     ``source`` is a :class:`StochasticProgram` (population values) or an
     :class:`EmpiricalProblem` (sample means); a level set is a mask of this
-    table (``relaxed_set_grid``).
+    table (``relaxed_set_grid``).  With ``objective`` the objective comes
+    first, as row 0 of an (m + 1, G) table.
     """
     empirical = isinstance(source, EmpiricalProblem)
     m = (source.program if empirical else source).n_constraints
     values = source.fhat_grid if empirical else source.true_fn_grid
-    table = np.empty((m, len(pts)))
-    for i in range(1, m + 1):
-        table[i - 1] = values(i, pts)
+    first = 0 if objective else 1
+    table = np.empty((m + 1 - first, len(pts)))
+    for i in range(first, m + 1):
+        table[i - first] = values(i, pts)
     return table
 
 
@@ -352,9 +369,11 @@ def relaxed_set_grid(table: np.ndarray, level: float = 0.0,
     (``_constraint_table``); with m = 0 the level set is the whole grid.  A
     strictly feasible (interior) set at margin gamma is the level -gamma.
     With ``tol_active`` the (m, G) active masks follow the level mask: row
-    i - 1 marks the level-set points with |g_i - level| <= tol_active.
+    i - 1 marks the level-set points with |g_i - level| <= tol_active.  An
+    (L, 1, 1) array of levels gives L masks at once, shapes (L, G) and
+    (L, m, G).
     """
-    mask = (table <= level + SET_TOL).all(axis=0)
+    mask = (table <= level + SET_TOL).all(axis=-2)
     if tol_active is None:
         return mask
-    return mask, mask & (np.abs(table - level) <= tol_active)
+    return mask, mask[..., None, :] & (np.abs(table - level) <= tol_active)

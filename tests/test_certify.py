@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saacert.certify import (certificate_from_profile, certificate_from_sigma,
-                             check_certificates, deviation_ledger,
-                             estimate_regularity, gap_bounds,
-                             robinson_constant, sample_size)
-from saacert.errors import ConfigError, SlaterMarginError
+from saacert.certify import (CHECK_SCHEMES, certificate_from_profile,
+                             certificate_from_sigma, check_certificates,
+                             deviation_ledger, estimate_regularity,
+                             gap_bounds, robinson_constant, sample_size)
+from saacert.errors import (ConfigError, DimensionMismatchError,
+                            SlaterMarginError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.moments import variance_profile
-from saacert.problem import (HolderInfo, ScenarioSet, StochasticProgram,
-                             TrueOracle, build_empirical)
+from saacert.problem import (EmpiricalProblem, HolderInfo, ScenarioSet,
+                             StochasticProgram, TrueOracle, build_empirical)
 
 
 def test_sample_size_fixed_example():
@@ -164,6 +167,15 @@ def test_deviation_ledger_without_constraints():
     below = ledger.Delta0_at("x_star", -0.1)
     assert below > 0.0
     assert below == ledger.Delta0_at("x_star", 0.0)
+
+
+def test_deviation_ledger_rejects_anchors_of_another_dimension():
+    program = make_family("quad1d")
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 10, seed=0)
+    with pytest.raises(DimensionMismatchError) as err:
+        deviation_ledger(build_empirical(program, scen), gamma=0.1, h=0.1,
+                         anchors={"x_star": [0.3, 0.4], "y": [0.5]})
+    assert err.value.details == {"anchors": ["x_star"], "expected": 1}
 
 
 def test_checker_scheme_f_example():
@@ -413,3 +425,140 @@ def test_checker_missing_params_raise_config_error(scheme, params, missing):
     with pytest.raises(ConfigError) as err:
         check_certificates(emp, ledger, scheme, params=params)
     assert err.value.details["missing"] == missing
+
+
+# ---------------------------------------------------------------------------
+# one evaluation pass per ledger side
+
+
+def noisy_affine_program(a, b, wrap=lambda i, fn: fn):
+    """F_i(x, xi) = (a_i + xi_2i) x + b_i + xi_2i+1 on [0, 1], with
+    population f_i(x) = a_i x + b_i; ``wrap`` may wrap every integrand and
+    closed form (both are tagged by index i)."""
+    def integrand(i):
+        return lambda x, xis: (a[i] * x[0] + b[i] + xis[:, 2 * i] * x[0]
+                               + xis[:, 2 * i + 1])
+
+    m = len(a) - 1
+    return StochasticProgram(
+        objective=wrap(0, integrand(0)),
+        constraints=[wrap(i, integrand(i)) for i in range(1, m + 1)],
+        space=SpaceDescriptor.interval(0.0, 1.0),
+        holder=[HolderInfo(1.0)] * (m + 1),
+        oracle=TrueOracle(fns=[wrap(i, lambda x, i=i: a[i] * x[0] + b[i])
+                               for i in range(m + 1)]),
+        convex=True, name="noisy-affine")
+
+
+def reference_ledger(emp, gamma, h, anchors, probes, tol_active):
+    """Every ledger number by a per-point, per-anchor loop: population
+    values from the closed forms, sample means by ``np.mean``."""
+    program, data = emp.program, emp.scenarios.data
+    m = program.n_constraints
+    grid = program.space.grid(h)
+    if probes is not None:
+        grid = np.vstack([grid, np.atleast_2d(probes)])
+
+    def f(i, x):
+        return float(program.oracle.fns[i](np.asarray(x, dtype=float)))
+
+    def fhat(i, x):
+        x = np.asarray(x, dtype=float)
+        return float(np.mean(program.integrand(i)(x, data)))
+
+    f_true = np.array([[f(i, x) for x in grid] for i in range(m + 1)])
+    f_hat = np.array([[fhat(i, x) for x in grid] for i in range(m + 1)])
+    levels = list(dict.fromkeys([gamma, 0.0] if abs(gamma) > 1e-12
+                                else [0.0]))
+    ref = {"levels": levels, "grid_size": len(grid),
+           "Delta_Y": [max(0.0, float(np.max(f_true[i] - f_hat[i])))
+                       for i in range(1, m + 1)],
+           "Delta_active": [], "Delta0": {},
+           "delta_at": {name: [max(0.0, fhat(i, z) - f(i, z))
+                               for i in range(1, m + 1)]
+                        for name, z in anchors.items()},
+           "cons_at": {name: [f(i, z) for i in range(1, m + 1)]
+                       for name, z in anchors.items()}}
+    for j, lv in enumerate(levels):
+        inside = np.all(f_true[1:] <= lv + 1e-12, axis=0)
+        row = []
+        for i in range(1, m + 1):
+            active = inside & (np.abs(f_true[i] - lv) <= tol_active)
+            vals = lv - f_hat[i][active]
+            row.append(max(0.0, float(vals.max())) if active.any() else 0.0)
+        ref["Delta_active"].append(row)
+        for name, z in anchors.items():
+            shifted = ((f_true[0][inside] - f(0, z))
+                       - (f_hat[0][inside] - fhat(0, z)))
+            ref["Delta0"][(name, j)] = max(
+                0.0, float(shifted.max(initial=-np.inf)))
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 3),
+       n=st.integers(1, 40), noise=st.sampled_from([0.0, 0.02, 0.3, 2.0]),
+       gamma=st.sampled_from([0.0, 1e-13, 0.1, 0.3, -0.2]),
+       h=st.sampled_from([0.1, 0.25, 0.3]), n_anchors=st.integers(0, 3),
+       with_probes=st.booleans())
+def test_ledger_equals_per_anchor_reference_bit_for_bit(
+        seed, m, n, noise, gamma, h, n_anchors, with_probes):
+    """Tables with the anchors as columns give the very numbers of the
+    per-point np.mean and per-anchor fhat/true_fn formulas."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.3, 1.5, m + 1) * rng.choice([-1.0, 1.0], m + 1)
+    b = rng.uniform(-0.6, 0.4, m + 1)
+    emp = build_empirical(noisy_affine_program(a, b),
+                          ScenarioSet(noise * rng.standard_t(3, (n, 2 * m + 2))),
+                          rng.uniform(-0.1, 0.2, m))
+    anchors = {f"z{k}": [float(rng.uniform())] for k in range(n_anchors)}
+    probes = rng.uniform(size=(3, 1)) if with_probes else None
+    ledger = deviation_ledger(emp, gamma=gamma, h=h, anchors=anchors,
+                              probes=probes, tol_active=0.05)
+    ref = reference_ledger(emp, gamma, h, anchors, probes, 0.05)
+
+    assert ledger.levels == ref["levels"]
+    assert ledger.grid_size == ref["grid_size"]
+    assert ledger.Delta_Y.tolist() == ref["Delta_Y"]
+    assert [v.tolist() for v in ledger.Delta_active] == ref["Delta_active"]
+    assert ledger.Delta0 == ref["Delta0"]
+    assert {k: v.tolist() for k, v in ledger.delta_at.items()} == ref["delta_at"]
+    assert {k: v.tolist() for k, v in ledger.cons_at.items()} == ref["cons_at"]
+    assert all(np.array_equal(ledger.anchors[k], z) for k, z in anchors.items())
+
+
+def test_ledger_evaluates_each_point_once_and_checker_reads_it(monkeypatch):
+    """One integrand call and one closed-form call per point of grid,
+    probes and anchors; the checker evaluates nothing."""
+    calls = {}
+
+    def counted(i, fn):
+        def wrapped(x, *rest):
+            calls[i, bool(rest)] = calls.get((i, bool(rest)), 0) + 1
+            return fn(x, *rest)
+        return wrapped
+
+    m = 2
+    emp = build_empirical(
+        noisy_affine_program([0.5, 1.0, -0.8], [0.1, -0.3, -0.2], counted),
+        ScenarioSet(0.05 * np.tile(PIN_NOISE, 2)), np.zeros(m))
+    calls.clear()
+    anchors = {"x_star": [0.2], "y": [0.45], "y_star": [0.3]}
+    probes = np.array([[0.33], [0.71]])
+    ledger = deviation_ledger(emp, gamma=0.1, h=0.25, anchors=anchors,
+                              probes=probes)
+    points = len(emp.program.space.grid(0.25)) + len(probes) + len(anchors)
+    assert ledger.grid_size == points - len(anchors)
+    # (i, True) counts sample-side integrand calls, (i, False) closed forms
+    assert calls == {(i, side): points for i in range(m + 1)
+                     for side in (True, False)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the checker must read the ledger")
+
+    monkeypatch.setattr(StochasticProgram, "true_fn", forbidden)
+    monkeypatch.setattr(EmpiricalProblem, "fhat", forbidden)
+    calls.clear()
+    for scheme in CHECK_SCHEMES:
+        check_certificates(emp, ledger, scheme, params=PIN_PARAMS)
+    assert calls == {}

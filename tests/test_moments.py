@@ -13,9 +13,9 @@ from saacert.errors import ConfigError, EmptySampleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor, min_pairwise_gap
 from saacert.moments import (_max_ratio, estimate_holder,
-                             panchenko_vhat_singleton, per_scenario_modulus,
-                             self_normalized, sigma_breve, sigma_hat_sq,
-                             sigma_pop_sq, variance_profile)
+                             per_scenario_modulus, self_normalized,
+                             sigma_breve, sigma_hat_sq, sigma_pop_sq,
+                             variance_profile)
 from saacert.problem import (MC_SEED, MODULUS_RTOL, HolderInfo, ScenarioSet,
                              StochasticProgram, TrueOracle, build_empirical)
 
@@ -70,14 +70,6 @@ def test_self_normalized_affine_invariance():
 
 def test_self_normalized_degenerate_zero():
     assert self_normalized(np.array([2.0, 2.0]), 2.0, 0.0) == 0.0
-
-
-def test_panchenko_singleton_closed_form():
-    vals = np.array([1.0, -1.0, 3.0])
-    pop_mean, pop_var = 0.5, 2.0
-    expected = 3 * (np.mean((vals - pop_mean) ** 2) + pop_var)
-    assert panchenko_vhat_singleton(vals, pop_mean, pop_var) == pytest.approx(
-        expected, rel=1e-12)
 
 
 def test_sigma_breve_bounds():

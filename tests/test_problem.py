@@ -11,7 +11,8 @@ from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.problem import (SET_TOL, HolderInfo, ScenarioSet,
                              StochasticProgram, TrueOracle, _constraint_table,
-                             build_empirical, read_table, relaxed_set_grid)
+                             _sample_means, build_empirical, read_table,
+                             relaxed_set_grid)
 
 
 def toy_program():
@@ -177,6 +178,29 @@ def test_level_set_masks_match_a_per_point_reference(data, m, g, level, tol):
     assert np.array_equal(got_active, active)
     if m == 0:
         assert inside.all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 40000])
+def test_per_point_means_equal_np_mean_bit_for_bit(n):
+    """The per-point fallback of ``fhat_grid`` and ``fhat`` is ``np.mean``
+    without its dispatch: the same float64 bits, also where pairwise
+    summation rounds differently from a left-to-right sum."""
+    rng = np.random.default_rng(n)
+    data = np.column_stack([1e3 * rng.standard_t(3, size=n),
+                            rng.uniform(-1, 1, size=n)])
+
+    def f0(x, xis):
+        return xis[:, 0] * x[0] + np.sin(xis[:, 1] / (x[0] + 0.1))
+
+    program = StochasticProgram(objective=f0, constraints=[],
+                                space=SpaceDescriptor.interval(0.0, 1.0),
+                                holder=[HolderInfo(1.0)], name="means")
+    pts = np.linspace(0.0, 1.0, 9)[:, None]
+    want = np.array([float(np.mean(f0(x, data))) for x in pts])
+    got = _sample_means(program, 0, pts, data)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    emp = build_empirical(program, ScenarioSet(data))
+    assert [emp.fhat(0, x) for x in pts] == want.tolist()
 
 
 def test_true_fn_uses_closed_form_when_available():
