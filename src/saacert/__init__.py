@@ -71,6 +71,7 @@ from .problem import (
     EmpiricalProblem,
     FeasibilityRecord,
     HolderInfo,
+    NoiseAffine,
     ScenarioSet,
     StochasticProgram,
     TrueOracle,

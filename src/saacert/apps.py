@@ -16,8 +16,8 @@ import numpy as np
 from .distributions import make_distribution
 from .errors import ConfigError, DegenerateFeatureError, EmptySampleError
 from .geometry import SpaceDescriptor
-from .problem import (HolderInfo, ScenarioSet, StochasticProgram, TrueOracle,
-                      read_table)
+from .problem import (HolderInfo, NoiseAffine, ScenarioSet, StochasticProgram,
+                      TrueOracle, read_table)
 
 
 def cvar(losses, p: float) -> float:
@@ -133,15 +133,13 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
     space = SpaceDescriptor.product(SpaceDescriptor.simplex(d),
                                     SpaceDescriptor.interval(t_lo, t_hi))
 
-    def f0(point, xis):
-        return -(xis @ point[:d])
+    # the expected loss is affine in the noise: -xi^T x, with t unloaded
+    f0 = NoiseAffine(lambda point: np.zeros(point.shape[:-1]),
+                     -np.eye(d, d + 1))
 
     def f1(point, xis):
         t = point[d]
         return t + np.maximum(-(xis @ point[:d]) - t, 0.0) / p - beta
-
-    def mean0(pts, xis):
-        return -(pts[:, :d] @ np.mean(xis, axis=0))
 
     def mean1(pts, xis):
         out = np.empty(len(pts))
@@ -169,7 +167,7 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
     program = StochasticProgram(
         objective=f0, constraints=[f1], space=space,
         holder=[HolderInfo(1.0, modulus0), HolderInfo(1.0, modulus1)],
-        oracle=oracle, convex=True, fast_means=[mean0, mean1],
+        oracle=oracle, convex=True, fast_means=[None, mean1],
         gradients=portfolio_gradients(d, p), name="portfolio")
     return PortfolioProblem(program=program, dataset=dataset, p=p, beta=beta,
                             t_bounds=(t_lo, t_hi),

@@ -30,7 +30,7 @@ from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
                      JsonResult, SlaterMarginError)
 from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
-from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
+from .problem import (FEAS_TOL, SET_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 from .solve import OPT_TOL
 
@@ -48,6 +48,10 @@ CONDITION_SLACK = 1e-12
 # A level gamma within MARGIN_TOL above a Slater margin (or eps above half of
 # it) still counts as inside: the margin and the level are computed apart.
 MARGIN_TOL = 1e-12
+
+# A sample-size threshold within CEIL_SLACK above an integer rounds down to
+# it: C sigma^2 log / eps^2 of an exact integer can land a few ulps above.
+CEIL_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
         raise ConfigError("sample-size threshold C*sigma^2*log/eps^2 is not a "
                           "finite float", eps=eps, sigma_hat=sigma_hat,
                           constant=constant)
-    return max(1, math.ceil(n - 1e-12))
+    return max(1, math.ceil(n - CEIL_SLACK))
 
 
 _RELAXATION = {"fixed": "none", "exterior": "+eps", "interior": "-eps"}
@@ -343,7 +347,8 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
     radius = c * gamma
     best_mod = math.inf
     for z in grid[anchor_mask]:
-        in_ball = dists_to(grid, z, space.norm) <= radius + 1e-12
+        # the ball is a level set of the distance to z: the level-set slack
+        in_ball = dists_to(grid, z, space.norm) <= radius + SET_TOL
         best_mod = min(best_mod, float(_max_ratio(
             grid[in_ball], f_vals[in_ball, None], alpha0, space.norm)[0]))
     if not math.isfinite(best_mod):
@@ -386,7 +391,7 @@ class DeviationLedger:
         for j, lv in enumerate(self.levels):
             if abs(lv - level) <= LEVEL_TOL:
                 return j
-        raise KeyError(f"ledger has no level {level}; have {self.levels}")
+        raise ConfigError(f"ledger has no level {level}", level=level, levels=self.levels)
 
     def delta(self, name: str) -> np.ndarray:
         return self.delta_at[name]

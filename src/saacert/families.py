@@ -1,9 +1,10 @@
 """Built-in synthetic problem families with full population oracles.
 
-Each family is desk-scale (d <= 3), has closed-form population means and
-variances, closed-form per-scenario Lipschitz moduli L(xi) (declared on its
-``HolderInfo``), vectorized empirical means, and -- where the geometry allows --
-exact distance-to-feasible-set and regularity constants.  They back the
+Each family is desk-scale (d <= 3), has integrands affine in the noise
+(``NoiseAffine``: closed-form population moments, vectorized empirical means),
+closed-form per-scenario Lipschitz moduli L(xi) (declared on its
+``HolderInfo``), and -- where the geometry allows -- exact
+distance-to-feasible-set and regularity constants.  They back the
 Monte Carlo validation lab, calibration, and the CLI's problem configs.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from .distributions import Distribution, make_distribution
 from .errors import ConfigError, from_table
 from .geometry import SpaceDescriptor
-from .problem import HolderInfo, StochasticProgram, TrueOracle
+from .problem import HolderInfo, NoiseAffine, StochasticProgram, TrueOracle
 
 
 def _resolve_dist(dist) -> Distribution:
@@ -41,27 +42,21 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
     space = SpaceDescriptor.interval(0.0, 1.0)
     x_star = float(np.clip(a - s * mu / 2, 0.0, 1.0))
 
-    def f0(x, xis):
-        return (x[0] - a) ** 2 + s * xis[:, 0] * x[0]
-
-    def mean0(pts, xis):
-        xbar = float(np.mean(xis[:, 0]))
-        return (pts[:, 0] - a) ** 2 + s * xbar * pts[:, 0]
+    f0 = NoiseAffine(lambda x: (x[..., 0] - a) ** 2, [[s]])
 
     def modulus0(xis):  # |dF0/dx| = |2(x - a) + s*xi| is largest at x = 0 or 1
         slope = s * xis[:, 0]
         return np.maximum(np.abs(slope - 2 * a), np.abs(slope + 2 * (1 - a)))
 
     oracle = TrueOracle(
-        fns=[lambda x: (x[0] - a) ** 2 + s * mu * x[0]],
-        variance_fns=[lambda x: s ** 2 * x[0] ** 2 * var],
+        noise_mean=np.array([mu]), noise_var=var,
         sampler=d.sampler(1),
         f_star=(x_star - a) ** 2 + s * mu * x_star,
         x_star=np.array([x_star]),
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
                              holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
-                             convex=False, fast_means=[mean0], name="quad1d")
+                             convex=False, name="quad1d")
 
 
 def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
@@ -82,27 +77,21 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
     def sampler(rng, n):
         return base(rng, n) + offsets
 
-    def f0(x, xis):
-        return xis @ x
-
-    def mean0(pts, xis):
-        return pts @ np.mean(xis, axis=0)
+    f0 = NoiseAffine(lambda x: np.zeros(x.shape[:-1]), np.eye(dim))
 
     def modulus0(xis):
         return (xis.max(axis=1) - xis.min(axis=1)) / 2
 
     j = int(np.argmin(means))
     oracle = TrueOracle(
-        fns=[lambda x: float(means @ x)],
-        variance_fns=[lambda x: d.var * float(np.sum(x ** 2))],
+        noise_mean=means, noise_var=d.var,
         sampler=sampler,
         f_star=float(means[j]),
         x_star=np.eye(dim)[j],
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
                              holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
-                             convex=True, fast_means=[mean0],
-                             name="linear_simplex")
+                             convex=True, name="linear_simplex")
 
 
 def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
@@ -122,19 +111,9 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     rho = radius
     space = SpaceDescriptor.box([-1.0, -1.0], [1.0, 1.0], norm="l2")
 
-    def f0(x, xis):
-        return x[0] + x[1] + s0 * xis[:, 1] * x[1]
-
-    def f1(x, xis):
-        return math.hypot(x[0], x[1]) - rho + s1 * xis[:, 0] * x[0]
-
-    def mean0(pts, xis):
-        xbar = float(np.mean(xis[:, 1]))
-        return pts[:, 0] + pts[:, 1] + s0 * xbar * pts[:, 1]
-
-    def mean1(pts, xis):
-        xbar = float(np.mean(xis[:, 0]))
-        return np.hypot(pts[:, 0], pts[:, 1]) - rho + s1 * xbar * pts[:, 0]
+    f0 = NoiseAffine(lambda x: x[..., 0] + x[..., 1], [[0.0, 0.0], [0.0, s0]])
+    f1 = NoiseAffine(lambda x: np.hypot(x[..., 0], x[..., 1]) - rho,
+                     [[s1, 0.0], [0.0, 0.0]])
 
     # Lipschitz moduli in l2 (self-dual): the objective's gradient is
     # (1, 1 + s0*xi2); the constraint's is x/||x|| + (s1*xi1, 0), whose norm
@@ -149,10 +128,7 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     l0 = math.sqrt(2.0 + s0 ** 2 * var)
     x_star = np.array([-rho / math.sqrt(2)] * 2)
     oracle = TrueOracle(
-        fns=[lambda x: x[0] + x[1],
-             lambda x: math.hypot(x[0], x[1]) - rho],
-        variance_fns=[lambda x: s0 ** 2 * x[1] ** 2 * var,
-                      lambda x: s1 ** 2 * x[0] ** 2 * var],
+        noise_mean=np.full(2, d.mean), noise_var=var,
         holder_rms=[l0, None],
         sampler=d.sampler(2),
         f_star=-math.sqrt(2) * rho,
@@ -164,8 +140,7 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
                              holder=[HolderInfo(1.0, modulus0),
                                      HolderInfo(1.0, modulus1)],
-                             oracle=oracle, convex=True,
-                             fast_means=[mean0, mean1], name="ball2d")
+                             oracle=oracle, convex=True, name="ball2d")
 
 
 def halfspace_box(level: float = 1.2, noise: float = 0.1,
@@ -188,12 +163,7 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     b = level
     space = SpaceDescriptor.box([0.0, 0.0], [1.0, 1.0], norm="linf")
 
-    def f1(x, xis):
-        return x[0] + x[1] - b + s1 * xis[:, 0] * x[0]
-
-    def mean1(pts, xis):
-        xbar = float(np.mean(xis[:, 0]))
-        return pts[:, 0] + pts[:, 1] - b + s1 * xbar * pts[:, 0]
+    f1 = NoiseAffine(lambda x: x[..., 0] + x[..., 1] - b, [[s1, 0.0], [0.0, 0.0]])
 
     # Lipschitz moduli in l-inf are l1 norms of the gradient; the
     # constraint's is (1 + s1*xi1, 1)
@@ -201,29 +171,16 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
         return np.abs(1.0 + s1 * xis[:, 0]) + 1.0
 
     if objective == "corner":
-        def f0(x, xis):
-            return -x[0] - x[1] + s0 * xis[:, 1] * x[1]
-
-        def mean0(pts, xis):
-            xbar = float(np.mean(xis[:, 1]))
-            return -pts[:, 0] - pts[:, 1] + s0 * xbar * pts[:, 1]
+        f0 = NoiseAffine(lambda x: -x[..., 0] - x[..., 1], [[0.0, 0.0], [0.0, s0]])
 
         def modulus0(xis):  # gradient (-1, -1 + s0*xi2)
             return 1.0 + np.abs(s0 * xis[:, 1] - 1.0)
 
-        true0 = lambda x: -x[0] - x[1]
-        var0 = lambda x: s0 ** 2 * x[1] ** 2 * var
         x_star, f_star = np.array([b / 2, b / 2]), -b
     else:
         cx = 0.3
-
-        def f0(x, xis):
-            return (x[0] - cx) ** 2 + (x[1] - cx) ** 2 + s0 * xis[:, 1] * (x[0] + x[1])
-
-        def mean0(pts, xis):
-            xbar = float(np.mean(xis[:, 1]))
-            return ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cx) ** 2
-                    + s0 * xbar * (pts[:, 0] + pts[:, 1]))
+        f0 = NoiseAffine(lambda x: (x[..., 0] - cx) ** 2 + (x[..., 1] - cx) ** 2,
+                         [[0.0, 0.0], [s0, s0]])
 
         def modulus0(xis):
             # each gradient coordinate 2(x_k - cx) + s0*xi2 is largest in
@@ -232,13 +189,10 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
             return 2 * np.maximum(np.abs(slope - 2 * cx),
                                   np.abs(slope + 2 * (1 - cx)))
 
-        true0 = lambda x: (x[0] - cx) ** 2 + (x[1] - cx) ** 2
-        var0 = lambda x: s0 ** 2 * (x[0] + x[1]) ** 2 * var
         x_star, f_star = np.array([cx, cx]), 0.0
 
     oracle = TrueOracle(
-        fns=[true0, lambda x: x[0] + x[1] - b],
-        variance_fns=[var0, lambda x: s1 ** 2 * x[0] ** 2 * var],
+        noise_mean=np.full(2, d.mean), noise_var=var,
         sampler=d.sampler(2),
         f_star=f_star,
         x_star=x_star,
@@ -249,8 +203,7 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
                              holder=[HolderInfo(1.0, modulus0),
                                      HolderInfo(1.0, modulus1)], oracle=oracle,
-                             convex=True, fast_means=[mean0, mean1],
-                             name=f"halfspace_box:{objective}")
+                             convex=True, name=f"halfspace_box:{objective}")
 
 
 FAMILIES = {

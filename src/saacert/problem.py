@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,31 @@ FEAS_TOL = 1e-9
 
 
 @dataclass
+class NoiseAffine:
+    """The integrand F(x, xi) = f(x) + xi^T B x, ``f`` mapping points (..., d)
+    to values (...,) and ``B`` of shape (k, d).  At a point (d,) or a grid
+    (G, d) its mean at a noise mean mu is f(x) + mu^T B x and, for i.i.d.
+    noise coordinates of variance v, its variance is v ||B x||^2."""
+
+    f: Callable[[np.ndarray], np.ndarray]
+    B: np.ndarray
+
+    def __post_init__(self):
+        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
+
+    def __call__(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        # (xi^T B) x rounds s * xi * x in the order hand-written integrands do
+        return self.f(x) + (xis @ self.B) @ x
+
+    def mean(self, points: np.ndarray, noise_mean: np.ndarray) -> np.ndarray:
+        return self.f(points) + points @ (noise_mean @ self.B)
+
+    def variance(self, points: np.ndarray, noise_var: float) -> np.ndarray:
+        loads = points @ self.B.T
+        return noise_var * np.sum(loads * loads, axis=-1)
+
+
+@dataclass
 class HolderInfo:
     """Smoothness metadata for one integrand index.
 
@@ -66,12 +92,13 @@ class TrueOracle:
     """Population-side information used for certification and validation.
 
     Any field may be omitted; accessors fall back to Monte Carlo with the
-    ``sampler`` and the fixed seed ``MC_SEED``, and report provenance
-    accordingly.
+    ``sampler`` and the fixed seed ``MC_SEED``.  ``noise_mean`` (shape (k,))
+    and ``noise_var`` (of each i.i.d. coordinate) are the moments of xi.
     """
 
     fns: Sequence[Callable[[np.ndarray], float]] | None = None
-    variance_fns: Sequence[Callable[[np.ndarray], float] | None] | None = None
+    noise_mean: np.ndarray | None = None
+    noise_var: float | None = None
     holder_rms: Sequence[float | None] | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     f_star: float | None = None
@@ -92,6 +119,7 @@ class StochasticProgram:
     holder: Sequence[HolderInfo]
     oracle: TrueOracle | None = None
     convex: bool = False  # attestation required by the convexity-based schemes
+    # per integrand, None or (points (G, d), scenarios (N, k)) -> (G,) means
     fast_means: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray] | None] | None = None
     # per integrand, None or (x, scenarios (N, k)) -> per-scenario
     # (sub)gradients in x, shape (N, d); the solver falls back to finite
@@ -118,43 +146,40 @@ class StochasticProgram:
 
     # -- population-side accessors -------------------------------------------
 
-    def _population_fn(self, i: int) -> Callable[[np.ndarray], float]:
-        """x -> f_i(x): the oracle's closed form, else the mean over the
-        cached Monte Carlo draws."""
-        if self.oracle is not None and self.oracle.fns is not None:
-            return self.oracle.fns[i]
-        fn, draws = self.integrand(i), self._mc_draws()
-        return lambda x: _mean(fn(x, draws))
-
     def true_fn(self, i: int, x) -> float:
-        """Population value f_i(x) from the oracle (closed form or MC)."""
-        return float(self._population_fn(i)(np.asarray(x, dtype=float)))
+        """Population value f_i(x) (see ``true_fn_grid``)."""
+        return float(self._population_values(i, x)[0])
 
     def true_variance(self, i: int, x) -> float:
-        """Population variance of F_i(x, .) (closed form or MC)."""
-        x = np.asarray(x, dtype=float)
-        if self.oracle is not None and self.oracle.variance_fns is not None:
-            fn = self.oracle.variance_fns[i]
-            if fn is not None:
-                return float(fn(x))
-        draws = self.integrand(i)(x, self._mc_draws())
-        return float(np.var(draws))
+        """Population variance of F_i(x, .): the noise-affine form at the
+        oracle's ``noise_var``, else over the cached Monte Carlo draws."""
+        x, fn = np.asarray(x, dtype=float), self.integrand(i)
+        if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_var", None) is not None:
+            return float(fn.variance(x, self.oracle.noise_var))
+        return float(np.var(fn(x, self._mc_draws)))
 
     def true_fn_grid(self, i: int, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fn = self._population_fn(i)
-        return np.array([float(fn(x)) for x in pts])
+        """Population values f_i: the oracle's closed-form ``fns``, else the
+        noise-affine form at its ``noise_mean``, else the mean over the
+        cached Monte Carlo draws."""
+        return self._population_values(i, points)
 
+    def _population_values(self, i: int, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        fn, fns = self.integrand(i), getattr(self.oracle, "fns", None)
+        if fns is not None:
+            return np.array([float(fns[i](x)) for x in pts])
+        if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_mean", None) is not None:
+            return fn.mean(pts, self.oracle.noise_mean)
+        draws = self._mc_draws
+        return np.array([_mean(fn(x, draws)) for x in pts])
+
+    @cached_property
     def _mc_draws(self) -> np.ndarray:
+        """``oracle.mc_budget`` population draws from the seed ``MC_SEED``."""
         if self.oracle is None or self.oracle.sampler is None:
             raise EmptySampleError("no oracle sampler available for Monte Carlo fallback")
-        key = "_mc_cache"
-        cache = getattr(self, key, None)
-        if cache is None:
-            rng = np.random.default_rng(MC_SEED)
-            cache = self.oracle.sampler(rng, self.oracle.mc_budget)
-            object.__setattr__(self, key, cache)
-        return cache
+        return self.oracle.sampler(np.random.default_rng(MC_SEED), self.oracle.mc_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +208,11 @@ class ScenarioSet:
 
     def __len__(self) -> int:
         return self.data.shape[0]
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """``_mean`` of each column, shape (k,), computed once."""
+        return np.array([_mean(column) for column in self.data.T])
 
     @classmethod
     def from_sampler(cls, sampler, n: int, seed: int) -> "ScenarioSet":
@@ -271,7 +301,7 @@ class EmpiricalProblem:
     def fhat_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         """Empirical means over a batch of points (vectorized when possible)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _sample_means(self.program, i, pts, self.scenarios.data)
+        return _sample_means(self.program, i, pts, self.scenarios)
 
     def residuals(self, x) -> np.ndarray:
         m = self.program.n_constraints
@@ -301,12 +331,14 @@ def _mean(values) -> float:
 
 
 def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
-                  data: np.ndarray) -> np.ndarray:
-    """Means of F_i over the scenario rows of ``data`` at each point."""
-    fm = program.fast_means
+                  scenarios: ScenarioSet) -> np.ndarray:
+    """Means of F_i over the scenarios at each point: by ``fast_means``, else
+    by the noise-affine form at the scenarios' mean, else point by point."""
+    fm, fn, data = program.fast_means, program.integrand(i), scenarios.data
     if fm is not None and fm[i] is not None:
         return np.asarray(fm[i](pts, data), dtype=float)
-    fn = program.integrand(i)
+    if isinstance(fn, NoiseAffine):
+        return fn.mean(pts, scenarios.mean)
     return np.array([_mean(fn(x, data)) for x in pts])
 
 

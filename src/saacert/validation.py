@@ -13,21 +13,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certify import Certificate, certificate_from_profile, robinson_constant
+from .certify import (MARGIN_TOL, Certificate, certificate_from_profile,
+                      robinson_constant)
 from .distributions import Distribution
 from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
                      UncalibratableError)
 from .geometry import a_alpha
 from .moments import (_GUARANTEES, VarianceProfile, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
-from .problem import (ScenarioSet, StochasticProgram, _constraint_table,
-                      _sample_means, build_empirical, relaxed_set_grid)
+from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
+                      _constraint_table, _sample_means, build_empirical,
+                      relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 # A coverage report passes when its Wilson lower bound is at least
 # 1 - p - COVERAGE_SLACK.
 COVERAGE_SLACK = 0.02
+# A tail row passes when its frequency k / R is at most the bound e^{-t}
+# plus TAIL_SLACK, for the rounding of two values that may be equal.
+TAIL_SLACK = 1e-12
+# The positive floor of a uniform tail experiment's probe step diameter / 8.
+MIN_PROBE_STEP = 1e-12
 
 
 def replication_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -64,7 +71,7 @@ class TailRow:
 
     @property
     def passed(self) -> bool:
-        return self.frequency <= self.bound + 1e-12
+        return self.frequency <= self.bound + TAIL_SLACK
 
 
 @dataclass
@@ -130,7 +137,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     grid = space.grid(h)
     pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
-    probes = space.grid(max(space.diameter() / 8, 1e-12))
+    probes = space.grid(max(space.diameter() / 8, MIN_PROBE_STEP))
     comp = a_alpha(space, program.holder[0].alpha, h=h)
     pop_l, _ = _population_l(program, 0, seed ^ 0x5EED, 20_000, probes)
 
@@ -139,7 +146,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     for r in range(replications):
         rng = replication_rng(seed, r)
         xis = oracle.sampler(rng, n)
-        dev = _sample_means(program, 0, pts, xis) - true_vals
+        dev = _sample_means(program, 0, pts, ScenarioSet(xis)) - true_vals
         sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
         l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis, probes) ** 2))
         scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
@@ -205,7 +212,7 @@ class CoveragePlan:
             if margin is None:
                 raise ConfigError("interior coverage plans need a program "
                                   "with a declared interior margin")
-            if self.eps > margin / 2 + 1e-12:
+            if self.eps > margin / 2 + MARGIN_TOL:
                 raise ConfigError("interior coverage needs eps <= margin / 2",
                                   eps=self.eps, slater_margin=margin)
         if not self.name:
@@ -292,14 +299,14 @@ def _event_checker(plan: CoveragePlan):
 
     if plan.event == "near-optimal-subset":
         f_star = float(f0[relaxed_set_grid(table)].min())
-        good = f0 <= f_star + 2 * eps + 1e-12
+        good = f0 <= f_star + 2 * eps + SET_TOL
 
         def check(emp):
-            hard = emp.feasible_mask(grid, tol=1e-12)
+            hard = emp.feasible_mask(grid, tol=SET_TOL)
             if not np.any(hard):
                 return True
             vals = emp.fhat_grid(0, grid)[hard]
-            near = vals <= float(vals.min()) + eps + 1e-12
+            near = vals <= float(vals.min()) + eps + SET_TOL
             return bool(np.all(good[hard][near]))
 
         return check
@@ -308,7 +315,7 @@ def _event_checker(plan: CoveragePlan):
     target = relaxed_set_grid(table, level)
 
     def check(emp):
-        return bool(np.all(target[emp.feasible_mask(grid, tol=1e-12)]))
+        return bool(np.all(target[emp.feasible_mask(grid, tol=SET_TOL)]))
 
     return check
 
@@ -404,7 +411,7 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
         for r in range(replications):
             rng = replication_rng(seed, j * replications + r)
             xis = oracle.sampler(rng, n)
-            hat = _sample_means(program, 0, grid, xis)
+            hat = _sample_means(program, 0, grid, ScenarioSet(xis))
             sups[r] = float(np.max(np.abs(hat - true_vals)))
         rows.append(RateRow(n, float(np.mean(sups)),
                             float(np.std(sups) / math.sqrt(replications))))

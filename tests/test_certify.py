@@ -190,6 +190,18 @@ def test_checker_scheme_f_example():
     assert blob["holds"] and blob["conclusions"]
 
 
+def test_checker_rejects_a_level_the_ledger_lacks():
+    """A gamma the ledger was not built with is a ConfigError naming the
+    requested level and the ledger's levels."""
+    program = make_family("ball2d")
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 200, seed=0)
+    emp = build_empirical(program, scen)
+    ledger = deviation_ledger(emp, gamma=0.3, h=0.1, anchors={"y": [0.0, 0.0]})
+    with pytest.raises(ConfigError, match="no level 0.5") as err:
+        check_certificates(emp, ledger, "C1plusC2", params={"gamma": 0.5})
+    assert err.value.details == {"level": 0.5, "levels": ledger.levels}
+
+
 def test_checker_rejects_unknown_scheme():
     emp = quad_emp()
     ledger = deviation_ledger(emp, gamma=0.2, h=0.05, anchors={})

@@ -1,4 +1,7 @@
-"""Built-in problem families: closed-form oracles vs Monte Carlo."""
+"""Built-in problem families: noise-affine integrands, their moments vs
+closed forms and Monte Carlo."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from saacert.apps import (ReturnsDataset, build_lasso, build_portfolio,
 from saacert.distributions import make_distribution
 from saacert.errors import ConfigError
 from saacert.families import FAMILIES, make_family
+from saacert.problem import NoiseAffine, ScenarioSet, build_empirical
 
 
 @pytest.mark.parametrize("name", ["gaussian", "uniform", "t3", "lognormal",
@@ -139,16 +143,103 @@ def _fast_means_case(draw, variant):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fast_means_agree_with_integrand(variant, data):
-    """Each vectorised grid mean is the scenario average of its integrand."""
+    """Each vectorised grid mean is the scenario average of its integrand:
+    the noise-affine form at the sample mean of xi for the families and the
+    portfolio objective, ``fast_means`` for the CVaR constraint and lasso."""
     program, xis, step = _fast_means_case(data.draw, variant)
     grid = program.space.grid(step)
     picks = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1,
                                max_size=8))
     pts = grid[picks]
-    assert len(program.fast_means) == program.n_constraints + 1
-    for i, fast in enumerate(program.fast_means):
-        means = fast(pts, xis)
+    if variant in ("portfolio", "lasso-weighted"):
+        assert program.fast_means[-1] is not None
+    emp = build_empirical(program, ScenarioSet(xis))
+    for i in range(program.n_constraints + 1):
+        means = emp.fhat_grid(i, pts)
         for x, mean in zip(pts, means):
             vals = program.integrand(i)(x, xis)
             scale = max(1.0, float(np.abs(vals).max()))
             assert abs(mean - vals.mean()) <= 1e-12 * scale, (variant, i, x)
+
+
+def _closed_forms(variant, draw):
+    """A family program and its population means and variances written out
+    by hand: (program, [x -> f_i(x)], [x -> Var F_i(x, .)])."""
+    noise = st.floats(0.0, 5.0)
+    if variant == "quad1d":
+        a, s = draw(st.floats(-2.0, 3.0)), draw(noise)
+        dist = draw(st.sampled_from(["t3", "lognormal", "uniform"]))
+        d = make_distribution(dist)
+        return (make_family("quad1d", a=a, noise=s, dist=dist),
+                [lambda x: (x[0] - a) ** 2 + s * d.mean * x[0]],
+                [lambda x: s ** 2 * x[0] ** 2 * d.var])
+    if variant == "linear_simplex":
+        dim = draw(st.integers(1, 4))
+        offsets = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim,
+                                         max_size=dim)))
+        d = make_distribution("t3")
+        return (make_family("linear_simplex", dim=dim, offsets=offsets),
+                [lambda x: float((offsets + d.mean) @ x)],
+                [lambda x: d.var * float(np.sum(x ** 2))])
+    var = make_distribution("t3").var
+    s1, s0 = draw(noise), draw(noise)
+    if variant == "ball2d":
+        rho = draw(st.floats(0.05, 1.5))
+        return (make_family("ball2d", radius=rho, noise=s1, obj_noise=s0),
+                [lambda x: x[0] + x[1],
+                 lambda x: math.hypot(x[0], x[1]) - rho],
+                [lambda x: s0 ** 2 * x[1] ** 2 * var,
+                 lambda x: s1 ** 2 * x[0] ** 2 * var])
+    b, objective = draw(st.floats(0.1, 2.5)), variant.split(":")[1]
+    program = make_family("halfspace_box", level=b, noise=s1, obj_noise=s0,
+                          objective=objective)
+    if objective == "corner":
+        true0, var0 = (lambda x: -x[0] - x[1],
+                       lambda x: s0 ** 2 * x[1] ** 2 * var)
+    else:
+        true0 = lambda x: (x[0] - 0.3) ** 2 + (x[1] - 0.3) ** 2
+        var0 = lambda x: s0 ** 2 * (x[0] + x[1]) ** 2 * var
+    return (program, [true0, lambda x: x[0] + x[1] - b],
+            [var0, lambda x: s1 ** 2 * x[0] ** 2 * var])
+
+
+@pytest.mark.parametrize("variant", ["quad1d", "linear_simplex", "ball2d",
+                                     "halfspace_box:corner",
+                                     "halfspace_box:interior"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_population_moments_follow_from_the_noise_form(variant, data):
+    """``true_fn_grid``, ``true_fn`` and ``true_variance`` of each family,
+    derived from its noise-affine integrands and noise moments, equal the
+    closed forms the families used to write by hand, centred noise or not."""
+    program, means, variances = _closed_forms(variant, data.draw)
+    grid = program.space.grid(0.125)
+    picks = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1,
+                               max_size=8))
+    pts = grid[picks]
+    for i in range(program.n_constraints + 1):
+        for x, value in zip(pts, program.true_fn_grid(i, pts)):
+            want = means[i](x)
+            scale = max(1.0, abs(want))
+            assert abs(value - want) <= 1e-12 * scale, (variant, i, x)
+            assert abs(program.true_fn(i, x) - want) <= 1e-12 * scale
+            want = variances[i](x)
+            assert abs(program.true_variance(i, x) - want) <= \
+                1e-12 * max(1.0, want), (variant, i, x)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_declare_each_integrand_once(name):
+    """Every family integrand is a NoiseAffine form, the single source of its
+    sample means and population moments: no family writes ``fast_means``,
+    closed-form ``oracle.fns`` or variance functions beside it."""
+    programs = ([make_family(name, objective=o) for o in ("corner", "interior")]
+                if name == "halfspace_box" else [make_family(name)])
+    for program in programs:
+        for i in range(program.n_constraints + 1):
+            assert isinstance(program.integrand(i), NoiseAffine), (name, i)
+        assert program.fast_means is None
+        assert program.oracle.fns is None
+        assert not hasattr(program.oracle, "variance_fns")
+        assert program.oracle.noise_mean is not None
+        assert program.oracle.noise_var is not None

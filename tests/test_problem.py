@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saacert.distributions import make_distribution
 from saacert.errors import (ConfigError, DimensionMismatchError,
                             EmptySampleError)
 from saacert.families import make_family
@@ -197,17 +198,20 @@ def test_per_point_means_equal_np_mean_bit_for_bit(n):
                                 holder=[HolderInfo(1.0)], name="means")
     pts = np.linspace(0.0, 1.0, 9)[:, None]
     want = np.array([float(np.mean(f0(x, data))) for x in pts])
-    got = _sample_means(program, 0, pts, data)
+    got = _sample_means(program, 0, pts, ScenarioSet(data))
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     emp = build_empirical(program, ScenarioSet(data))
     assert [emp.fhat(0, x) for x in pts] == want.tolist()
 
 
 def test_true_fn_uses_closed_form_when_available():
-    program = make_family("quad1d", a=0.25)
+    """quad1d's population mean (x - a)^2 + s mu x, from its noise-affine
+    integrand at the noise mean, with non-centred noise."""
+    program = make_family("quad1d", a=0.25, noise=0.2, dist="lognormal")
+    mu = make_distribution("lognormal").mean
     x = np.array([0.4])
     assert program.true_fn(0, x) == pytest.approx(
-        program.oracle.fns[0](x), abs=1e-12)
+        (0.4 - 0.25) ** 2 + 0.2 * mu * 0.4, abs=1e-12)
 
 
 def test_true_fn_monte_carlo_fallback():
