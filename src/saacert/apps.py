@@ -19,6 +19,10 @@ from .geometry import SpaceDescriptor
 from .problem import (HolderInfo, NoiseAffine, ScenarioSet, StochasticProgram,
                       TrueOracle, read_table)
 
+# cvar's order statistic is ceil((1 - p) N - CVAR_SLACK): a product (1 - p) N
+# that is an integer in exact arithmetic can round a few ulps above it.
+CVAR_SLACK = 1e-12
+
 
 def cvar(losses, p: float) -> float:
     """Conditional value-at-risk: min_t { t + mean[(G - t)_+] / p }.
@@ -33,7 +37,7 @@ def cvar(losses, p: float) -> float:
     if not (0 < p <= 1):
         raise ConfigError("CVaR level must lie in (0, 1]", p=p)
     n = losses.size
-    k = max(1, math.ceil((1 - p) * n - 1e-12))
+    k = max(1, math.ceil((1 - p) * n - CVAR_SLACK))
     t_star = float(np.sort(losses)[k - 1])
     return t_star + float(np.mean(np.maximum(losses - t_star, 0.0))) / p
 
@@ -72,29 +76,23 @@ class ReturnsDataset:
                    names=[str(c) for c in header])
 
     @classmethod
-    def synthetic(cls, assets: int, n: int, seed: int, dist="gaussian",
-                  means=None, scale: float = 0.05) -> "ReturnsDataset":
-        d, draw = _returns_sampler(assets, dist, means, scale)
+    def synthetic(cls, assets: int, n: int, seed: int) -> "ReturnsDataset":
+        draw = _returns_sampler(assets)
         return cls(returns=draw(np.random.default_rng(seed), n),
-                   source=f"synthetic(seed={seed}, dist={d.name})")
+                   source=f"synthetic(seed={seed}, dist=gaussian)")
 
 
-def _returns_sampler(assets: int, dist="gaussian", means=None,
-                     scale: float = 0.05):
-    """Distribution and sampler of return rows: means + scale * (centred
-    draws of the distribution); ``synthetic`` draws its dataset with it."""
-    d = make_distribution(dist) if isinstance(dist, str) else dist
-    means = (np.linspace(0.01, 0.03, assets) if means is None
-             else np.asarray(means, dtype=float))
-    if means.shape != (assets,):
-        raise ConfigError("means must have one entry per asset",
-                          assets=assets, got=means.shape)
+def _returns_sampler(assets: int):
+    """Sampler of return rows: means linspace(0.01, 0.03) plus 0.05 times
+    centred gaussian draws; ``synthetic`` draws its dataset with it."""
+    d = make_distribution("gaussian")
+    means = np.linspace(0.01, 0.03, assets)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         draws = d.sample(rng, count * assets).reshape(count, assets)
-        return means + scale * (draws - d.mean)
+        return means + 0.05 * (draws - d.mean)
 
-    return d, draw
+    return draw
 
 
 @dataclass
@@ -219,7 +217,7 @@ class LassoProblem:
 
 
 def build_lasso(features, response, radius: float,
-                weighted: bool = False, sampler=None) -> LassoProblem:
+                weighted: bool = False) -> LassoProblem:
     """Mean squared residual (y - <phi, x>)^2 over {||x||_1 <= radius}."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     response = np.asarray(response, dtype=float).ravel()
@@ -234,7 +232,6 @@ def build_lasso(features, response, radius: float,
     diag = None
     if weighted:
         features, diag = _rms_scaled(features)
-    data = np.hstack([features, response[:, None]])
 
     def f0(x, xis):
         return (xis[:, d] - xis[:, :d] @ x) ** 2
@@ -254,26 +251,20 @@ def build_lasso(features, response, radius: float,
         a_max = np.abs(xis[:, :d]).max(axis=1)
         return 2 * (np.abs(xis[:, d]) + radius * a_max) * a_max
 
-    oracle = None
-    if sampler is not None:
-        oracle = TrueOracle(sampler=lambda rng, n: np.atleast_2d(sampler(rng, n)))
     space = SpaceDescriptor.ball(np.zeros(d), radius, norm="l1")
     program = StochasticProgram(
         objective=f0, constraints=[], space=space,
-        holder=[HolderInfo(1.0, modulus0)], oracle=oracle, convex=True,
+        holder=[HolderInfo(1.0, modulus0)], convex=True,
         fast_means=[mean0], gradients=[grad0], name="lasso")
     return LassoProblem(program=program, radius=radius, weighted=weighted,
                         diag=diag,
                         details={"features": d, "scenarios": len(response),
-                                 "scenario_matrix": data.shape})
+                                 "scenario_matrix": (len(response), d + 1)})
 
 
-def lasso_scenarios(problem_or_features, response=None,
-                    weighted: bool = False) -> ScenarioSet:
+def lasso_scenarios(features, response, weighted: bool = False) -> ScenarioSet:
     """Scenario set (features then response column) for a built regression."""
-    if response is None:
-        raise ConfigError("lasso_scenarios needs features and response arrays")
-    features = np.atleast_2d(np.asarray(problem_or_features, dtype=float))
+    features = np.atleast_2d(np.asarray(features, dtype=float))
     resp = np.asarray(response, dtype=float).ravel()
     if weighted:
         features, _ = _rms_scaled(features)

@@ -23,7 +23,7 @@ from .apps import (ReturnsDataset, _returns_sampler, build_lasso,
 from .certify import certificate_from_profile, certificate_from_sigma
 from .errors import ConfigError, SaacertError, open_path, to_json
 from .families import _resolve_dist, make_family
-from .geometry import SpaceDescriptor, a_alpha, entropy_number
+from .geometry import KINDS, SpaceDescriptor, a_alpha, entropy_number
 from .moments import VarianceProfile, variance_profile
 from .problem import ScenarioSet, build_empirical, read_table
 from .solve import SolverConfig, solve
@@ -124,8 +124,7 @@ def space_from_spec(spec) -> SpaceDescriptor:
     if kind == "product":
         return SpaceDescriptor.product(*map(space_from_spec,
                                             _need(spec, "parts", list)))
-    raise ConfigError(f"unknown space kind {kind!r}",
-                      allowed=["box", "ball", "simplex", "cloud", "product"])
+    raise ConfigError(f"unknown space kind {kind!r}", allowed=list(KINDS))
 
 
 def _load_json(path_or_inline):
@@ -298,7 +297,7 @@ def _cmd_portfolio(args):
     elif args.synthetic:
         assets, n = _need(vars(args), "synthetic", sizes)
         dataset = ReturnsDataset.synthetic(assets, n, args.seed)
-        _, sampler = _returns_sampler(assets)
+        sampler = _returns_sampler(assets)
     else:
         raise ConfigError("portfolio needs --returns or --synthetic")
     problem = build_portfolio(dataset, args.p, args.beta, sampler=sampler)

@@ -19,6 +19,10 @@ from .errors import ConfigError, from_table
 from .geometry import SpaceDescriptor
 from .problem import HolderInfo, NoiseAffine, StochasticProgram, TrueOracle
 
+# A noise mean within CENTRED_TOL of 0 counts as centred: one computed from
+# decimal parameters, such as (lo + hi) / 2, can land a few ulps off 0.
+CENTRED_TOL = 1e-12
+
 
 def _resolve_dist(dist) -> Distribution:
     if isinstance(dist, Distribution):
@@ -103,7 +107,7 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     to it is ||x||_2 - radius, and the regularity constant is exactly 1.
     """
     d = _resolve_dist(dist)
-    if abs(d.mean) > 1e-12:
+    if abs(d.mean) > CENTRED_TOL:
         raise ConfigError("ball2d needs a centered noise distribution so the "
                           "population feasible set stays a ball",
                           mean=d.mean)
@@ -153,7 +157,7 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     minimizer strictly inside (both gaps are exactly zero).
     """
     d = _resolve_dist(dist)
-    if abs(d.mean) > 1e-12:
+    if abs(d.mean) > CENTRED_TOL:
         raise ConfigError("halfspace_box needs a centered noise distribution",
                           mean=d.mean)
     if objective not in ("corner", "interior"):

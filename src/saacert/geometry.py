@@ -18,9 +18,24 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DimensionMismatchError
 
 NORMS = ("l1", "l2", "linf")
+KINDS = ("box", "ball", "simplex", "cloud", "product")
 
 # largest grid any descriptor enumerates (BudgetError beyond it)
 GRID_BUDGET = 2_000_000
+
+# Rounding slacks (README, "Tolerances"), each for a value that is exact in
+# exact arithmetic but computes a few ulps off: a ball's grid keeps the points
+# within radius + BALL_TOL; an entropy number within BRACKET_TOL of its
+# bracket lies in it; side / theta within LATTICE_RTOL of an integer r is r.
+BALL_TOL = 1e-12
+BRACKET_TOL = 1e-12
+LATTICE_RTOL = 1e-9
+# a_alpha stops at a term below CHAIN_RTOL times the partial sum and bounds
+# the tail up to a term at most TAIL_RTOL times max(sum, 1); a grid entropy
+# model's default step is max(diameter, MIN_GRID_DIAMETER) / 64.
+CHAIN_RTOL = 1e-9
+TAIL_RTOL = 1e-16
+MIN_GRID_DIAMETER = 1e-12
 
 # ---------------------------------------------------------------------------
 # norms and distances
@@ -223,11 +238,12 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 class SpaceDescriptor:
     """A compact decision set together with the metric used on it.
 
-    ``kind`` is one of ``box``, ``ball``, ``simplex``, ``cloud`` or
-    ``product``.  Balls are balls of the descriptor's own norm, so their
-    diameter is exactly ``2 * radius``.  Products concatenate their parts and
-    are always measured in the l1 norm of the concatenation, which keeps
-    grids, diameters and projections cheap and blockwise.
+    ``kind`` is one of ``KINDS``, checked on construction, so each per-kind
+    ladder below ends with the product case.  Balls are balls of the
+    descriptor's own norm, so their diameter is exactly ``2 * radius``.
+    Products concatenate their parts and are always measured in the l1 norm
+    of the concatenation, which keeps grids, diameters and projections cheap
+    and blockwise.
     """
 
     kind: str
@@ -242,6 +258,9 @@ class SpaceDescriptor:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown space kind {self.kind!r}",
+                              allowed=list(KINDS))
         if self.norm not in NORMS:
             raise ConfigError(f"unknown norm {self.norm!r}",
                               allowed=list(NORMS))
@@ -315,13 +334,11 @@ class SpaceDescriptor:
             if key not in self._cache:
                 self._cache[key] = max_pairwise(self.points, n)
             return self._cache[key]
-        if self.kind == "product":
-            if n != "l1":
-                raise ValueError("product spaces are measured in l1 only")
-            return sum(p.diameter("l1") for p in self.parts)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        if n != "l1":  # product
+            raise ValueError("product spaces are measured in l1 only")
+        return sum(p.diameter("l1") for p in self.parts)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise DimensionMismatchError("point has wrong dimension",
@@ -334,14 +351,12 @@ class SpaceDescriptor:
             return bool(np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol)
         if self.kind == "cloud":
             return bool(dists_to(self.points, x, self.norm).min() <= tol)
-        if self.kind == "product":
-            off = 0
-            for p in self.parts:
-                if not p.contains(x[off : off + p.dim], tol):
-                    return False
-                off += p.dim
-            return True
-        raise ValueError(f"unknown kind {self.kind!r}")
+        off = 0  # product
+        for p in self.parts:
+            if not p.contains(x[off : off + p.dim], tol):
+                return False
+            off += p.dim
+        return True
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the set (nearest cloud point for clouds)."""
@@ -363,45 +378,13 @@ class SpaceDescriptor:
             return project_simplex(x)
         if self.kind == "cloud":
             return self.points[int(np.argmin(dists_to(self.points, x, "l2")))].copy()
-        if self.kind == "product":
-            out, off = [], 0
-            for p in self.parts:
-                out.append(p.project(x[off : off + p.dim]))
-                off += p.dim
-            return np.concatenate(out)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        out, off = [], 0  # product
+        for p in self.parts:
+            out.append(p.project(x[off : off + p.dim]))
+            off += p.dim
+        return np.concatenate(out)
 
     # -- grids ---------------------------------------------------------------
-
-    def grid_count(self, h: float) -> int:
-        """Number of candidate points ``grid(h)`` would enumerate (pre-filter)."""
-        if not h > 0:
-            raise ConfigError("grid resolution must be positive", h=h)
-        if self.kind == "box":
-            count = 1
-            for lo, hi in zip(self.lo.tolist(), self.hi.tolist()):
-                cells = (hi - lo) / h  # Python floats: inf on overflow, no warning
-                if not math.isfinite(cells):
-                    raise BudgetError("grid enumeration exceeds budget",
-                                      budget=GRID_BUDGET, resolution=h,
-                                      extent=hi - lo)
-                count *= int(math.ceil(cells)) + 1 if hi > lo else 1
-            return count
-        if self.kind == "ball":
-            lo = self.center - self.radius
-            hi = self.center + self.radius
-            return SpaceDescriptor.box(lo, hi).grid_count(h)
-        if self.kind == "simplex":
-            m = max(1, int(math.ceil(1.0 / h)))
-            return math.comb(m + self.dim - 1, self.dim - 1)
-        if self.kind == "cloud":
-            return len(self.points)
-        if self.kind == "product":
-            count = 1
-            for p in self.parts:
-                count *= p.grid_count(h)
-            return count
-        raise ValueError(f"unknown kind {self.kind!r}")
 
     def grid(self, h: float) -> np.ndarray:
         """Deterministic covering grid with spacing at most ``h`` per axis.
@@ -413,19 +396,17 @@ class SpaceDescriptor:
         return pts
 
     def grid_with_gap(self, h: float) -> tuple[np.ndarray, float]:
-        """Grid points plus the exact minimum positive gap of the lattice."""
-        required = self.grid_count(h)
-        if required > GRID_BUDGET:
-            raise BudgetError("grid enumeration exceeds budget",
-                              required=required, budget=GRID_BUDGET, resolution=h)
+        """Grid points plus the exact minimum positive gap of the lattice;
+        each kind checks its size against the budget before it allocates."""
+        if not h > 0:
+            raise ConfigError("grid resolution must be positive", h=h)
         if self.kind == "box":
-            axes, steps = [], []
-            for a, b in zip(self.lo, self.hi):
-                side = b - a
-                n = int(math.ceil(side / h)) + 1 if side > 0 else 1
-                axes.append(np.linspace(a, b, n))
-                if n > 1:
-                    steps.append(side / (n - 1))
+            counts = [_cells(b - a, h) + 1 if b > a else 1
+                      for a, b in zip(self.lo.tolist(), self.hi.tolist())]
+            _check_budget(math.prod(counts), h)
+            axes = [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
+            steps = [(b - a) / (n - 1) for a, b, n in zip(self.lo, self.hi, counts)
+                     if n > 1]
             if len(axes) == 1:      # the same points without the mesh
                 pts = axes[0][:, None]
             else:
@@ -433,35 +414,50 @@ class SpaceDescriptor:
                 pts = np.stack([m.ravel() for m in mesh], axis=-1)
             return pts, (min(steps) if steps else math.inf)
         if self.kind == "ball":
-            outer = SpaceDescriptor.box(self.center - self.radius,
-                                        self.center + self.radius)
+            c, r = self.center.tolist(), self.radius  # Python floats: no warning
+            outer = SpaceDescriptor.box([x - r for x in c], [x + r for x in c])
             pts, gap = outer.grid_with_gap(h)
-            keep = dists_to(pts, self.center, self.norm) <= self.radius + 1e-12
+            keep = dists_to(pts, self.center, self.norm) <= self.radius + BALL_TOL
             pts = pts[keep]
             if not len(pts):
                 pts = self.center[None, :]
             return pts, gap
         if self.kind == "simplex":
-            m = max(1, int(math.ceil(1.0 / h)))
+            m = max(1, _cells(1.0, h))
+            _check_budget(math.comb(m + self.dim - 1, self.dim - 1), h)
             pts = _simplex_lattice(self.dim, m)
             gap = {"l1": 2.0 / m, "l2": math.sqrt(2.0) / m, "linf": 1.0 / m}[self.norm]
             if self.dim == 1:
                 gap = math.inf
             return pts, gap
         if self.kind == "cloud":
+            _check_budget(len(self.points), h)
             key = ("gap", self.norm)
             if key not in self._cache:
                 self._cache[key] = min_pairwise_gap(self.points, self.norm)
             return self.points, self._cache[key]
-        if self.kind == "product":
-            blocks, gaps = zip(*(p.grid_with_gap(h) for p in self.parts))
-            pts = blocks[0]
-            for blk in blocks[1:]:
-                pts = np.concatenate(
-                    [np.repeat(pts, len(blk), axis=0),
-                     np.tile(blk, (len(pts), 1))], axis=1)
-            return pts, min(gaps)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        blocks, gaps = zip(*(p.grid_with_gap(h) for p in self.parts))  # product
+        _check_budget(math.prod(len(blk) for blk in blocks), h)
+        pts = blocks[0]
+        for blk in blocks[1:]:
+            pts = np.concatenate(
+                [np.repeat(pts, len(blk), axis=0),
+                 np.tile(blk, (len(pts), 1))], axis=1)
+        return pts, min(gaps)
+
+
+def _cells(extent: float, h: float) -> int:
+    cells = extent / h  # Python floats: inf on overflow, no warning
+    if not math.isfinite(cells):
+        raise BudgetError("grid enumeration exceeds budget", budget=GRID_BUDGET,
+                          resolution=h, extent=extent)
+    return int(math.ceil(cells))
+
+
+def _check_budget(required: int, h: float) -> None:
+    if required > GRID_BUDGET:
+        raise BudgetError("grid enumeration exceeds budget",
+                          required=required, budget=GRID_BUDGET, resolution=h)
 
 
 def _ball_norm_factor(shape_norm: str, measure_norm: str, dim: int) -> float:
@@ -574,7 +570,7 @@ class EntropyNumber:
         if self.bracket is None:
             return None
         lo, hi = self.bracket
-        return lo - 1e-12 <= self.value <= hi + 1e-12
+        return lo - BRACKET_TOL <= self.value <= hi + BRACKET_TOL
 
 
 def entropy_number(space: SpaceDescriptor, theta: float, h: float | None = None) -> EntropyNumber:
@@ -605,7 +601,7 @@ def _strict_count(side: float, theta: float) -> int:
         return 1
     q = side / theta
     r = round(q)
-    if r >= 1 and abs(q - r) <= 1e-9 * max(1.0, abs(q)):
+    if r >= 1 and abs(q - r) <= LATTICE_RTOL * max(1.0, abs(q)):
         return int(r)
     return int(math.floor(q)) + 1
 
@@ -651,7 +647,7 @@ def _entropy_model(space: SpaceDescriptor, h: float | None):
     if space.kind == "box" and space.norm == "linf":
         return _LatticeEntropy(space.hi - space.lo)
     d = space.diameter()
-    resolution = h if h is not None else max(d, 1e-12) / 64.0
+    resolution = h if h is not None else max(d, MIN_GRID_DIAMETER) / 64.0
     pts, gap = space.grid_with_gap(resolution)
     return _CloudEntropy(pts, space.norm, gap, model="grid")
 
@@ -681,9 +677,9 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
             max_levels: int = 60) -> AlphaComplexity:
     """Dyadic chaining sum of the space at Holder exponent ``alpha``.
 
-    Stops when the current term drops below 1e-9 times the partial sum or at
-    ``max_levels``, whichever comes first, and reports a numeric bound on
-    the truncated tail.
+    Stops when the current term drops below CHAIN_RTOL times the partial
+    sum or at ``max_levels``, whichever comes first, and reports a numeric
+    bound on the truncated tail.
     """
     if not (0.0 < alpha <= 1.0):
         raise ConfigError("alpha must lie in (0, 1]", alpha=alpha)
@@ -698,7 +694,7 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
     for term in islice(chain, max_levels):
         terms.append(term)
         total += term
-        if term < 1e-9 * total:
+        if term < CHAIN_RTOL * total:
             truncation = "relative-tolerance"
             break
     tail = _tail_estimate(chain, alpha, total)
@@ -724,7 +720,7 @@ def _tail_estimate(chain, alpha: float, total: float) -> float:
     term = math.inf
     # extend the series with the same entropy model (cheap past saturation)
     for _ in range(400):
-        if term <= 1e-16 * max(total, 1.0):
+        if term <= TAIL_RTOL * max(total, 1.0):
             break
         term = next(chain)
         tail += term

@@ -28,6 +28,9 @@ from .problem import (MC_SEED, SET_TOL, EmpiricalProblem, StochasticProgram,
 # ---------------------------------------------------------------------------
 # Holder moduli
 
+# positive floor of a probe grid's step (a fraction of the diameter)
+MIN_PROBE_STEP = 1e-12
+
 
 @dataclass
 class HolderEstimate:
@@ -126,7 +129,7 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
     if info.modulus is not None:
         probes = None
     elif probes is None:
-        probes = space.grid(max(space.diameter() / 16, 1e-12))
+        probes = space.grid(max(space.diameter() / 16, MIN_PROBE_STEP))
     per = per_scenario_modulus(program, i, scenarios, probes)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
     oracle = program.oracle

@@ -128,14 +128,13 @@ class StochasticProgram:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.holder) != self.n_constraints + 1:
-            raise DimensionMismatchError(
-                "need one HolderInfo per integrand (objective plus constraints)",
-                expected=self.n_constraints + 1, got=len(self.holder))
-        if self.gradients is not None and len(self.gradients) != self.n_constraints + 1:
-            raise DimensionMismatchError(
-                "need one gradient entry per integrand (objective plus constraints)",
-                expected=self.n_constraints + 1, got=len(self.gradients))
+        for name in ("holder", "fast_means", "gradients"):
+            entries = getattr(self, name)
+            if entries is not None and len(entries) != self.n_constraints + 1:
+                raise DimensionMismatchError(
+                    f"need one {name} entry per integrand (objective plus "
+                    "constraints)", field=name,
+                    expected=self.n_constraints + 1, got=len(entries))
 
     @property
     def n_constraints(self) -> int:

@@ -62,10 +62,10 @@ def solve(emp: EmpiricalProblem, config: SolverConfig | None = None) -> SolveRes
                       allowed=["grid", "subgradient"])
 
 
-def grid_solve(emp: EmpiricalProblem, h: float, tol: float = FEAS_TOL) -> SolveResult:
+def grid_solve(emp: EmpiricalProblem, h: float) -> SolveResult:
     """Exact minimizer of the empirical problem restricted to a grid of Y."""
     pts = emp.program.space.grid(h)
-    mask = emp.feasible_mask(pts, tol)
+    mask = emp.feasible_mask(pts)
     if not np.any(mask):
         raise InfeasibleError("no grid point is empirically feasible",
                               grid_points=len(pts), h=h)
@@ -150,8 +150,7 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
 
 def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
                        h: float | None = None,
-                       bracket: tuple[float, float] | None = None,
-                       tol: float = OPT_TOL) -> bool | None:
+                       bracket: tuple[float, float] | None = None) -> bool | None:
     """Is x within eps of the empirical optimum?  True / False / None.
 
     With no ``bracket`` the empirical optimum is bracketed by its grid
@@ -159,7 +158,7 @@ def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
     case only a False answer is conclusive and True degrades to None unless
     the space is a point cloud).
     """
-    rec = emp.membership(x, tol)
+    rec = emp.membership(x, OPT_TOL)
     if not rec.feasible:
         return False
     val = emp.fhat(0, np.asarray(x, dtype=float))
@@ -168,9 +167,9 @@ def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
         res = grid_solve(emp, h if h is not None else emp.program.space.diameter() / 64)
         bracket = (-math.inf, res.value) if not exact else (res.value, res.value)
     lower, upper = bracket
-    if val <= lower + eps + tol:
+    if val <= lower + eps + OPT_TOL:
         return True
-    if val > upper + eps + tol:
+    if val > upper + eps + OPT_TOL:
         return False
     return None
 
@@ -183,14 +182,14 @@ def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
 class TrueSolve:
     f_star: float
     x_star: np.ndarray
-    minimizers: np.ndarray        # grid points within tol of the optimum
+    minimizers: np.ndarray        # grid points within OPT_TOL of the optimum
     near_optimal: np.ndarray      # grid points within eps of the optimum
     eps: float
     details: dict = field(default_factory=dict)
 
 
 def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
-               level: float = 0.0, tol: float = OPT_TOL) -> TrueSolve:
+               level: float = 0.0) -> TrueSolve:
     """Grid minimum of the population objective over the level-relaxed set."""
     pts = program.space.grid(h)
     mask = relaxed_set_grid(_constraint_table(program, pts), level)
@@ -202,8 +201,8 @@ def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
     j = int(np.argmin(vals))
     f_star = float(vals[j])
     return TrueSolve(f_star=f_star, x_star=feas[j],
-                     minimizers=feas[vals <= f_star + tol],
-                     near_optimal=feas[vals <= f_star + eps + tol], eps=eps,
+                     minimizers=feas[vals <= f_star + OPT_TOL],
+                     near_optimal=feas[vals <= f_star + eps + OPT_TOL], eps=eps,
                      details={"grid_points": len(pts),
                               "feasible_points": int(mask.sum()),
                               "level": level, "h": h})

@@ -19,8 +19,9 @@ from .distributions import Distribution
 from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
                      UncalibratableError)
 from .geometry import a_alpha
-from .moments import (_GUARANTEES, VarianceProfile, _population_l,
-                      per_scenario_modulus, self_normalized, variance_profile)
+from .moments import (_GUARANTEES, MIN_PROBE_STEP, VarianceProfile,
+                      _population_l, per_scenario_modulus, self_normalized,
+                      variance_profile)
 from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
                       _constraint_table, _sample_means, build_empirical,
                       relaxed_set_grid)
@@ -33,8 +34,6 @@ COVERAGE_SLACK = 0.02
 # A tail row passes when its frequency k / R is at most the bound e^{-t}
 # plus TAIL_SLACK, for the rounding of two values that may be equal.
 TAIL_SLACK = 1e-12
-# The positive floor of a uniform tail experiment's probe step diameter / 8.
-MIN_PROBE_STEP = 1e-12
 
 
 def replication_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -91,6 +90,14 @@ class TailReport(JsonResult):
         return all(r.passed for r in self.rows)
 
 
+def _check_tail_plan(t_grid, replications: int) -> None:
+    if replications < 1:
+        raise ConfigError("need at least one replication", got=replications)
+    if not len(t_grid):
+        raise ConfigError("tail experiments need a nonempty t_grid",
+                          field="t_grid")
+
+
 def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
                     constant: float, seed: int,
                     transform=None) -> TailReport:
@@ -99,8 +106,7 @@ def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
     ``transform`` optionally maps draws through (fn, mean, var) for a
     non-identity g with known population moments.
     """
-    if replications < 1:
-        raise ConfigError("need at least one replication", got=replications)
+    _check_tail_plan(t_grid, replications)
     if transform is None:
         g_fn, g_mean, g_var = (lambda v: v), dist.mean, dist.var
     else:
@@ -130,6 +136,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     modulus Lhat.  The grid sup is a lower bound on the true sup (reported
     in details).
     """
+    _check_tail_plan(t_grid, replications)
     space = program.space
     oracle = program.oracle
     if oracle is None or oracle.sampler is None:
@@ -190,7 +197,6 @@ class CoveragePlan:
     h: float = 0.02
     pilot_n: int = 400
     constant: float = 1.0
-    scope: str | None = None
     max_n: int = 400_000
     name: str = ""
 
@@ -281,11 +287,11 @@ def coverage_certificate(plan: CoveragePlan,
     m = program.n_constraints
     if profile is None:
         profile = _pilot_profile(plan)
-    scope = plan.scope or _EVENT_SCOPES[plan.event][plan.theorem]
     margin = program.oracle.slater_margin if plan.theorem == "interior" else None
     return certificate_from_profile(profile, plan.eps, plan.p, m=max(m, 1)
                                     if plan.theorem != "fixed" else m,
-                                    constant=plan.constant, scope=scope,
+                                    constant=plan.constant,
+                                    scope=_EVENT_SCOPES[plan.event][plan.theorem],
                                     slater_margin=margin)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,12 +392,18 @@ def _space(spec):
     ["validate", "--plan", json.dumps({
         "experiment": "tail", "distribution": {"name": "t3", "bogus": 1},
         "n": 10, "t_grid": [1], "replications": 2})],
+    ["validate", "--plan", json.dumps({
+        "experiment": "tail", "n": 10, "t_grid": [], "replications": 2})],
+    ["validate", "--plan", json.dumps({
+        "experiment": "uniform-tail", "family": "quad1d", "n": 10,
+        "t_grid": [], "replications": 2})],
 ], ids=["box-hi-lo", "ball-radius", "cloud-points", "simplex-dim", "norm",
         "product-parts", "space-not-json", "synthetic-negative",
         "lasso-missing-data", "portfolio-missing-returns",
         "solve-missing-scenarios", "regularity-c", "seed", "out-dir",
         "eps-not-float", "missing-flag", "unknown-flag", "budget", "beta-nan",
-        "c0-nan", "coverage-replications", "rate-n-grid", "tail-dist-params"])
+        "c0-nan", "coverage-replications", "rate-n-grid", "tail-dist-params",
+        "tail-empty-t-grid", "uniform-tail-empty-t-grid"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     """Every malformed input takes the one JSON error path: no traceback,
     no usage text, no misleading downstream error, nothing on stdout."""
@@ -421,9 +429,14 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
       "--alpha", "1"], "budget-exceeded"),
     (["aalpha", "--space", '{"kind":"cloud","points":[[-1e308],[1e308]]}',
       "--alpha", "1"], "budget-exceeded"),
+    (_space('{"kind":"simplex","dim":3}') + ["--h", "1e-320"],
+     "budget-exceeded"),
+    (_space('{"kind":"ball","center":[1.5e308],"radius":5e307,"norm":"linf"}'),
+     "budget-exceeded"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
         "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
-        "box-extent-overflows", "cloud-extent-overflows"])
+        "box-extent-overflows", "cloud-extent-overflows",
+        "simplex-cells-overflow", "ball-bounds-overflow"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     """Finite values at the edge of float range fail where they are used,
     with the JSON error path, not an OverflowError or a numpy traceback."""
@@ -604,3 +617,19 @@ def test_only_the_encoder_defines_to_json():
         owners |= {name for name, cls in inspect.getmembers(module, inspect.isclass)
                    if cls.__module__ == module.__name__ and "to_json" in vars(cls)}
     assert owners == {"SaacertError", "JsonResult"}
+
+
+def test_tolerances_are_named_constants():
+    """Every float literal below 1e-6 in the library is the value of a
+    module-level constant, so each tolerance is defined and documented once."""
+    bare = []
+    for path in sorted(Path(saacert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(node) for stmt in tree.body
+                 if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value
+                 for node in ast.walk(stmt.value)}
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, float)
+                 and 0 < abs(node.value) < 1e-6 and id(node) not in named]
+    assert bare == []

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saacert.errors import ConfigError
-from saacert.geometry import (SpaceDescriptor, _entropy_model, _nearest_dists,
-                              a_alpha, cross_dists, dists_to, entropy_number,
-                              greedy_pack, max_pairwise, min_pairwise_gap,
-                              packing_net, set_deviation, vec_norm)
+from saacert.errors import BudgetError, ConfigError
+from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _entropy_model,
+                              _nearest_dists, a_alpha, cross_dists, dists_to,
+                              entropy_number, greedy_pack, max_pairwise,
+                              min_pairwise_gap, packing_net, set_deviation,
+                              vec_norm)
 
 # Frozen reference: chaining constant of the two-point set {0, 1},
 # recomputed independently in test_a_alpha_two_point_matches_series below.
@@ -339,7 +340,7 @@ BOX = SpaceDescriptor.box([0.0], [1.0])
     lambda: SpaceDescriptor.cloud([]),
     lambda: SpaceDescriptor.box([0.0], [1.0], norm="l7"),
     lambda: SpaceDescriptor.simplex(2, norm="l7"),
-    lambda: BOX.grid_count(0.0),
+    lambda: BOX.grid(0.0),
     lambda: packing_net(BOX, 0.0),
     lambda: a_alpha(BOX, 0.0),
     lambda: a_alpha(BOX, 1.5),
@@ -350,3 +351,21 @@ def test_domain_errors_are_config_errors(build):
     """Values outside the domain raise ConfigError where they are used."""
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("space, h, required", [
+    (SpaceDescriptor.interval(0.0, 1.0), 2.0 ** -22, 2 ** 22 + 1),
+    (SpaceDescriptor.simplex(3), 2.0 ** -12, math.comb(2 ** 12 + 2, 2)),
+    (SpaceDescriptor.product(SpaceDescriptor.interval(0.0, 1.0),
+                             SpaceDescriptor.interval(0.0, 1.0)), 2.0 ** -11,
+     (2 ** 11 + 1) ** 2),
+], ids=["box", "simplex", "product-of-boxes"])
+def test_grid_over_budget_raises_before_allocating(space, h, required):
+    """Each kind sizes its grid where it builds it and refuses one beyond
+    GRID_BUDGET; a product does so even when every part is within it."""
+    with pytest.raises(BudgetError) as err:
+        space.grid(h)
+    assert err.value.kind == "budget-exceeded"
+    assert err.value.details["required"] == required > GRID_BUDGET
+    if space.kind == "product":
+        assert all(len(part.grid(h)) <= GRID_BUDGET for part in space.parts)

@@ -31,6 +31,21 @@ def toy_program():
         name="toy")
 
 
+@pytest.mark.parametrize("name", ["holder", "fast_means", "gradients"])
+def test_per_integrand_lists_must_match_the_integrands(name):
+    """A list with one entry per integrand that is one short fails on
+    construction, naming the field, not at its first use."""
+    short = {"holder": [HolderInfo(1.0)], "fast_means": [None],
+             "gradients": [None]}
+    full = {"holder": [HolderInfo(1.0), HolderInfo(1.0)]}
+    program = toy_program()
+    with pytest.raises(DimensionMismatchError) as err:
+        StochasticProgram(objective=program.objective,
+                          constraints=program.constraints,
+                          space=program.space, **{**full, name: short[name]})
+    assert err.value.details == {"field": name, "expected": 2, "got": 1}
+
+
 def test_empirical_mean_example():
     emp = build_empirical(toy_program(), ScenarioSet([[0.0], [4.0]]))
     # ((2-0)^2 + (2-4)^2) / 2 = 4
