@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
                      JsonResult, SlaterMarginError)
 from .geometry import _nearest_dists, dists_to
-from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile, _max_ratio
+from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile
 from .problem import (FEAS_TOL, SET_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 from .solve import OPT_TOL
@@ -301,6 +301,28 @@ class GapBounds:
     zero_condition: bool
     approximate: bool = True
     details: dict = field(default_factory=dict)
+
+
+def _max_ratio(points: np.ndarray, values: np.ndarray, alpha: float,
+               norm: str) -> np.ndarray:
+    """max over pairs x != y of |v(x) - v(y)| / ||x - y||^alpha, per column.
+
+    ``values`` has one row per point and one column per function, shape
+    (G, N); distances are taken one row at a time, in O(G) memory.
+    """
+    out = np.zeros(values.shape[1])
+    for g in range(len(points) - 1):
+        d = dists_to(points[g + 1:], points[g], norm) ** alpha
+        rest = values[g + 1:]
+        ok = d > 0
+        if not ok.all():  # repeated points: copy only the rows that count
+            rest, d = rest[ok], d[ok]
+        if len(d):
+            ratios = rest - values[g]
+            np.abs(ratios, out=ratios)
+            ratios /= d[:, None]
+            np.maximum(out, ratios.max(axis=0), out=out)
+    return out
 
 
 def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,

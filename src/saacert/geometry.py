@@ -335,7 +335,8 @@ class SpaceDescriptor:
                 self._cache[key] = max_pairwise(self.points, n)
             return self._cache[key]
         if n != "l1":  # product
-            raise ValueError("product spaces are measured in l1 only")
+            raise ConfigError("product spaces are measured in l1 only",
+                              norm=n, allowed=["l1"])
         return sum(p.diameter("l1") for p in self.parts)
 
     def contains(self, x, tol: float) -> bool:
@@ -742,5 +743,5 @@ def set_deviation(a: np.ndarray, b: np.ndarray, norm: str = "l2") -> float:
     if not len(a):
         return 0.0
     if not len(b):
-        raise ValueError("reference set must be nonempty")
+        raise ConfigError("reference set must be nonempty")
     return max(0.0, float(_nearest_dists(a, b, norm).max()))

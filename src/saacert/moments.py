@@ -2,7 +2,7 @@
 
 Three layers:
 
-* per-scenario Holder moduli and their root-mean-square aggregates
+* declared per-scenario Holder moduli and their root-mean-square aggregates
   (``estimate_holder``),
 * pointwise and set-level variance quantities -- the empirical variance
   around the population mean, its population counterpart, their combined
@@ -21,15 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError
-from .geometry import SpaceDescriptor, _nearest_dists, a_alpha, dists_to
+from .geometry import SpaceDescriptor, _nearest_dists, a_alpha
 from .problem import (MC_SEED, SET_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
-
-# positive floor of a probe grid's step (a fraction of the diameter)
-MIN_PROBE_STEP = 1e-12
 
 
 @dataclass
@@ -41,7 +38,6 @@ class HolderEstimate:
     l_hat: float
     l_pop: float
     per_scenario: np.ndarray
-    provenance: str = "probe-grid"
     pop_provenance: str = "closed-form"
 
     @property
@@ -51,51 +47,19 @@ class HolderEstimate:
 
 
 def per_scenario_modulus(program: StochasticProgram, i: int,
-                         scenarios: np.ndarray,
-                         probes: np.ndarray | None) -> np.ndarray:
-    """Holder modulus of integrand ``i``, one value per scenario.
-
-    The integrand's declared ``HolderInfo.modulus`` when it has one (then
-    ``probes`` is unused); otherwise, for scenario j, the probe-grid lower
-    bound  max_{x != y} |F_i(x, xi_j) - F_i(y, xi_j)| / ||x - y||^alpha
-    with the max over the supplied probe points.
-    """
+                         scenarios: np.ndarray) -> np.ndarray:
+    """Holder modulus of integrand ``i``, one value per scenario: its declared
+    ``HolderInfo.modulus``.  A program that declares none has no modulus to
+    certify with (``ConfigError``)."""
     declared = program.holder[i].modulus
-    if declared is not None:
-        return np.asarray(declared(np.atleast_2d(scenarios)), dtype=float)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if len(probes) < 2:
-        raise EmptySampleError("need at least two probe points for a modulus",
-                               got=len(probes))
-    fn = program.integrand(i)
-    vals = np.stack([fn(x, scenarios) for x in probes])  # (G, N)
-    return _max_ratio(probes, vals, program.holder[i].alpha, program.space.norm)
-
-
-def _max_ratio(points: np.ndarray, values: np.ndarray, alpha: float,
-               norm: str) -> np.ndarray:
-    """max over pairs x != y of |v(x) - v(y)| / ||x - y||^alpha, per column.
-
-    ``values`` has one row per point and one column per function, shape
-    (G, N); distances are taken one row at a time, in O(G) memory.
-    """
-    out = np.zeros(values.shape[1])
-    for g in range(len(points) - 1):
-        d = dists_to(points[g + 1:], points[g], norm) ** alpha
-        rest = values[g + 1:]
-        ok = d > 0
-        if not ok.all():  # repeated probes: copy only the rows that count
-            rest, d = rest[ok], d[ok]
-        if len(d):
-            ratios = rest - values[g]
-            np.abs(ratios, out=ratios)
-            ratios /= d[:, None]
-            np.maximum(out, ratios.max(axis=0), out=out)
-    return out
+    if declared is None:
+        raise ConfigError(f"integrand {i} of program {program.name!r} declares "
+                          "no Holder modulus", integrand=i, program=program.name)
+    return np.asarray(declared(np.atleast_2d(scenarios)), dtype=float)
 
 
 def _population_l(program: StochasticProgram, i: int, seed: int, n_draws: int,
-                  probes: np.ndarray | None, plug_in: float | None = None):
+                  plug_in: float | None = None):
     """(population RMS modulus, provenance): the oracle's ``holder_rms``,
     else the RMS of ``per_scenario_modulus`` over ``n_draws`` oracle draws
     from ``seed``, else ``plug_in``."""
@@ -106,39 +70,28 @@ def _population_l(program: StochasticProgram, i: int, seed: int, n_draws: int,
     if oracle is None or oracle.sampler is None:
         return plug_in, "plug-in"
     draws = oracle.sampler(np.random.default_rng(seed), n_draws)
-    mc = per_scenario_modulus(program, i, np.atleast_2d(draws), probes)
-    declared = program.holder[i].modulus is not None
-    return (float(np.sqrt(np.mean(mc ** 2))),
-            "declared-monte-carlo" if declared else "monte-carlo")
+    mc = per_scenario_modulus(program, i, np.atleast_2d(draws))
+    return float(np.sqrt(np.mean(mc ** 2))), "declared-monte-carlo"
 
 
-def estimate_holder(program: StochasticProgram, scenarios: np.ndarray, i: int,
-                    probes: np.ndarray | None = None) -> HolderEstimate:
+def estimate_holder(program: StochasticProgram, scenarios: np.ndarray,
+                    i: int) -> HolderEstimate:
     """Estimate RMS Holder moduli for integrand ``i``.
 
-    ``l_hat`` is the empirical RMS of per-scenario moduli, declared or
-    probe-grid (``provenance``); ``l_pop`` comes from the oracle's closed
-    form ``holder_rms`` or a Monte Carlo rerun of the same per-scenario
-    modulus, in that order of preference, and falls back to ``l_hat``
-    without an oracle sampler (``pop_provenance``).  No probe grid is built
-    when the modulus is declared; otherwise ``probes`` defaults to the grid
-    of step diameter / 16.
+    ``l_hat`` is the empirical RMS of the declared per-scenario moduli;
+    ``l_pop`` comes from the oracle's closed form ``holder_rms`` or a Monte
+    Carlo rerun of the same per-scenario modulus, in that order of
+    preference, and falls back to ``l_hat`` without an oracle sampler
+    (``pop_provenance``).
     """
-    info = program.holder[i]
-    space = program.space
-    if info.modulus is not None:
-        probes = None
-    elif probes is None:
-        probes = space.grid(max(space.diameter() / 16, MIN_PROBE_STEP))
-    per = per_scenario_modulus(program, i, scenarios, probes)
+    per = per_scenario_modulus(program, i, scenarios)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
     oracle = program.oracle
     n_draws = min(oracle.mc_budget, 20_000) if oracle is not None else 0
     l_pop, pop_src = _population_l(program, i, MC_SEED + 7 * (i + 1), n_draws,
-                                   probes, plug_in=l_hat)
-    return HolderEstimate(index=i, alpha=info.alpha, l_hat=l_hat, l_pop=l_pop,
-                          per_scenario=per, pop_provenance=pop_src,
-                          provenance="declared" if probes is None else "probe-grid")
+                                   plug_in=l_hat)
+    return HolderEstimate(index=i, alpha=program.holder[i].alpha, l_hat=l_hat,
+                          l_pop=l_pop, per_scenario=per, pop_provenance=pop_src)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +247,9 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
     set inflates the feasible grid by ``c * 2 * eps`` in the space's norm.
     """
     if theorem not in _GUARANTEES:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    if theorem == "exterior" and c is None:
-        raise ValueError("exterior profiles need the regularity constant c")
-    if theorem == "exterior" and not c > 0:
+        raise ConfigError(f"unknown theorem {theorem!r}",
+                          allowed=list(_GUARANTEES))
+    if theorem == "exterior" and (c is None or not c > 0):
         raise ConfigError("exterior profiles need a positive regularity "
                           "constant c", c=c)
     names = dict.fromkeys(name for comps, _ in _GUARANTEES[theorem].values()

@@ -80,7 +80,9 @@ class HolderInfo:
     maps scenarios (N, k) to the per-scenario modulus L(xi), shape (N,):
     the smallest L with |F(x, xi) - F(y, xi)| <= L ||x - y||^alpha on the
     whole space, in closed form (for alpha = 1 the sup of the gradient in
-    the dual norm).  Without it the modulus is estimated on a probe grid.
+    the dual norm).  Without it the program still builds ledgers and runs
+    the checker and the solvers; what needs sigma-hat (variance profiles,
+    uniform-tail and coverage experiments) raises ``ConfigError``.
     """
 
     alpha: float = 1.0

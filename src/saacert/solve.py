@@ -34,7 +34,7 @@ class SolverConfig:
     method: str = "grid"          # "grid" or "subgradient"
     budget: int = 2000            # iteration cap for the subgradient method
     c0: float = 0.1               # step scale: step_k = c0 / sqrt(k)
-    tol_opt: float = 1e-3         # certified-gap target for early success
+    tol_opt: float = 1e-3         # gap above which budget_exhausted is set
     grid_h: float = 0.01
 
 
@@ -99,7 +99,8 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     is the step-weighted average of the objective iterates; its certified
     gap uses the standard telescoping bound with the *observed* subgradient
     norms, so it is a heuristic certificate unless true norm bounds are
-    supplied.
+    supplied.  The loop always runs the full ``budget``; ``tol_opt`` only
+    decides ``budget_exhausted`` (gap above it), it never stops early.
     """
     program = emp.program
     grads = program.gradients

@@ -19,9 +19,8 @@ from .distributions import Distribution
 from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
                      UncalibratableError)
 from .geometry import a_alpha
-from .moments import (_GUARANTEES, MIN_PROBE_STEP, VarianceProfile,
-                      _population_l, per_scenario_modulus, self_normalized,
-                      variance_profile)
+from .moments import (_GUARANTEES, VarianceProfile, _population_l,
+                      per_scenario_modulus, self_normalized, variance_profile)
 from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
                       _constraint_table, _sample_means, build_empirical,
                       relaxed_set_grid)
@@ -144,9 +143,8 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     grid = space.grid(h)
     pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
-    probes = space.grid(max(space.diameter() / 8, MIN_PROBE_STEP))
     comp = a_alpha(space, program.holder[0].alpha, h=h)
-    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED, 20_000, probes)
+    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED, 20_000)
 
     sups = np.empty(replications)
     scales = np.empty(replications)
@@ -155,7 +153,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
         xis = oracle.sampler(rng, n)
         dev = _sample_means(program, 0, pts, ScenarioSet(xis)) - true_vals
         sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
-        l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis, probes) ** 2))
+        l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis) ** 2))
         scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
     rows = []
     for t in t_grid:
@@ -329,7 +327,14 @@ def _event_checker(plan: CoveragePlan):
 def coverage_experiment(plan: CoveragePlan,
                         certificate: Certificate | None = None,
                         rep_range: tuple[int, int] | None = None) -> CoverageReport:
-    """Monte Carlo frequency of a certificate's guaranteed event at its N."""
+    """Monte Carlo frequency of a certificate's guaranteed event at its N,
+    over replications ``rep_range`` = [start, stop) of the plan's (all by
+    default)."""
+    start, stop = rep_range if rep_range is not None else (0, plan.replications)
+    if not 0 <= start < stop <= plan.replications:
+        raise ConfigError("rep_range must satisfy 0 <= start < stop <= "
+                          "replications", rep_range=[start, stop],
+                          replications=plan.replications)
     program = plan.program
     sampler = _coverage_sampler(program)
     cert = certificate if certificate is not None else coverage_certificate(plan)
@@ -340,7 +345,6 @@ def coverage_experiment(plan: CoveragePlan,
     m = program.n_constraints
     relax = _relaxations_for(plan.theorem, plan.eps, m)
     check = _event_checker(plan)
-    start, stop = rep_range if rep_range is not None else (0, plan.replications)
     successes = 0
     for r in range(start, stop):
         rng = replication_rng(plan.seed, r)
@@ -406,6 +410,8 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
     if len(n_grid) < 3 or min(n_grid) < 1:
         raise ConfigError("rate experiments need at least three sample "
                           "sizes, each >= 1", n_grid=n_grid)
+    if replications < 1:
+        raise ConfigError("need at least one replication", got=replications)
     oracle = program.oracle
     if oracle is None or oracle.sampler is None:
         raise ConfigError("rate experiments need an oracle sampler")

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saacert.apps import ReturnsDataset, build_lasso, build_portfolio
-from saacert.certify import components_for
+from saacert.certify import _max_ratio, components_for
 from saacert.errors import ConfigError, EmptySampleError
 from saacert.families import make_family
-from saacert.geometry import SpaceDescriptor, min_pairwise_gap
-from saacert.moments import (_max_ratio, estimate_holder,
-                             per_scenario_modulus, self_normalized,
-                             sigma_breve, sigma_hat_sq, sigma_pop_sq,
-                             variance_profile)
+from saacert.geometry import SpaceDescriptor, min_pairwise_gap, set_deviation
+from saacert.moments import (estimate_holder, per_scenario_modulus,
+                             self_normalized, sigma_breve, sigma_hat_sq,
+                             sigma_pop_sq, variance_profile)
 from saacert.problem import (MC_SEED, MODULUS_RTOL, HolderInfo, ScenarioSet,
-                             StochasticProgram, TrueOracle, build_empirical)
+                             StochasticProgram, build_empirical)
+from saacert.validation import uniform_tail_experiment
 
 
 def linear_noise_program():
@@ -28,22 +28,14 @@ def linear_noise_program():
     return StochasticProgram(
         objective=f0, constraints=[],
         space=SpaceDescriptor.interval(0.0, 1.0),
-        holder=[HolderInfo(1.0)], name="linear-noise")
-
-
-def test_per_scenario_modulus_linear():
-    program = linear_noise_program()
-    scen = ScenarioSet([[1.0], [-3.0]])
-    probes = np.array([[0.0], [0.5], [1.0]])
-    mods = per_scenario_modulus(program, 0, scen.data, probes)
-    assert np.allclose(mods, [1.0, 3.0])
+        holder=[HolderInfo(1.0, lambda xis: np.abs(xis[:, 0]))],
+        name="linear-noise")
 
 
 def test_estimate_holder_rms():
     program = linear_noise_program()
     scen = ScenarioSet([[1.0], [-3.0]])
-    est = estimate_holder(program, scen.data, 0,
-                          probes=np.array([[0.0], [1.0]]))
+    est = estimate_holder(program, scen.data, 0)
     assert est.l_hat == pytest.approx(math.sqrt((1 + 9) / 2))
     # combined always dominates each ingredient
     assert est.combined >= est.l_hat - 1e-12
@@ -189,6 +181,27 @@ def test_exterior_profile_needs_positive_c():
             variance_profile(program, emp, "exterior", eps=0.05, h=0.1, c=c)
 
 
+@pytest.mark.parametrize("case", ["unknown-theorem", "exterior-without-c",
+                                  "product-diameter-l2", "empty-reference-set"])
+def test_library_input_errors_are_config_errors(case):
+    """Bad arguments to the library raise ConfigError, as the CLI reports
+    them, not a bare ValueError."""
+    box = SpaceDescriptor.interval(0.0, 1.0)
+    calls = {
+        "unknown-theorem": lambda: variance_profile(*_ball2d_case(), "bogus",
+                                                    eps=0.05, h=0.1),
+        "exterior-without-c": lambda: variance_profile(*_ball2d_case(),
+                                                       "exterior", eps=0.05,
+                                                       h=0.1),
+        "product-diameter-l2": lambda: SpaceDescriptor.product(
+            box, box).diameter("l2"),
+        "empty-reference-set": lambda: set_deviation(np.zeros((1, 1)),
+                                                     np.zeros((0, 1))),
+    }
+    with pytest.raises(ConfigError):
+        calls[case]()
+
+
 def test_exterior_profile_evaluates_one_constraint_table(monkeypatch):
     """Feasible, exterior, active sets and the z and y anchors all read one
     population constraint table: constraint 1 is evaluated once, on the
@@ -271,48 +284,50 @@ def test_declared_modulus_bounds_every_secant_ratio(variant, data):
         assert info.modulus is not None
         vals = np.stack([program.integrand(i)(x, xis) for x in probes])
         realised = _max_ratio(probes, vals, info.alpha, norm)
-        declared = per_scenario_modulus(program, i, xis, None)
+        declared = per_scenario_modulus(program, i, xis)
         scale = np.maximum(declared, np.abs(vals).max(axis=0) / delta)
         assert declared.shape == (len(xis),)
         assert np.all(realised <= declared + MODULUS_RTOL * scale)
 
 
 def test_holder_provenance_says_what_was_computed():
-    """declared / probe-grid per scenario; closed-form, declared-monte-carlo,
-    monte-carlo or plug-in for the population modulus."""
+    """closed-form, declared-monte-carlo or plug-in for the population
+    modulus."""
     def provenance(program, i=0):
         scen = ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=4)
-        est = estimate_holder(program, scen.data, i)
-        return est.provenance, est.pop_provenance
+        return estimate_holder(program, scen.data, i).pop_provenance
 
     ball = make_family("ball2d")
     ball.oracle.mc_budget = 500
-    assert provenance(ball, 0) == ("declared", "closed-form")
-    assert provenance(ball, 1) == ("declared", "declared-monte-carlo")
+    assert provenance(ball, 0) == "closed-form"
+    assert provenance(ball, 1) == "declared-monte-carlo"
     quad = make_family("quad1d")
     quad.oracle.mc_budget = 500
-    assert provenance(quad) == ("declared", "declared-monte-carlo")
-    sampled = linear_noise_program()
-    sampled.oracle = TrueOracle(
-        sampler=lambda rng, n: rng.normal(size=(n, 1)), mc_budget=200)
-    assert provenance(sampled) == ("probe-grid", "monte-carlo")
+    assert provenance(quad) == "declared-monte-carlo"
     plain = estimate_holder(linear_noise_program(), np.array([[1.0], [-3.0]]), 0)
-    assert (plain.provenance, plain.pop_provenance) == ("probe-grid", "plug-in")
+    assert plain.pop_provenance == "plug-in"
     assert plain.l_pop == plain.l_hat
 
 
-def test_probe_grid_refinement_monotone_without_declared_modulus():
-    """The probe-grid fallback: more probe points never lower the ratio."""
+def test_undeclared_modulus_raises_where_sigma_hat_is_needed():
+    """No modulus declared: every path that needs L(xi) raises ConfigError
+    naming the integrand and the program."""
     program = make_family("quad1d", a=0.4)
     program.holder = [HolderInfo(1.0)]
-    scen = ScenarioSet.from_sampler(program.oracle.sampler, 50, seed=1)
-    coarse = per_scenario_modulus(program, 0, scen.data,
-                                  np.linspace(0, 1, 3)[:, None])
-    fine = per_scenario_modulus(program, 0, scen.data,
-                                np.linspace(0, 1, 9)[:, None])
-    assert np.all(fine >= coarse)
-    assert np.all(fine <= make_family("quad1d", a=0.4).holder[0].modulus(
-        scen.data) * (1 + MODULUS_RTOL))
+    scen = ScenarioSet.from_sampler(program.oracle.sampler, 20, seed=1)
+    emp = build_empirical(program, scen, np.zeros(0))
+    calls = {
+        "per_scenario_modulus": lambda: per_scenario_modulus(program, 0, scen.data),
+        "estimate_holder": lambda: estimate_holder(program, scen.data, 0),
+        "variance_profile": lambda: variance_profile(program, emp, "fixed",
+                                                     eps=0.1, h=0.1),
+        "uniform_tail_experiment": lambda: uniform_tail_experiment(
+            program, 20, [0.5], 2, 1.0, seed=3, h=0.25),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.details == {"integrand": 0, "program": program.name}, name
 
 
 def test_declared_modulus_builds_no_probe_grid(monkeypatch):

@@ -101,6 +101,11 @@ def test_rate_rejects_sample_sizes_below_one():
         rate_experiment(make_family("quad1d"), [10, 0, 30], 2, seed=0, h=0.25)
 
 
+def test_rate_rejects_zero_replications():
+    with pytest.raises(ConfigError, match="replication"):
+        rate_experiment(make_family("quad1d"), [10, 20, 30], 0, seed=0, h=0.25)
+
+
 def fixed_plan(replications=60, seed=11, constant=1.0):
     return CoveragePlan(program=make_family("quad1d", a=0.3),
                         theorem="fixed", event="near-optimal-subset",
@@ -125,6 +130,15 @@ def test_coverage_half_run_merge_is_exact():
     first = coverage_experiment(plan, cert, rep_range=(0, 20))
     second = coverage_experiment(plan, cert, rep_range=(20, 40))
     assert first.successes + second.successes == full.successes
+
+
+@pytest.mark.parametrize("rep_range", [(5, 5), (8, 20), (-1, 4)])
+def test_coverage_rep_range_must_lie_in_the_plan(rep_range):
+    """An empty range has no frequency; a range past the plan's
+    replications runs streams the plan never asked for."""
+    with pytest.raises(ConfigError, match="rep_range") as err:
+        coverage_experiment(fixed_plan(replications=10), rep_range=rep_range)
+    assert err.value.details["rep_range"] == list(rep_range)
 
 
 def test_coverage_plan_rejects_zero_replications():
