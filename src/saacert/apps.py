@@ -139,17 +139,6 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
         t = point[d]
         return t + np.maximum(-(xis @ point[:d]) - t, 0.0) / p - beta
 
-    def mean1(pts, xis):
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), 256):
-            block = pts[start:start + 256]
-            loss = -(xis @ block[:, :d].T)            # (N, G)
-            t = block[:, d][None, :]
-            out[start:start + 256] = (block[:, d]
-                                      + np.mean(np.maximum(loss - t, 0.0), axis=0) / p
-                                      - beta)
-        return out
-
     # moduli in the l1 product norm: simplex steps sum to 0, so |xi^T dx|
     # <= (max xi - min xi) / 2 * ||dx||_1, as for linear_simplex
     def modulus0(xis):
@@ -165,8 +154,8 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
     program = StochasticProgram(
         objective=f0, constraints=[f1], space=space,
         holder=[HolderInfo(1.0, modulus0), HolderInfo(1.0, modulus1)],
-        oracle=oracle, convex=True, fast_means=[None, mean1],
-        gradients=portfolio_gradients(d, p), name="portfolio")
+        oracle=oracle, convex=True, gradients=portfolio_gradients(d, p),
+        name="portfolio")
     return PortfolioProblem(program=program, dataset=dataset, p=p, beta=beta,
                             t_bounds=(t_lo, t_hi),
                             details={"assets": d, "scenarios": dataset.n})
@@ -236,14 +225,6 @@ def build_lasso(features, response, radius: float,
     def f0(x, xis):
         return (xis[:, d] - xis[:, :d] @ x) ** 2
 
-    def mean0(pts, xis):
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), 256):
-            block = pts[start:start + 256]
-            resid = xis[:, d][:, None] - xis[:, :d] @ block.T
-            out[start:start + 256] = np.mean(resid ** 2, axis=0)
-        return out
-
     def grad0(x, xis):
         return -2 * (xis[:, d] - xis[:, :d] @ x)[:, None] * xis[:, :d]
 
@@ -254,8 +235,8 @@ def build_lasso(features, response, radius: float,
     space = SpaceDescriptor.ball(np.zeros(d), radius, norm="l1")
     program = StochasticProgram(
         objective=f0, constraints=[], space=space,
-        holder=[HolderInfo(1.0, modulus0)], convex=True,
-        fast_means=[mean0], gradients=[grad0], name="lasso")
+        holder=[HolderInfo(1.0, modulus0)], convex=True, gradients=[grad0],
+        name="lasso")
     return LassoProblem(program=program, radius=radius, weighted=weighted,
                         diag=diag,
                         details={"features": d, "scenarios": len(response),

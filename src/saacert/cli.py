@@ -301,8 +301,6 @@ def _cmd_portfolio(args):
     else:
         raise ConfigError("portfolio needs --returns or --synthetic")
     problem = build_portfolio(dataset, args.p, args.beta, sampler=sampler)
-    if problem.program.oracle is not None:
-        problem.program.oracle.mc_budget = 20_000
     emp = build_empirical(problem.program,
                           ScenarioSet(dataset.returns, seed=args.seed),
                           np.zeros(1))

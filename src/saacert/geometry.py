@@ -32,7 +32,8 @@ BRACKET_TOL = 1e-12
 LATTICE_RTOL = 1e-9
 # a_alpha stops at a term below CHAIN_RTOL times the partial sum and bounds
 # the tail up to a term at most TAIL_RTOL times max(sum, 1); a grid entropy
-# model's default step is max(diameter, MIN_GRID_DIAMETER) / 64.
+# model's default step is max(diameter, MIN_GRID_DIAMETER) / 64, and the
+# solvers floor the diameter behind their grids the same way.
 CHAIN_RTOL = 1e-9
 TAIL_RTOL = 1e-16
 MIN_GRID_DIAMETER = 1e-12

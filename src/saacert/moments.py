@@ -58,18 +58,18 @@ def per_scenario_modulus(program: StochasticProgram, i: int,
     return np.asarray(declared(np.atleast_2d(scenarios)), dtype=float)
 
 
-def _population_l(program: StochasticProgram, i: int, seed: int, n_draws: int,
+def _population_l(program: StochasticProgram, i: int, seed: int,
                   plug_in: float | None = None):
     """(population RMS modulus, provenance): the oracle's ``holder_rms``,
-    else the RMS of ``per_scenario_modulus`` over ``n_draws`` oracle draws
-    from ``seed``, else ``plug_in``."""
+    else the RMS of ``per_scenario_modulus`` over ``oracle.mc_budget``
+    oracle draws from ``seed``, else ``plug_in``."""
     oracle = program.oracle
     if (oracle is not None and oracle.holder_rms is not None
             and oracle.holder_rms[i] is not None):
         return float(oracle.holder_rms[i]), "closed-form"
     if oracle is None or oracle.sampler is None:
         return plug_in, "plug-in"
-    draws = oracle.sampler(np.random.default_rng(seed), n_draws)
+    draws = oracle.sampler(np.random.default_rng(seed), oracle.mc_budget)
     mc = per_scenario_modulus(program, i, np.atleast_2d(draws))
     return float(np.sqrt(np.mean(mc ** 2))), "declared-monte-carlo"
 
@@ -86,9 +86,7 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray,
     """
     per = per_scenario_modulus(program, i, scenarios)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
-    oracle = program.oracle
-    n_draws = min(oracle.mc_budget, 20_000) if oracle is not None else 0
-    l_pop, pop_src = _population_l(program, i, MC_SEED + 7 * (i + 1), n_draws,
+    l_pop, pop_src = _population_l(program, i, MC_SEED + 7 * (i + 1),
                                    plug_in=l_hat)
     return HolderEstimate(index=i, alpha=program.holder[i].alpha, l_hat=l_hat,
                           l_pop=l_pop, per_scenario=per, pop_provenance=pop_src)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySampleError, open_path
+from .errors import ConfigError, DimensionMismatchError, EmptySampleError, open_path
 from .geometry import SpaceDescriptor
 
 # An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
@@ -93,9 +93,10 @@ class HolderInfo:
 class TrueOracle:
     """Population-side information used for certification and validation.
 
-    Any field may be omitted; accessors fall back to Monte Carlo with the
-    ``sampler`` and the fixed seed ``MC_SEED``.  ``noise_mean`` (shape (k,))
-    and ``noise_var`` (of each i.i.d. coordinate) are the moments of xi.
+    Any field may be omitted; accessors fall back to Monte Carlo over
+    ``mc_budget`` draws of the ``sampler`` from the fixed seed ``MC_SEED``.
+    ``noise_mean`` (shape (k,)) and ``noise_var`` (of each i.i.d.
+    coordinate) are the moments of xi.
     """
 
     fns: Sequence[Callable[[np.ndarray], float]] | None = None
@@ -108,7 +109,7 @@ class TrueOracle:
     slater_margin: float | None = None
     regularity_c: float | None = None
     dist_to_feasible: Callable[[np.ndarray], float] | None = None
-    mc_budget: int = 1_000_000
+    mc_budget: int = 20_000
 
 
 @dataclass
@@ -121,8 +122,6 @@ class StochasticProgram:
     holder: Sequence[HolderInfo]
     oracle: TrueOracle | None = None
     convex: bool = False  # attestation required by the convexity-based schemes
-    # per integrand, None or (points (G, d), scenarios (N, k)) -> (G,) means
-    fast_means: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray] | None] | None = None
     # per integrand, None or (x, scenarios (N, k)) -> per-scenario
     # (sub)gradients in x, shape (N, d); the solver falls back to finite
     # differences of the empirical mean where an entry is None
@@ -130,7 +129,7 @@ class StochasticProgram:
     name: str = ""
 
     def __post_init__(self):
-        for name in ("holder", "fast_means", "gradients"):
+        for name in ("holder", "gradients"):
             entries = getattr(self, name)
             if entries is not None and len(entries) != self.n_constraints + 1:
                 raise DimensionMismatchError(
@@ -145,6 +144,14 @@ class StochasticProgram:
     def integrand(self, i: int) -> Integrand:
         return self.objective if i == 0 else self.constraints[i - 1]
 
+    @property
+    def sampler(self) -> Callable[[np.random.Generator, int], np.ndarray]:
+        """The oracle's scenario sampler; ``ConfigError`` without one."""
+        if self.oracle is None or self.oracle.sampler is None:
+            raise ConfigError(f"program {self.name!r} has no oracle sampler",
+                              program=self.name)
+        return self.oracle.sampler
+
     # -- population-side accessors -------------------------------------------
 
     def true_fn(self, i: int, x) -> float:
@@ -157,7 +164,7 @@ class StochasticProgram:
         x, fn = np.asarray(x, dtype=float), self.integrand(i)
         if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_var", None) is not None:
             return float(fn.variance(x, self.oracle.noise_var))
-        return float(np.var(fn(x, self._mc_draws)))
+        return float(np.var(fn(x, self._mc_draws.data)))
 
     def true_fn_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         """Population values f_i: the oracle's closed-form ``fns``, else the
@@ -172,15 +179,12 @@ class StochasticProgram:
             return np.array([float(fns[i](x)) for x in pts])
         if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_mean", None) is not None:
             return fn.mean(pts, self.oracle.noise_mean)
-        draws = self._mc_draws
-        return np.array([_mean(fn(x, draws)) for x in pts])
+        return _sample_means(self, i, pts, self._mc_draws)
 
     @cached_property
-    def _mc_draws(self) -> np.ndarray:
+    def _mc_draws(self) -> ScenarioSet:
         """``oracle.mc_budget`` population draws from the seed ``MC_SEED``."""
-        if self.oracle is None or self.oracle.sampler is None:
-            raise EmptySampleError("no oracle sampler available for Monte Carlo fallback")
-        return self.oracle.sampler(np.random.default_rng(MC_SEED), self.oracle.mc_budget)
+        return ScenarioSet.from_sampler(self.sampler, self.oracle.mc_budget, MC_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +300,17 @@ class EmpiricalProblem:
     relaxations: np.ndarray
 
     def fhat(self, i: int, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return _mean(self.program.integrand(i)(x, self.scenarios.data))
+        """Fhat_i at one point: the one-row grid of ``fhat_grid``."""
+        return float(self.fhat_grid(i, x)[0])
 
     def fhat_grid(self, i: int, points: np.ndarray) -> np.ndarray:
-        """Empirical means over a batch of points (vectorized when possible)."""
+        """Empirical means Fhat_i over a batch of points (``_sample_means``)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _sample_means(self.program, i, pts, self.scenarios)
 
     def residuals(self, x) -> np.ndarray:
-        m = self.program.n_constraints
-        return np.array([self.fhat(i, x) for i in range(1, m + 1)]) - self.relaxations
+        """Fhat_i(x) - eps_i, a column of the constraint table."""
+        return _constraint_table(self, np.atleast_2d(x))[:, 0] - self.relaxations
 
     def membership(self, x, tol: float = FEAS_TOL) -> FeasibilityRecord:
         """x is empirically feasible iff x in Y and Fhat_i(x) <= eps_i + tol."""
@@ -333,11 +337,10 @@ def _mean(values) -> float:
 
 def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
                   scenarios: ScenarioSet) -> np.ndarray:
-    """Means of F_i over the scenarios at each point: by ``fast_means``, else
-    by the noise-affine form at the scenarios' mean, else point by point."""
-    fm, fn, data = program.fast_means, program.integrand(i), scenarios.data
-    if fm is not None and fm[i] is not None:
-        return np.asarray(fm[i](pts, data), dtype=float)
+    """Means of F_i over the scenarios at each point (G, d), the one rule
+    behind every sample and Monte Carlo average: the noise-affine form at the
+    scenarios' mean, else one ``_mean`` per point."""
+    fn, data = program.integrand(i), scenarios.data
     if isinstance(fn, NoiseAffine):
         return fn.mean(pts, scenarios.mean)
     return np.array([_mean(fn(x, data)) for x in pts])

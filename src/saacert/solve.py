@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, JsonResult
+from .geometry import MIN_GRID_DIAMETER
 from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 
@@ -105,8 +106,8 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     program = emp.program
     grads = program.gradients
     space = program.space
-    x = space.project(space.grid(space.diameter() / 2).mean(axis=0))
     diam = space.diameter()
+    x = space.project(space.grid(max(diam, MIN_GRID_DIAMETER) / 2).mean(axis=0))
     g_max = 0.0
     avg = np.zeros_like(x)
     weight = 0.0
@@ -165,7 +166,9 @@ def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
     val = emp.fhat(0, np.asarray(x, dtype=float))
     exact = emp.program.space.kind == "cloud"
     if bracket is None:
-        res = grid_solve(emp, h if h is not None else emp.program.space.diameter() / 64)
+        if h is None:
+            h = max(emp.program.space.diameter(), MIN_GRID_DIAMETER) / 64
+        res = grid_solve(emp, h)
         bracket = (-math.inf, res.value) if not exact else (res.value, res.value)
     lower, upper = bracket
     if val <= lower + eps + OPT_TOL:

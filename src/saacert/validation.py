@@ -137,20 +137,18 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     """
     _check_tail_plan(t_grid, replications)
     space = program.space
-    oracle = program.oracle
-    if oracle is None or oracle.sampler is None:
-        raise ConfigError("uniform tail experiment needs an oracle sampler")
+    sampler = program.sampler
     grid = space.grid(h)
     pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
     comp = a_alpha(space, program.holder[0].alpha, h=h)
-    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED, 20_000)
+    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED)
 
     sups = np.empty(replications)
     scales = np.empty(replications)
     for r in range(replications):
         rng = replication_rng(seed, r)
-        xis = oracle.sampler(rng, n)
+        xis = sampler(rng, n)
         dev = _sample_means(program, 0, pts, ScenarioSet(xis)) - true_vals
         sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
         l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis) ** 2))
@@ -252,17 +250,11 @@ def _relaxations_for(theorem: str, eps: float, m: int) -> np.ndarray:
     return np.full(m, {"exterior": eps, "interior": -eps}.get(theorem, 0.0))
 
 
-def _coverage_sampler(program: StochasticProgram):
-    if program.oracle is None or program.oracle.sampler is None:
-        raise ConfigError("coverage experiments need an oracle sampler")
-    return program.oracle.sampler
-
-
 def _pilot_profile(plan: CoveragePlan) -> VarianceProfile:
     """The variance profile of the plan's pilot sample; it does not depend
     on ``plan.constant``."""
     program = plan.program
-    pilot = ScenarioSet.from_sampler(_coverage_sampler(program), plan.pilot_n,
+    pilot = ScenarioSet.from_sampler(program.sampler, plan.pilot_n,
                                      plan.seed ^ 0x9E3779B9)
     emp = build_empirical(program, pilot, _relaxations_for(
         plan.theorem, plan.eps, program.n_constraints))
@@ -336,7 +328,7 @@ def coverage_experiment(plan: CoveragePlan,
                           "replications", rep_range=[start, stop],
                           replications=plan.replications)
     program = plan.program
-    sampler = _coverage_sampler(program)
+    sampler = program.sampler
     cert = certificate if certificate is not None else coverage_certificate(plan)
     n = cert.n_required
     if n > plan.max_n:
@@ -412,9 +404,7 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
                           "sizes, each >= 1", n_grid=n_grid)
     if replications < 1:
         raise ConfigError("need at least one replication", got=replications)
-    oracle = program.oracle
-    if oracle is None or oracle.sampler is None:
-        raise ConfigError("rate experiments need an oracle sampler")
+    sampler = program.sampler
     grid = program.space.grid(h)
     true_vals = program.true_fn_grid(0, grid)
     rows = []
@@ -422,7 +412,7 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
         sups = np.empty(replications)
         for r in range(replications):
             rng = replication_rng(seed, j * replications + r)
-            xis = oracle.sampler(rng, n)
+            xis = sampler(rng, n)
             hat = _sample_means(program, 0, grid, ScenarioSet(xis))
             sups[r] = float(np.max(np.abs(hat - true_vals)))
         rows.append(RateRow(n, float(np.mean(sups)),

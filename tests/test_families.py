@@ -101,7 +101,7 @@ def test_factories_reject_unknown_params(factory, name):
         factory(name, bogus=1)
 
 
-def _fast_means_case(draw, variant):
+def _grid_means_case(draw, variant):
     """A program of the variant, scenario rows and a grid step."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 40))
@@ -143,23 +143,27 @@ def _fast_means_case(draw, variant):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fast_means_agree_with_integrand(variant, data):
-    """Each vectorised grid mean is the scenario average of its integrand:
-    the noise-affine form at the sample mean of xi for the families and the
-    portfolio objective, ``fast_means`` for the CVaR constraint and lasso."""
-    program, xis, step = _fast_means_case(data.draw, variant)
+    """Each grid mean is the scenario average of its integrand at the point:
+    bit for bit where the mean goes point by point (the portfolio CVaR
+    constraint and lasso), and within a few ulps of the values' scale for a
+    noise-affine integrand, whose mean is its form at the sample mean of xi
+    (the families and the portfolio objective)."""
+    program, xis, step = _grid_means_case(data.draw, variant)
     grid = program.space.grid(step)
     picks = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1,
                                max_size=8))
     pts = grid[picks]
-    if variant in ("portfolio", "lasso-weighted"):
-        assert program.fast_means[-1] is not None
     emp = build_empirical(program, ScenarioSet(xis))
     for i in range(program.n_constraints + 1):
+        affine = isinstance(program.integrand(i), NoiseAffine)
         means = emp.fhat_grid(i, pts)
         for x, mean in zip(pts, means):
             vals = program.integrand(i)(x, xis)
-            scale = max(1.0, float(np.abs(vals).max()))
-            assert abs(mean - vals.mean()) <= 1e-12 * scale, (variant, i, x)
+            if affine:
+                scale = max(1.0, float(np.abs(vals).max())) * np.finfo(float).eps
+                assert abs(mean - vals.mean()) <= 16 * scale, (variant, i, x)
+            else:
+                assert mean == vals.mean(), (variant, i, x)
 
 
 def _closed_forms(variant, draw):
@@ -231,14 +235,13 @@ def test_population_moments_follow_from_the_noise_form(variant, data):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_families_declare_each_integrand_once(name):
     """Every family integrand is a NoiseAffine form, the single source of its
-    sample means and population moments: no family writes ``fast_means``,
-    closed-form ``oracle.fns`` or variance functions beside it."""
+    sample means and population moments: no family writes closed-form
+    ``oracle.fns`` or variance functions beside it."""
     programs = ([make_family(name, objective=o) for o in ("corner", "interior")]
                 if name == "halfspace_box" else [make_family(name)])
     for program in programs:
         for i in range(program.n_constraints + 1):
             assert isinstance(program.integrand(i), NoiseAffine), (name, i)
-        assert program.fast_means is None
         assert program.oracle.fns is None
         assert not hasattr(program.oracle, "variance_fns")
         assert program.oracle.noise_mean is not None

@@ -10,10 +10,10 @@ from saacert.errors import (ConfigError, DimensionMismatchError,
                             EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
-from saacert.problem import (SET_TOL, HolderInfo, ScenarioSet,
-                             StochasticProgram, TrueOracle, _constraint_table,
-                             _sample_means, build_empirical, read_table,
-                             relaxed_set_grid)
+from saacert.problem import (SET_TOL, EmpiricalProblem, HolderInfo,
+                             ScenarioSet, StochasticProgram, TrueOracle,
+                             _constraint_table, _sample_means, build_empirical,
+                             read_table, relaxed_set_grid)
 
 
 def toy_program():
@@ -31,12 +31,11 @@ def toy_program():
         name="toy")
 
 
-@pytest.mark.parametrize("name", ["holder", "fast_means", "gradients"])
+@pytest.mark.parametrize("name", ["holder", "gradients"])
 def test_per_integrand_lists_must_match_the_integrands(name):
     """A list with one entry per integrand that is one short fails on
     construction, naming the field, not at its first use."""
-    short = {"holder": [HolderInfo(1.0)], "fast_means": [None],
-             "gradients": [None]}
+    short = {"holder": [HolderInfo(1.0)], "gradients": [None]}
     full = {"holder": [HolderInfo(1.0), HolderInfo(1.0)]}
     program = toy_program()
     with pytest.raises(DimensionMismatchError) as err:
@@ -248,3 +247,44 @@ def test_read_table_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError) as info:
         read_table(tmp_path / "missing.csv")
     assert info.value.details == {"path": str(tmp_path / "missing.csv")}
+
+
+def test_every_average_goes_through_sample_means(monkeypatch):
+    """``fhat``, ``residuals`` and the Monte Carlo ``true_fn_grid`` each reach
+    ``_sample_means``, and no integrand is evaluated outside it."""
+    inside = []
+
+    def guarded(fn):
+        def call(x, xis):
+            assert inside, "integrand evaluated outside _sample_means"
+            return fn(x, xis)
+        return call
+
+    toy = toy_program()
+    program = StochasticProgram(
+        objective=guarded(toy.objective),
+        constraints=[guarded(toy.constraints[0])], space=toy.space,
+        holder=toy.holder, name="guarded",
+        oracle=TrueOracle(sampler=lambda rng, n: rng.normal(size=(n, 1)),
+                          mc_budget=200))
+    emp = EmpiricalProblem(program, ScenarioSet([[0.0], [0.5], [4.0]]),
+                           np.array([0.1]))
+    reached = []
+
+    def counted(program, i, pts, scenarios):
+        reached.append(i)
+        inside.append(True)
+        try:
+            return _sample_means(program, i, pts, scenarios)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr("saacert.problem._sample_means", counted)
+    assert emp.fhat(0, [0.5]) == pytest.approx((0.25 + 0.0 + 12.25) / 3)
+    assert reached == [0]
+    assert emp.residuals([0.5]).tolist() == pytest.approx([0.5 + 1.5 - 0.75 - 0.1])
+    assert reached == [0, 1]
+    assert program.true_fn_grid(0, [[0.2], [0.7]]).shape == (2,)
+    assert reached == [0, 1, 0]
+    program.true_fn(1, [0.5])
+    assert reached == [0, 1, 0, 1]

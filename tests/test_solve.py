@@ -1,6 +1,7 @@
 """Grid and projected-subgradient solvers on the empirical problem."""
 
 import importlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from saacert.apps import (ReturnsDataset, build_lasso, build_portfolio,
                           lasso_scenarios)
+from saacert.cli import main
 from saacert.errors import InfeasibleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
@@ -99,7 +101,9 @@ def test_declared_gradients_replace_finite_differences(monkeypatch):
 
 def test_fd_fallback_is_one_batched_call_per_gradient(monkeypatch):
     """Without declared gradients each subgradient is one ``fhat_grid``
-    call on the 2d-point stencil, equal to per-coordinate differences."""
+    call on the 2d-point stencil, equal to per-coordinate differences.  The
+    solver's other calls are one-point tables: a step's residuals, and the
+    averaged iterate's residuals and value."""
     program = make_family("ball2d")
     scen = ScenarioSet.from_sampler(program.oracle.sampler, 200, seed=3)
     emp = build_empirical(program, scen, np.array([0.1]))
@@ -108,21 +112,22 @@ def test_fd_fallback_is_one_batched_call_per_gradient(monkeypatch):
     fhat_grid = EmpiricalProblem.fhat_grid
 
     def counted(self, i, points):
-        calls.append(len(points))
+        calls.append(len(np.atleast_2d(points)))
         return fhat_grid(self, i, points)
 
     monkeypatch.setattr(EmpiricalProblem, "fhat_grid", counted)
     x = np.array([0.3, -0.2])
     for i in (0, 1):
+        calls.clear()
         g = _fd_gradient(emp, i, x)
+        assert calls == [4]
         loop = [(emp.fhat(i, x + FD_STEP * e) - emp.fhat(i, x - FD_STEP * e))
                 / (2 * FD_STEP) for e in np.eye(2)]
         # a few ulps of the sample means, over the stencil width
         assert g == pytest.approx(loop, abs=64 * np.finfo(float).eps / FD_STEP)
-    assert calls == [4, 4]
     calls.clear()
     subgradient_solve(emp, SolverConfig(method="subgradient", budget=30))
-    assert calls == [4] * 30
+    assert calls == [1, 4] * 30 + [1, 1]
 
 
 def test_budget_exhaustion_reported():
@@ -148,6 +153,28 @@ def test_near_optimal_check_tristate():
         replace(emp.program, space=cloud), emp.scenarios)
     best = grid_solve(emp_c, h=0.1)
     assert near_optimal_check(emp_c, best.x, eps=1e-6, h=0.1) is True
+
+
+def test_zero_diameter_hard_sets_solve(capsys):
+    """A one-point hard set has diameter 0.  The subgradient start grid and
+    the bracketing grid floor it at ``MIN_GRID_DIAMETER``, so neither asks
+    for a grid of step 0: from the CLI and from the library."""
+    code = main(["solve", "--problem",
+                 '{"family":"linear_simplex","params":{"dim":1}}',
+                 "--n", "5", "--method", "subgradient"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)["results"]["solution"]["x"] == [1.0]
+    program = make_family("linear_simplex", dim=1)
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 5, seed=0))
+    res = subgradient_solve(emp, SolverConfig(method="subgradient", budget=10))
+    assert res.x.tolist() == [1.0] and res.feasible
+    emp = quad_emp(n=50)
+    point = build_empirical(
+        replace(emp.program, space=SpaceDescriptor.cloud([[0.5]])),
+        emp.scenarios)
+    assert near_optimal_check(point, [0.5], eps=1e-6) is True
 
 
 def test_solve_true_quadratic():

@@ -11,6 +11,7 @@ from saacert.distributions import make_distribution
 from saacert.errors import (BudgetError, ConfigError, SlaterMarginError,
                             UncalibratableError)
 from saacert.families import make_family
+from saacert.problem import TrueOracle
 from saacert.validation import (WILSON_Z, CoveragePlan, calibrate_constant,
                                 coverage_certificate, coverage_experiment,
                                 fit_loglog_slope, rate_experiment,
@@ -270,3 +271,26 @@ def test_calibration_computes_each_pilot_profile_once(monkeypatch):
             except BudgetError as exc:
                 ref = {"error": exc.to_json()}
             assert json.dumps(row[plan.name]) == json.dumps(ref)
+
+
+def test_a_program_without_sampler_is_a_config_error():
+    """Every Monte Carlo path draws through ``StochasticProgram.sampler``: a
+    program without one is a configuration error naming the program, not an
+    empty sample."""
+    program = make_family("quad1d", a=0.3)
+    program.oracle = TrueOracle()   # no sampler and no noise moments
+    plan = CoveragePlan(program=program, theorem="fixed",
+                        event="near-optimal-subset", eps=0.1, p=0.1,
+                        replications=4, seed=5)
+    calls = {
+        "true_fn_grid": lambda: program.true_fn_grid(0, np.zeros((2, 1))),
+        "coverage_experiment": lambda: coverage_experiment(plan),
+        "uniform_tail_experiment": lambda: uniform_tail_experiment(
+            program, 20, [0.5], 2, 1.0, seed=3, h=0.25),
+        "rate_experiment": lambda: rate_experiment(program, [10, 20, 40], 2,
+                                                   seed=3, h=0.25),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.details == {"program": "quad1d"}, name
