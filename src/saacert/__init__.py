@@ -64,7 +64,6 @@ from .moments import (
     sigma_breve,
     sigma_hat_set,
     sigma_hat_sq,
-    sigma_pop_sq,
     variance_profile,
 )
 from .problem import (

@@ -139,12 +139,10 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
         t = point[d]
         return t + np.maximum(-(xis @ point[:d]) - t, 0.0) / p - beta
 
-    # moduli in the l1 product norm: simplex steps sum to 0, so |xi^T dx|
-    # <= (max xi - min xi) / 2 * ||dx||_1, as for linear_simplex
-    def modulus0(xis):
-        return (xis.max(axis=1) - xis.min(axis=1)) / 2
-
-    def modulus1(xis):  # the pieces t and t (1 - 1/p) - xi^T x / p
+    # the hinge's modulus in the l1 product norm, the larger over its pieces
+    # t and t (1 - 1/p) - xi^T x / p; simplex steps sum to 0, so |xi^T dx|
+    # <= (max xi - min xi) / 2 * ||dx||_1, as the objective derives it
+    def modulus1(xis):
         spread = (xis.max(axis=1) - xis.min(axis=1)) / (2 * p)
         return np.maximum(np.maximum(spread, 1.0), 1 / p - 1)
 
@@ -153,7 +151,7 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
         oracle = TrueOracle(sampler=lambda rng, n: np.atleast_2d(sampler(rng, n)))
     program = StochasticProgram(
         objective=f0, constraints=[f1], space=space,
-        holder=[HolderInfo(1.0, modulus0), HolderInfo(1.0, modulus1)],
+        holder=[HolderInfo(), HolderInfo(1.0, modulus1)],
         oracle=oracle, convex=True, gradients=portfolio_gradients(d, p),
         name="portfolio")
     return PortfolioProblem(program=program, dataset=dataset, p=p, beta=beta,

@@ -224,9 +224,7 @@ def _cmd_solve(args):
     else:
         if args.n is None:
             raise ConfigError("solve needs --scenarios or --n with --seed")
-        if program.oracle is None or program.oracle.sampler is None:
-            raise ConfigError("family has no sampler; supply --scenarios")
-        scen = ScenarioSet.from_sampler(program.oracle.sampler, args.n, args.seed)
+        scen = ScenarioSet.from_sampler(program.sampler, args.n, args.seed)
     emp = build_empirical(program, scen,
                           _relax_vector(args, program.n_constraints))
     config = SolverConfig(method=args.method, grid_h=args.h,

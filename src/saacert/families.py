@@ -1,9 +1,9 @@
 """Built-in synthetic problem families with full population oracles.
 
 Each family is desk-scale (d <= 3), has integrands affine in the noise
-(``NoiseAffine``: closed-form population moments, vectorized empirical means),
-closed-form per-scenario Lipschitz moduli L(xi) (declared on its
-``HolderInfo``), and -- where the geometry allows -- exact
+(``NoiseAffine``: closed-form population moments, vectorized empirical means,
+and per-scenario Lipschitz moduli L(xi) derived from B and the space, so no
+``HolderInfo`` declares one), and -- where the geometry allows -- exact
 distance-to-feasible-set and regularity constants.  They back the
 Monte Carlo validation lab, calibration, and the CLI's problem configs.
 """
@@ -47,11 +47,6 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
     x_star = float(np.clip(a - s * mu / 2, 0.0, 1.0))
 
     f0 = NoiseAffine(lambda x: (x[..., 0] - a) ** 2, [[s]])
-
-    def modulus0(xis):  # |dF0/dx| = |2(x - a) + s*xi| is largest at x = 0 or 1
-        slope = s * xis[:, 0]
-        return np.maximum(np.abs(slope - 2 * a), np.abs(slope + 2 * (1 - a)))
-
     oracle = TrueOracle(
         noise_mean=np.array([mu]), noise_var=var,
         sampler=d.sampler(1),
@@ -59,15 +54,16 @@ def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
         x_star=np.array([x_star]),
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
-                             holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
+                             holder=[HolderInfo()], oracle=oracle,
                              convex=False, name="quad1d")
 
 
 def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
     """Linear objective with random coefficients on the probability simplex.
 
-    F0(x, xi) = xi^T x with i.i.d. coordinates; per-scenario Holder modulus
-    in l1 is exactly (max_i xi_i - min_i xi_i) / 2, attained at vertex pairs.
+    F0(x, xi) = xi^T x with i.i.d. coordinates; the per-scenario Holder
+    modulus of (xi - mu)^T x in l1 is exactly (max_i (xi_i - mu_i) - min_i
+    (xi_i - mu_i)) / 2, attained at vertex pairs.
     """
     d = _resolve_dist(dist)
     offsets = np.zeros(dim) if offsets is None else np.asarray(offsets, dtype=float)
@@ -82,10 +78,6 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
         return base(rng, n) + offsets
 
     f0 = NoiseAffine(lambda x: np.zeros(x.shape[:-1]), np.eye(dim))
-
-    def modulus0(xis):
-        return (xis.max(axis=1) - xis.min(axis=1)) / 2
-
     j = int(np.argmin(means))
     oracle = TrueOracle(
         noise_mean=means, noise_var=d.var,
@@ -94,7 +86,7 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
         x_star=np.eye(dim)[j],
     )
     return StochasticProgram(objective=f0, constraints=[], space=space,
-                             holder=[HolderInfo(1.0, modulus0)], oracle=oracle,
+                             holder=[HolderInfo()], oracle=oracle,
                              convex=True, name="linear_simplex")
 
 
@@ -118,22 +110,9 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     f0 = NoiseAffine(lambda x: x[..., 0] + x[..., 1], [[0.0, 0.0], [0.0, s0]])
     f1 = NoiseAffine(lambda x: np.hypot(x[..., 0], x[..., 1]) - rho,
                      [[s1, 0.0], [0.0, 0.0]])
-
-    # Lipschitz moduli in l2 (self-dual): the objective's gradient is
-    # (1, 1 + s0*xi2); the constraint's is x/||x|| + (s1*xi1, 0), whose norm
-    # is largest along the first axis
-    def modulus0(xis):
-        return np.hypot(1.0, 1.0 + s0 * xis[:, 1])
-
-    def modulus1(xis):
-        return 1.0 + np.abs(s1 * xis[:, 0])
-
-    # RMS Lipschitz modulus of the objective: ||(1, 1 + s0*xi)||_2 in l2
-    l0 = math.sqrt(2.0 + s0 ** 2 * var)
     x_star = np.array([-rho / math.sqrt(2)] * 2)
     oracle = TrueOracle(
         noise_mean=np.full(2, d.mean), noise_var=var,
-        holder_rms=[l0, None],
         sampler=d.sampler(2),
         f_star=-math.sqrt(2) * rho,
         x_star=x_star,
@@ -142,8 +121,7 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
         dist_to_feasible=lambda x: max(0.0, math.hypot(x[0], x[1]) - rho),
     )
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
-                             holder=[HolderInfo(1.0, modulus0),
-                                     HolderInfo(1.0, modulus1)],
+                             holder=[HolderInfo(), HolderInfo()],
                              oracle=oracle, convex=True, name="ball2d")
 
 
@@ -168,31 +146,13 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     space = SpaceDescriptor.box([0.0, 0.0], [1.0, 1.0], norm="linf")
 
     f1 = NoiseAffine(lambda x: x[..., 0] + x[..., 1] - b, [[s1, 0.0], [0.0, 0.0]])
-
-    # Lipschitz moduli in l-inf are l1 norms of the gradient; the
-    # constraint's is (1 + s1*xi1, 1)
-    def modulus1(xis):
-        return np.abs(1.0 + s1 * xis[:, 0]) + 1.0
-
     if objective == "corner":
         f0 = NoiseAffine(lambda x: -x[..., 0] - x[..., 1], [[0.0, 0.0], [0.0, s0]])
-
-        def modulus0(xis):  # gradient (-1, -1 + s0*xi2)
-            return 1.0 + np.abs(s0 * xis[:, 1] - 1.0)
-
         x_star, f_star = np.array([b / 2, b / 2]), -b
     else:
         cx = 0.3
         f0 = NoiseAffine(lambda x: (x[..., 0] - cx) ** 2 + (x[..., 1] - cx) ** 2,
                          [[0.0, 0.0], [s0, s0]])
-
-        def modulus0(xis):
-            # each gradient coordinate 2(x_k - cx) + s0*xi2 is largest in
-            # absolute value at x_k = 0 or 1
-            slope = s0 * xis[:, 1]
-            return 2 * np.maximum(np.abs(slope - 2 * cx),
-                                  np.abs(slope + 2 * (1 - cx)))
-
         x_star, f_star = np.array([cx, cx]), 0.0
 
     oracle = TrueOracle(
@@ -205,8 +165,7 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
         dist_to_feasible=lambda x: max(0.0, (x[0] + x[1] - b) / 2),
     )
     return StochasticProgram(objective=f0, constraints=[f1], space=space,
-                             holder=[HolderInfo(1.0, modulus0),
-                                     HolderInfo(1.0, modulus1)], oracle=oracle,
+                             holder=[HolderInfo(), HolderInfo()], oracle=oracle,
                              convex=True, name=f"halfspace_box:{objective}")
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DimensionMismatchError
 
 NORMS = ("l1", "l2", "linf")
+_DUAL = {"l1": "linf", "l2": "l2", "linf": "l1"}
 KINDS = ("box", "ball", "simplex", "cloud", "product")
 
 # largest grid any descriptor enumerates (BudgetError beyond it)
@@ -339,6 +340,24 @@ class SpaceDescriptor:
             raise ConfigError("product spaces are measured in l1 only",
                               norm=n, allowed=["l1"])
         return sum(p.diameter("l1") for p in self.parts)
+
+    def linear_modulus(self, w, norm: str | None = None) -> np.ndarray:
+        """Lipschitz constant of x -> w^T x on the set under ``norm`` (default:
+        own norm), one per row of ``w`` (N, d).  A product takes the max over
+        its parts, each in l1; on a simplex in l1 it is (max w - min w) / 2,
+        since x - y sums to 0 (equal at two vertices); otherwise the dual
+        norm of w."""
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        n = norm or self.norm
+        if self.kind == "product":
+            out, off = np.zeros(len(w)), 0
+            for p in self.parts:
+                out = np.maximum(out, p.linear_modulus(w[:, off : off + p.dim], "l1"))
+                off += p.dim
+            return out
+        if self.kind == "simplex" and n == "l1":
+            return (w.max(axis=1) - w.min(axis=1)) / 2
+        return _norm_rows(np.abs(w), _DUAL.get(n, n))
 
     def contains(self, x, tol: float) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))

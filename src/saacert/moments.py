@@ -2,8 +2,8 @@
 
 Three layers:
 
-* declared per-scenario Holder moduli and their root-mean-square aggregates
-  (``estimate_holder``),
+* per-scenario Holder moduli, declared or derived from a ``NoiseAffine``
+  form, and their root-mean-square aggregates (``estimate_holder``),
 * pointwise and set-level variance quantities -- the empirical variance
   around the population mean, its population counterpart, their combined
   ("breve") form, and the chaining-functional bounds ``A_alpha(Z) *
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySampleError
 from .geometry import SpaceDescriptor, _nearest_dists, a_alpha
-from .problem import (MC_SEED, SET_TOL, EmpiricalProblem, StochasticProgram,
+from .problem import (SET_TOL, EmpiricalProblem, NoiseAffine, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ class HolderEstimate:
     l_hat: float
     l_pop: float
     per_scenario: np.ndarray
-    pop_provenance: str = "closed-form"
+    pop_provenance: str
 
     @property
     def combined(self) -> float:
@@ -49,28 +49,34 @@ class HolderEstimate:
 def per_scenario_modulus(program: StochasticProgram, i: int,
                          scenarios: np.ndarray) -> np.ndarray:
     """Holder modulus of integrand ``i``, one value per scenario: its declared
-    ``HolderInfo.modulus``.  A program that declares none has no modulus to
-    certify with (``ConfigError``)."""
-    declared = program.holder[i].modulus
-    if declared is None:
-        raise ConfigError(f"integrand {i} of program {program.name!r} declares "
-                          "no Holder modulus", integrand=i, program=program.name)
-    return np.asarray(declared(np.atleast_2d(scenarios)), dtype=float)
+    ``HolderInfo.modulus``, else for a ``NoiseAffine`` integrand f(x) +
+    xi^T B x the modulus of (xi - c)^T B x on the space, c the oracle's
+    ``noise_mean`` or 0.  The deviation Fhat - f does not change when the
+    deterministic f(x) + c^T B x is subtracted, and E L^2 < inf exactly when
+    E ||xi||^2 < inf; c must not depend on the data.  For alpha < 1 the
+    Lipschitz constant L becomes L D^(1 - alpha), D the diameter, since
+    ||x - y|| <= D^(1 - alpha) ||x - y||^alpha.  Any other integrand has no
+    modulus to certify with (``ConfigError``)."""
+    xis = np.atleast_2d(scenarios)
+    info, fn = program.holder[i], program.integrand(i)
+    if info.modulus is not None:
+        return np.asarray(info.modulus(xis), dtype=float)
+    if isinstance(fn, NoiseAffine):
+        c = getattr(program.oracle, "noise_mean", None)
+        lipschitz = program.space.linear_modulus((xis if c is None else xis - c) @ fn.B)
+        return lipschitz * program.space.diameter() ** (1 - info.alpha)
+    raise ConfigError(f"integrand {i} of program {program.name!r} declares "
+                      "no Holder modulus", integrand=i, program=program.name)
 
 
-def _population_l(program: StochasticProgram, i: int, seed: int,
+def _population_l(program: StochasticProgram, i: int,
                   plug_in: float | None = None):
-    """(population RMS modulus, provenance): the oracle's ``holder_rms``,
-    else the RMS of ``per_scenario_modulus`` over ``oracle.mc_budget``
-    oracle draws from ``seed``, else ``plug_in``."""
-    oracle = program.oracle
-    if (oracle is not None and oracle.holder_rms is not None
-            and oracle.holder_rms[i] is not None):
-        return float(oracle.holder_rms[i]), "closed-form"
-    if oracle is None or oracle.sampler is None:
+    """(population RMS modulus, provenance): the RMS of
+    ``per_scenario_modulus`` over the program's cached Monte Carlo draws,
+    else ``plug_in`` without an oracle sampler."""
+    if program.oracle is None or program.oracle.sampler is None:
         return plug_in, "plug-in"
-    draws = oracle.sampler(np.random.default_rng(seed), oracle.mc_budget)
-    mc = per_scenario_modulus(program, i, np.atleast_2d(draws))
+    mc = per_scenario_modulus(program, i, program._mc_draws.data)
     return float(np.sqrt(np.mean(mc ** 2))), "declared-monte-carlo"
 
 
@@ -78,16 +84,13 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray,
                     i: int) -> HolderEstimate:
     """Estimate RMS Holder moduli for integrand ``i``.
 
-    ``l_hat`` is the empirical RMS of the declared per-scenario moduli;
-    ``l_pop`` comes from the oracle's closed form ``holder_rms`` or a Monte
-    Carlo rerun of the same per-scenario modulus, in that order of
-    preference, and falls back to ``l_hat`` without an oracle sampler
-    (``pop_provenance``).
+    ``l_hat`` is the empirical RMS of the per-scenario moduli; ``l_pop`` is
+    their RMS over the population Monte Carlo draws, or ``l_hat`` without
+    an oracle sampler (``pop_provenance``).
     """
     per = per_scenario_modulus(program, i, scenarios)
     l_hat = float(np.sqrt(np.mean(per ** 2)))
-    l_pop, pop_src = _population_l(program, i, MC_SEED + 7 * (i + 1),
-                                   plug_in=l_hat)
+    l_pop, pop_src = _population_l(program, i, plug_in=l_hat)
     return HolderEstimate(index=i, alpha=program.holder[i].alpha, l_hat=l_hat,
                           l_pop=l_pop, per_scenario=per, pop_provenance=pop_src)
 
@@ -109,15 +112,10 @@ def sigma_hat_sq(emp: EmpiricalProblem, i: int, x, pop_mean: float | None = None
     return float(np.mean((vals - pop_mean) ** 2))
 
 
-def sigma_pop_sq(program: StochasticProgram, i: int, x) -> float:
-    """Population variance of F_i(x, .)."""
-    return program.true_variance(i, x)
-
-
 def sigma_breve(emp: EmpiricalProblem, i: int, x) -> float:
     """sqrt(sigma_hat_i(x)^2 + sigma_i(x)^2) at a single point."""
     pop_mean = emp.program.true_fn(i, x)
-    return math.sqrt(sigma_hat_sq(emp, i, x, pop_mean) + sigma_pop_sq(emp.program, i, x))
+    return math.sqrt(sigma_hat_sq(emp, i, x, pop_mean) + emp.program.true_variance(i, x))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # seed of the population Monte Carlo draws behind every oracle fallback
 MC_SEED = 20_240_001
 
-# A declared modulus L(xi) may sit below a secant ratio realised on probe
-# points only by rounding: by at most MODULUS_RTOL * max(L(xi), max_x
-# |F(x, xi)| / delta), delta the smallest probe distance.  The second scale
-# is the cancellation error of F(x) - F(y), a few ulps of |F| over the
-# distance; 1e-12 leaves three orders of magnitude above it.
+# A declared or derived modulus L(xi) may sit below a secant ratio realised
+# on probe points only by rounding: by at most MODULUS_RTOL * max(L(xi),
+# max_x |F(x, xi)| / delta^alpha), delta the smallest probe distance.  The
+# second scale is the cancellation error of F(x) - F(y) (and of F(x, xi) -
+# F(x, c) for a derived one), a few ulps of |F| over the distance; 1e-12
+# leaves three orders of magnitude above it.
 MODULUS_RTOL = 1e-12
 
 # A grid point lies in a level set when every constraint value is at most
@@ -52,7 +53,9 @@ class NoiseAffine:
     """The integrand F(x, xi) = f(x) + xi^T B x, ``f`` mapping points (..., d)
     to values (...,) and ``B`` of shape (k, d).  At a point (d,) or a grid
     (G, d) its mean at a noise mean mu is f(x) + mu^T B x and, for i.i.d.
-    noise coordinates of variance v, its variance is v ||B x||^2."""
+    noise coordinates of variance v, its variance is v ||B x||^2.  Less the
+    deterministic F(x, c), it is (xi - c)^T B x, whose Holder modulus
+    ``moments.per_scenario_modulus`` derives from B and the space."""
 
     f: Callable[[np.ndarray], np.ndarray]
     B: np.ndarray
@@ -78,11 +81,14 @@ class HolderInfo:
 
     ``alpha`` is the Holder exponent in (0, 1].  ``modulus``, when given,
     maps scenarios (N, k) to the per-scenario modulus L(xi), shape (N,):
-    the smallest L with |F(x, xi) - F(y, xi)| <= L ||x - y||^alpha on the
-    whole space, in closed form (for alpha = 1 the sup of the gradient in
-    the dual norm).  Without it the program still builds ledgers and runs
-    the checker and the solvers; what needs sigma-hat (variance profiles,
-    uniform-tail and coverage experiments) raises ``ConfigError``.
+    an L with |G(x, xi) - G(y, xi)| <= L ||x - y||^alpha on the whole
+    space, in closed form, for G = F - h with any deterministic h (the
+    deviation Fhat - f does not see h; for alpha = 1 and h = 0 the sup of
+    the gradient in the dual norm).  A ``NoiseAffine`` integrand needs
+    none: ``moments.per_scenario_modulus`` derives it from B.  Otherwise,
+    without it the program still builds ledgers and runs the checker and
+    the solvers; what needs sigma-hat (variance profiles, uniform-tail and
+    coverage experiments) raises ``ConfigError``.
     """
 
     alpha: float = 1.0
@@ -102,7 +108,6 @@ class TrueOracle:
     fns: Sequence[Callable[[np.ndarray], float]] | None = None
     noise_mean: np.ndarray | None = None
     noise_var: float | None = None
-    holder_rms: Sequence[float | None] | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     f_star: float | None = None
     x_star: np.ndarray | None = None

@@ -142,7 +142,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
     comp = a_alpha(space, program.holder[0].alpha, h=h)
-    pop_l, _ = _population_l(program, 0, seed ^ 0x5EED)
+    pop_l, _ = _population_l(program, 0)
 
     sups = np.empty(replications)
     scales = np.empty(replications)

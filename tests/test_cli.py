@@ -584,11 +584,11 @@ CALIBRATED = f"{COVERAGE['family']}:{COVERAGE['event']}"
                                   "params": {"noise": 0.0}}})],
      _paths("plan seed", RATE_RESULTS)),
     (["calibrate", "--families", json.dumps(
-        {"plans": [{**COVERAGE, "replications": 40}], "c_grid": [0.015625]})],
+        {"plans": [{**COVERAGE, "replications": 40}], "c_grid": [0.03125]})],
      _paths("families seed", " ".join(
          [f"c_grid[] c_star monotone_confirmed seed "
-          f"matrix.0.015625.{CALIBRATED} matrix.0.03125.{CALIBRATED}"]
-         + [f"reports.{c}.{CALIBRATED}.{key}" for c in ("0.015625", "0.03125")
+          f"matrix.0.03125.{CALIBRATED} matrix.0.0625.{CALIBRATED}"]
+         + [f"reports.{c}.{CALIBRATED}.{key}" for c in ("0.03125", "0.0625")
             for key in COVERAGE_RESULTS.split()]))),
 ], ids=["certify-sigma", "certify-sigma-n-available", "solve-grid",
         "solve-subgradient", "validate-tail", "validate-coverage",

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saacert.certify import _max_ratio
 from saacert.errors import BudgetError, ConfigError
 from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _entropy_model,
                               _nearest_dists, a_alpha, cross_dists, dists_to,
                               entropy_number, greedy_pack, max_pairwise,
                               min_pairwise_gap, packing_net, set_deviation,
                               vec_norm)
+from saacert.problem import MODULUS_RTOL
 
 # Frozen reference: chaining constant of the two-point set {0, 1},
 # recomputed independently in test_a_alpha_two_point_matches_series below.
@@ -369,3 +371,68 @@ def test_grid_over_budget_raises_before_allocating(space, h, required):
     assert err.value.details["required"] == required > GRID_BUDGET
     if space.kind == "product":
         assert all(len(part.grid(h)) <= GRID_BUDGET for part in space.parts)
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz constants of linear maps
+
+
+@st.composite
+def linear_cases(draw):
+    """A box, ball or cloud in each norm, an l1 simplex, or a simplex x
+    interval product; rows w over six decades; a grid step."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, norm = draw(st.sampled_from(["box", "ball", "simplex", "cloud",
+                                       "product"])), draw(NORM)
+    d = draw(st.integers(1, 3))
+    lo = rng.uniform(-2.0, 1.0, d)
+    if kind == "box":
+        space = SpaceDescriptor.box(lo, lo + rng.uniform(0.1, 2.0, d), norm=norm)
+    elif kind == "ball":
+        space = SpaceDescriptor.ball(lo, rng.uniform(0.1, 2.0), norm=norm)
+    elif kind == "cloud":
+        space = SpaceDescriptor.cloud(rng.standard_normal((20, d)), norm=norm)
+    elif kind == "simplex":
+        space = SpaceDescriptor.simplex(draw(st.integers(1, 4)))
+    else:
+        space = SpaceDescriptor.product(SpaceDescriptor.simplex(d),
+                                        SpaceDescriptor.interval(lo[0], lo[0] + 1.5))
+    w = rng.standard_normal((8, space.dim)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return space, w, draw(st.sampled_from([0.5, 0.25]))
+
+
+def _dual_maximiser(w, norm):
+    """A unit vector u in ``norm`` with w^T u the dual norm of w."""
+    if norm == "l2":
+        return w / np.sqrt(w @ w)
+    if norm == "linf":
+        return np.sign(w)
+    u = np.zeros_like(w)
+    u[np.argmax(np.abs(w))] = np.sign(w[np.argmax(np.abs(w))])
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_cases())
+def test_linear_modulus_bounds_every_secant_ratio(case):
+    """linear_modulus(w) >= |w^T (x - y)| / ||x - y|| on the set's grid, up
+    to MODULUS_RTOL of rounding; it is the max over vertex pairs on the l1
+    simplex, and a ball attains it between c - r u and c + r u."""
+    space, w, h = case
+    modulus = space.linear_modulus(w)
+    assert modulus.shape == (len(w),)
+    pts = space.grid(h)
+    vals = pts @ w.T
+    realised = _max_ratio(pts, vals, 1.0, space.norm)
+    scale = np.maximum(modulus, np.abs(vals).max(axis=0)
+                       / min_pairwise_gap(pts, space.norm))
+    assert np.all(realised <= modulus + MODULUS_RTOL * scale)
+    if space.kind == "simplex":
+        vertices = np.eye(space.dim)
+        assert np.array_equal(modulus, _max_ratio(vertices, vertices @ w.T,
+                                                  1.0, "l1"))
+    if space.kind == "ball":
+        for row, bound in zip(w, modulus):
+            step = 2 * space.radius * _dual_maximiser(row, space.norm)
+            ratio = abs(row @ step) / vec_norm(step, space.norm)
+            assert bound <= ratio * (1 + MODULUS_RTOL)

@@ -14,8 +14,8 @@ from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor, min_pairwise_gap, set_deviation
 from saacert.moments import (estimate_holder, per_scenario_modulus,
                              self_normalized, sigma_breve, sigma_hat_sq,
-                             sigma_pop_sq, variance_profile)
-from saacert.problem import (MC_SEED, MODULUS_RTOL, HolderInfo, ScenarioSet,
+                             variance_profile)
+from saacert.problem import (MODULUS_RTOL, HolderInfo, NoiseAffine, ScenarioSet,
                              StochasticProgram, build_empirical)
 from saacert.validation import uniform_tail_experiment
 
@@ -75,7 +75,7 @@ def test_sigma_breve_bounds():
         x = np.array(x)
         pop_mean = program.true_fn(0, x)
         s_hat = math.sqrt(max(sigma_hat_sq(emp, 0, x, pop_mean), 0.0))
-        s_pop = math.sqrt(max(sigma_pop_sq(program, 0, x), 0.0))
+        s_pop = math.sqrt(max(program.true_variance(0, x), 0.0))
         s_breve = sigma_breve(emp, 0, x)
         assert s_breve >= max(s_hat, s_pop) / math.sqrt(2) - 1e-9
         assert s_breve <= s_hat + s_pop + 1e-9
@@ -275,31 +275,42 @@ def _declared_case(draw, variant):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_declared_modulus_bounds_every_secant_ratio(variant, data):
-    """L(xi) >= every realised secant ratio, up to MODULUS_RTOL of rounding."""
+    """L(xi) >= every realised secant ratio, up to MODULUS_RTOL of rounding:
+    of F for a declared modulus, and of G(x, xi) = F(x, xi) - F(x, c), c the
+    noise mean or 0, for the one derived from a NoiseAffine integrand, at
+    Holder exponent 1 or 1/2."""
     program, xis, step = _declared_case(data.draw, variant)
     probes = program.space.grid(step)
     norm = program.space.norm
     delta = min_pairwise_gap(probes, norm)
+    c = getattr(program.oracle, "noise_mean", None)
+    c = np.zeros((1, xis.shape[1])) if c is None else np.atleast_2d(c)
+    alpha = data.draw(st.sampled_from([1.0, 0.5]))
     for i, info in enumerate(program.holder):
-        assert info.modulus is not None
-        vals = np.stack([program.integrand(i)(x, xis) for x in probes])
-        realised = _max_ratio(probes, vals, info.alpha, norm)
-        declared = per_scenario_modulus(program, i, xis)
-        scale = np.maximum(declared, np.abs(vals).max(axis=0) / delta)
-        assert declared.shape == (len(xis),)
-        assert np.all(realised <= declared + MODULUS_RTOL * scale)
+        fn = program.integrand(i)
+        assert (info.modulus is None) == isinstance(fn, NoiseAffine)
+        shift = np.zeros((len(probes), 1))
+        if info.modulus is None:
+            info = program.holder[i] = HolderInfo(alpha)
+            shift = np.stack([fn(x, c) for x in probes])
+        vals = np.stack([fn(x, xis) for x in probes])
+        realised = _max_ratio(probes, vals - shift, info.alpha, norm)
+        modulus = per_scenario_modulus(program, i, xis)
+        size = np.maximum(np.abs(vals), np.abs(shift)).max(axis=0)
+        scale = np.maximum(modulus, size / delta ** info.alpha)
+        assert modulus.shape == (len(xis),)
+        assert np.all(realised <= modulus + MODULUS_RTOL * scale)
 
 
 def test_holder_provenance_says_what_was_computed():
-    """closed-form, declared-monte-carlo or plug-in for the population
-    modulus."""
+    """declared-monte-carlo or plug-in for the population modulus."""
     def provenance(program, i=0):
         scen = ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=4)
         return estimate_holder(program, scen.data, i).pop_provenance
 
     ball = make_family("ball2d")
     ball.oracle.mc_budget = 500
-    assert provenance(ball, 0) == "closed-form"
+    assert provenance(ball, 0) == "declared-monte-carlo"
     assert provenance(ball, 1) == "declared-monte-carlo"
     quad = make_family("quad1d")
     quad.oracle.mc_budget = 500
@@ -310,10 +321,14 @@ def test_holder_provenance_says_what_was_computed():
 
 
 def test_undeclared_modulus_raises_where_sigma_hat_is_needed():
-    """No modulus declared: every path that needs L(xi) raises ConfigError
-    naming the integrand and the program."""
+    """No modulus declared and none to derive: every path that needs L(xi)
+    raises ConfigError naming the integrand and the program.  A NoiseAffine
+    integrand without a declared modulus derives one."""
     program = make_family("quad1d", a=0.4)
-    program.holder = [HolderInfo(1.0)]
+    derived = per_scenario_modulus(program, 0, np.array([[0.5], [-2.0]]))
+    assert program.holder[0].modulus is None and np.all(derived > 0)
+    affine = program.objective
+    program.objective = lambda x, xis: affine(x, xis)   # a plain integrand
     scen = ScenarioSet.from_sampler(program.oracle.sampler, 20, seed=1)
     emp = build_empirical(program, scen, np.zeros(0))
     calls = {
@@ -331,18 +346,20 @@ def test_undeclared_modulus_raises_where_sigma_hat_is_needed():
 
 
 def test_declared_modulus_builds_no_probe_grid(monkeypatch):
-    """With a declared modulus the population draws never meet a probe."""
+    """A derived modulus never meets a probe: l_pop is its RMS over the
+    program's cached population draws, and each scenario's value is
+    |s (xi - mu)| on quad1d's interval."""
     program = make_family("quad1d")
     program.oracle.mc_budget = 300
     scen = ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=4)
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("probe grid built for a declared modulus")
+        raise AssertionError("probe grid built for a derived modulus")
 
     monkeypatch.setattr(program.space, "grid", no_grid)
     est = estimate_holder(program, scen.data, 0)
-    draws = program.oracle.sampler(
-        np.random.default_rng(MC_SEED + 7), 300)
-    expect = program.holder[0].modulus(draws)
+    s, mu = program.objective.B[0, 0], program.oracle.noise_mean[0]
+    expect = np.abs((program._mc_draws.data[:, 0] - mu) * s)
+    assert len(expect) == 300
     assert est.l_pop == float(np.sqrt(np.mean(expect ** 2)))
-    assert np.array_equal(est.per_scenario, program.holder[0].modulus(scen.data))
+    assert np.array_equal(est.per_scenario, np.abs((scen.data[:, 0] - mu) * s))

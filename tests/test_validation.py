@@ -239,7 +239,7 @@ def small_calibration_plans():
                      eps=0.1, seed=5, h=0.02, name="q", **common),
         # max_n busts the budget at the doubled constant
         CoveragePlan(program=ball, theorem="exterior", event="feasible-relaxed",
-                     eps=0.1, seed=6, h=0.1, max_n=100, name="b", **common),
+                     eps=0.1, seed=6, h=0.1, max_n=200, name="b", **common),
         CoveragePlan(program=half, theorem="interior", event="feasible-hard",
                      eps=0.3, seed=7, h=0.1, name="h", **common),
     ]
@@ -258,7 +258,7 @@ def test_calibration_computes_each_pilot_profile_once(monkeypatch):
 
     monkeypatch.setattr(validation, "variance_profile", counted)
     plans = small_calibration_plans()
-    result = calibrate_constant(plans, c_grid=[2.0 ** -9, 2.0 ** -8, 2.0 ** -7])
+    result = calibrate_constant(plans, c_grid=[2.0 ** -4, 2.0 ** -3, 2.0 ** -2])
     assert sorted(calls) == sorted(plan.program.name for plan in plans)
     assert len(result.reports) >= 2
     assert not result.monotone_confirmed
