@@ -341,23 +341,22 @@ class SpaceDescriptor:
                               norm=n, allowed=["l1"])
         return sum(p.diameter("l1") for p in self.parts)
 
-    def linear_modulus(self, w, norm: str | None = None) -> np.ndarray:
-        """Lipschitz constant of x -> w^T x on the set under ``norm`` (default:
-        own norm), one per row of ``w`` (N, d).  A product takes the max over
-        its parts, each in l1; on a simplex in l1 it is (max w - min w) / 2,
-        since x - y sums to 0 (equal at two vertices); otherwise the dual
-        norm of w."""
+    def linear_modulus(self, w) -> np.ndarray:
+        """Lipschitz constant of x -> w^T x on the set in its own norm, one per
+        row of ``w`` (N, d).  A product takes the max over its parts, each in
+        its own norm (a bound in the product's l1 too, which no part's norm
+        exceeds); on a simplex in l1 it is (max w - min w) / 2, since x - y
+        sums to 0 (equal at two vertices); otherwise the dual norm of w."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
-        n = norm or self.norm
         if self.kind == "product":
             out, off = np.zeros(len(w)), 0
             for p in self.parts:
-                out = np.maximum(out, p.linear_modulus(w[:, off : off + p.dim], "l1"))
+                out = np.maximum(out, p.linear_modulus(w[:, off : off + p.dim]))
                 off += p.dim
             return out
-        if self.kind == "simplex" and n == "l1":
+        if self.kind == "simplex" and self.norm == "l1":
             return (w.max(axis=1) - w.min(axis=1)) / 2
-        return _norm_rows(np.abs(w), _DUAL.get(n, n))
+        return _norm_rows(np.abs(w), _DUAL[self.norm])
 
     def contains(self, x, tol: float) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))

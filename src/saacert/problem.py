@@ -186,10 +186,15 @@ class StochasticProgram:
             return fn.mean(pts, self.oracle.noise_mean)
         return _sample_means(self, i, pts, self._mc_draws)
 
-    @cached_property
+    @property
     def _mc_draws(self) -> ScenarioSet:
-        """``oracle.mc_budget`` population draws from the seed ``MC_SEED``."""
-        return ScenarioSet.from_sampler(self.sampler, self.oracle.mc_budget, MC_SEED)
+        """``oracle.mc_budget`` population draws from the seed ``MC_SEED``,
+        drawn again when the budget or the sampler changes."""
+        key = (self.sampler, self.oracle.mc_budget)
+        if getattr(self, "_mc_key", None) != key:
+            self._mc_key = key
+            self._mc_cache = ScenarioSet.from_sampler(*key, MC_SEED)
+        return self._mc_cache
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from saacert.errors import (ConfigError, DimensionMismatchError,
                             EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
-from saacert.problem import (SET_TOL, EmpiricalProblem, HolderInfo,
+from saacert.problem import (MC_SEED, SET_TOL, EmpiricalProblem, HolderInfo,
                              ScenarioSet, StochasticProgram, TrueOracle,
                              _constraint_table, _sample_means, build_empirical,
                              read_table, relaxed_set_grid)
@@ -241,6 +241,21 @@ def test_true_fn_monte_carlo_fallback():
         name="mc-toy")
     # E (x - Z)^2 = x^2 + 1 for standard normal Z
     assert program.true_fn(0, np.array([0.5])) == pytest.approx(1.25, abs=0.02)
+
+
+def test_monte_carlo_draws_follow_the_budget_and_sampler():
+    """The cached population draws are reused while the oracle's budget and
+    sampler stay, and drawn again (from the same seed) when either changes."""
+    program = make_family("quad1d")
+    first = program._mc_draws
+    assert len(first.data) == program.oracle.mc_budget
+    assert program._mc_draws is first
+    program.oracle.mc_budget = 500
+    assert len(program._mc_draws.data) == 500
+    assert np.array_equal(program._mc_draws.data, ScenarioSet.from_sampler(
+        program.sampler, 500, MC_SEED).data)
+    program.oracle.sampler = lambda rng, n: np.full((n, 1), 2.0)
+    assert np.array_equal(program._mc_draws.data, np.full((500, 1), 2.0))
 
 
 def test_read_table_missing_file_is_config_error(tmp_path):
