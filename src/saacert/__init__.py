@@ -68,7 +68,6 @@ from .moments import (
 )
 from .problem import (
     EmpiricalProblem,
-    FeasibilityRecord,
     HolderInfo,
     NoiseAffine,
     ScenarioSet,
@@ -81,11 +80,8 @@ from .problem import (
 from .solve import (
     SolveResult,
     SolverConfig,
-    TrueSolve,
     grid_solve,
-    near_optimal_check,
     solve,
-    solve_true,
     subgradient_solve,
 )
 from .validation import (

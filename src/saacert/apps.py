@@ -9,7 +9,7 @@ diagonal of root-mean-square features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,15 +100,7 @@ class PortfolioProblem:
     """CVaR-budget portfolio as a stochastic program over (x, t)."""
 
     program: StochasticProgram
-    dataset: ReturnsDataset
-    p: float
-    beta: float
     t_bounds: tuple
-    details: dict = field(default_factory=dict)
-
-    @property
-    def assets(self) -> int:
-        return self.dataset.assets
 
     def split(self, point) -> tuple[np.ndarray, float]:
         point = np.asarray(point, dtype=float)
@@ -154,9 +146,7 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
         holder=[HolderInfo(), HolderInfo(1.0, modulus1)],
         oracle=oracle, convex=True, gradients=portfolio_gradients(d, p),
         name="portfolio")
-    return PortfolioProblem(program=program, dataset=dataset, p=p, beta=beta,
-                            t_bounds=(t_lo, t_hi),
-                            details={"assets": d, "scenarios": dataset.n})
+    return PortfolioProblem(program=program, t_bounds=(t_lo, t_hi))
 
 
 def portfolio_gradients(d: int, p: float):
@@ -193,14 +183,11 @@ class LassoProblem:
     """
 
     program: StochasticProgram
-    radius: float
-    weighted: bool
-    diag: np.ndarray | None
-    details: dict = field(default_factory=dict)
+    diag: np.ndarray | None  # None without weighting
 
     def to_original(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return u / self.diag if self.weighted else u
+        return u / self.diag if self.diag is not None else u
 
 
 def build_lasso(features, response, radius: float,
@@ -235,10 +222,7 @@ def build_lasso(features, response, radius: float,
         objective=f0, constraints=[], space=space,
         holder=[HolderInfo(1.0, modulus0)], convex=True, gradients=[grad0],
         name="lasso")
-    return LassoProblem(program=program, radius=radius, weighted=weighted,
-                        diag=diag,
-                        details={"features": d, "scenarios": len(response),
-                                 "scenario_matrix": (len(response), d + 1)})
+    return LassoProblem(program=program, diag=diag)
 
 
 def lasso_scenarios(features, response, weighted: bool = False) -> ScenarioSet:

@@ -32,7 +32,6 @@ from .geometry import _nearest_dists, dists_to
 from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile
 from .problem import (FEAS_TOL, SET_TOL, EmpiricalProblem, StochasticProgram,
                       _constraint_table, relaxed_set_grid)
-from .solve import OPT_TOL
 
 _THEOREMS = tuple(_GUARANTEES)
 
@@ -48,6 +47,12 @@ CONDITION_SLACK = 1e-12
 # A level gamma within MARGIN_TOL above a Slater margin (or eps above half of
 # it) still counts as inside: the margin and the level are computed apart.
 MARGIN_TOL = 1e-12
+
+# A grid value within OPT_TOL of the grid minimum attains it: the slack
+# absorbs the rounding of a mean over N scenarios (or over a population
+# Monte Carlo sample), as FEAS_TOL does for constraint values, so grid
+# points that tie in exact arithmetic all count as minimizers.
+OPT_TOL = 1e-9
 
 # A sample-size threshold within CEIL_SLACK above an integer rounds down to
 # it: C sigma^2 log / eps^2 of an exact integer can land a few ulps above.
@@ -299,7 +304,6 @@ class GapBounds:
     local_modulus: float
     radius: float
     zero_condition: bool
-    approximate: bool = True
     details: dict = field(default_factory=dict)
 
 
@@ -502,7 +506,7 @@ class Condition:
 class Hypothesis:
     name: str
     ok: bool
-    note: str = ""
+    note: str
 
 
 @dataclass

@@ -128,15 +128,31 @@ def space_from_spec(spec) -> SpaceDescriptor:
 
 
 def _load_json(path_or_inline):
-    """Accept a path to a JSON file or an inline JSON string."""
+    """Accept a path to a JSON file or an inline JSON string.  ``NaN`` and
+    ``Infinity`` tokens and float literals that overflow (``1e400``) raise a
+    ConfigError naming the innermost field that holds them."""
     text = path_or_inline
     if not text.lstrip().startswith(("{", "[")):
         with open_path(path_or_inline) as handle:
             text = handle.read()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    _check_finite(data)
+    return data
+
+
+def _check_finite(value, field=None):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, key)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, field)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field {field!r} is not a finite number",
+                          field=field, value=value)
 
 
 def _c_star(source) -> float:

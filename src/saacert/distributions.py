@@ -24,6 +24,11 @@ class Distribution:
     var: float
     draw: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.var)):
+            raise ConfigError(f"distribution {self.name} needs a finite mean "
+                              "and variance", mean=self.mean, var=self.var)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws, shape (n,)."""
         return self.draw(rng, n)

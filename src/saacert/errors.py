@@ -63,13 +63,13 @@ class UncalibratableError(SaacertError):
 
 
 def from_table(table: dict, what: str, name, params: dict):
-    """``table[name](**params)``; an unknown ``name`` or params the entry does
-    not take raise ConfigError."""
+    """``table[name](**params)``; an unknown ``name``, params the entry does
+    not take, or params whose values overflow a float raise ConfigError."""
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"unknown {what} {name!r}", allowed=sorted(table))
     try:
         return table[name](**params)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {what} params: {exc}", name=name) from exc
 
 

@@ -288,16 +288,6 @@ def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
 
 
 @dataclass
-class FeasibilityRecord:
-    """Outcome of an empirical membership query."""
-
-    point: np.ndarray
-    in_hard_set: bool
-    residuals: np.ndarray  # Fhat_i(x) - eps_i for i = 1..m
-    feasible: bool
-
-
-@dataclass
 class EmpiricalProblem:
     """A stochastic program paired with one scenario set.
 
@@ -322,16 +312,9 @@ class EmpiricalProblem:
         """Fhat_i(x) - eps_i, a column of the constraint table."""
         return _constraint_table(self, np.atleast_2d(x))[:, 0] - self.relaxations
 
-    def membership(self, x, tol: float = FEAS_TOL) -> FeasibilityRecord:
-        """x is empirically feasible iff x in Y and Fhat_i(x) <= eps_i + tol."""
-        x = np.asarray(x, dtype=float)
-        in_y = self.program.space.contains(x, tol)
-        res = self.residuals(x)
-        return FeasibilityRecord(point=x, in_hard_set=in_y, residuals=res,
-                                 feasible=bool(in_y and np.all(res <= tol)))
-
     def feasible_mask(self, points: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-        """Vectorized membership over grid points already inside Y."""
+        """Empirical feasibility, Fhat_i <= eps_i + tol, of grid points
+        already inside Y."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         bounds = self.relaxations[:, None] + tol
         return np.all(_constraint_table(self, pts) <= bounds, axis=0)

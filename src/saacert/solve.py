@@ -1,9 +1,8 @@
-"""Solvers for empirical problems and their population counterparts.
+"""Solvers for empirical problems.
 
 The grid solver enumerates the hard set and is exact for the discretized
 problem; the switching subgradient method handles convex instances without
 enumeration and reports a certified optimality gap for its averaged iterate.
-Population-side grid solves support validation work.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, JsonResult
 from .geometry import MIN_GRID_DIAMETER
-from .problem import (FEAS_TOL, EmpiricalProblem, StochasticProgram,
-                      _constraint_table, relaxed_set_grid)
-
-# A value within OPT_TOL of the optimum attains it: the slack absorbs the
-# rounding of a mean over N scenarios (or over a population Monte Carlo
-# sample), as FEAS_TOL does for constraint values, so grid points that tie
-# in exact arithmetic all count as minimizers.
-OPT_TOL = 1e-9
+from .problem import FEAS_TOL, EmpiricalProblem
 
 # Step of the central finite differences behind ``_fd_gradient``: of the
 # order of the cube root of machine epsilon (6e-6), which balances the
@@ -120,15 +112,14 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
 
     for k in range(1, config.budget + 1):
         res = emp.residuals(x)
+        step = config.c0 / math.sqrt(k)
         if res.size == 0 or float(res.max()) <= FEAS_TOL:
             g = subgrad(0, x)
-            step = config.c0 / math.sqrt(k)
             avg = avg + step * x
             weight += step
             obj_steps += 1
         else:
             g = subgrad(int(np.argmax(res)) + 1, x)
-            step = config.c0 / math.sqrt(k)
         g_max = max(g_max, float(np.linalg.norm(g)))
         x = space.project(x - step * g)
 
@@ -140,73 +131,12 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     t = obj_steps
     gap = ((diam ** 2 + config.c0 ** 2 * g_max ** 2 * (1 + math.log(max(t, 1))))
            / (4 * config.c0 * (math.sqrt(t + 1) - 1))) if t >= 1 else math.inf
-    rec = emp.membership(x_out)
+    res = emp.residuals(x_out)
     return SolveResult(
-        x=x_out, value=emp.fhat(0, x_out), residuals=rec.residuals,
-        feasible=rec.feasible, method="subgradient", iterations=config.budget,
+        x=x_out, value=emp.fhat(0, x_out), residuals=res,
+        feasible=bool(space.contains(x_out, FEAS_TOL) and np.all(res <= FEAS_TOL)),
+        method="subgradient", iterations=config.budget,
         certified_gap=gap, gap_provenance="observed-subgradient-norms",
         budget_exhausted=gap > config.tol_opt,
         details={"objective_steps": obj_steps, "g_max": g_max,
                  "c0": config.c0})
-
-
-def near_optimal_check(emp: EmpiricalProblem, x, eps: float,
-                       h: float | None = None,
-                       bracket: tuple[float, float] | None = None) -> bool | None:
-    """Is x within eps of the empirical optimum?  True / False / None.
-
-    With no ``bracket`` the empirical optimum is bracketed by its grid
-    minimum (exact for finite hard sets; an upper bound otherwise, in which
-    case only a False answer is conclusive and True degrades to None unless
-    the space is a point cloud).
-    """
-    rec = emp.membership(x, OPT_TOL)
-    if not rec.feasible:
-        return False
-    val = emp.fhat(0, np.asarray(x, dtype=float))
-    exact = emp.program.space.kind == "cloud"
-    if bracket is None:
-        if h is None:
-            h = max(emp.program.space.diameter(), MIN_GRID_DIAMETER) / 64
-        res = grid_solve(emp, h)
-        bracket = (-math.inf, res.value) if not exact else (res.value, res.value)
-    lower, upper = bracket
-    if val <= lower + eps + OPT_TOL:
-        return True
-    if val > upper + eps + OPT_TOL:
-        return False
-    return None
-
-
-# ---------------------------------------------------------------------------
-# population-side solves (validation support)
-
-
-@dataclass
-class TrueSolve:
-    f_star: float
-    x_star: np.ndarray
-    minimizers: np.ndarray        # grid points within OPT_TOL of the optimum
-    near_optimal: np.ndarray      # grid points within eps of the optimum
-    eps: float
-    details: dict = field(default_factory=dict)
-
-
-def solve_true(program: StochasticProgram, h: float, eps: float = 0.0,
-               level: float = 0.0) -> TrueSolve:
-    """Grid minimum of the population objective over the level-relaxed set."""
-    pts = program.space.grid(h)
-    mask = relaxed_set_grid(_constraint_table(program, pts), level)
-    if not np.any(mask):
-        raise InfeasibleError("population feasible set has no grid points",
-                              level=level, h=h)
-    feas = pts[mask]
-    vals = program.true_fn_grid(0, feas)
-    j = int(np.argmin(vals))
-    f_star = float(vals[j])
-    return TrueSolve(f_star=f_star, x_star=feas[j],
-                     minimizers=feas[vals <= f_star + OPT_TOL],
-                     near_optimal=feas[vals <= f_star + eps + OPT_TOL], eps=eps,
-                     details={"grid_points": len(pts),
-                              "feasible_points": int(mask.sum()),
-                              "level": level, "h": h})

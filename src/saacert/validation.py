@@ -1,9 +1,10 @@
 """Monte Carlo laboratory for the probabilistic guarantees.
 
 Every experiment derives one RNG stream per replication as
-``default_rng(base_seed ^ index)``, so runs are reproducible, halves of a
-run merge exactly into the whole, and replications could run concurrently
-without changing any count.
+``default_rng(base_seed ^ index)`` (``replication_rng``), so runs are
+reproducible, halves of a run merge exactly into the whole, and
+replications could run concurrently without changing any count.  A coverage
+plan's pilot sample is the stream of index ``PILOT_STREAM``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
                       relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# The replication index of a coverage plan's pilot stream: far above any
+# replication count, so the pilot is not one of the replications' samples.
+PILOT_STREAM = 0x9E3779B9
 
 # A coverage report passes when its Wilson lower bound is at least
 # 1 - p - COVERAGE_SLACK.
@@ -98,23 +103,13 @@ def _check_tail_plan(t_grid, replications: int) -> None:
 
 
 def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
-                    constant: float, seed: int,
-                    transform=None) -> TailReport:
-    """Exceedance of the self-normalized statistic vs its e^{-t} bound.
-
-    ``transform`` optionally maps draws through (fn, mean, var) for a
-    non-identity g with known population moments.
-    """
+                    constant: float, seed: int) -> TailReport:
+    """Exceedance of the self-normalized statistic vs its e^{-t} bound."""
     _check_tail_plan(t_grid, replications)
-    if transform is None:
-        g_fn, g_mean, g_var = (lambda v: v), dist.mean, dist.var
-    else:
-        g_fn, g_mean, g_var = transform
     stats = np.empty(replications)
     for r in range(replications):
-        rng = replication_rng(seed, r)
-        vals = g_fn(dist.sample(rng, n))
-        stats[r] = self_normalized(vals, g_mean, g_var)
+        vals = dist.sample(replication_rng(seed, r), n)
+        stats[r] = self_normalized(vals, dist.mean, dist.var)
     rows = [TailRow(t=float(t), threshold=constant * math.sqrt(1 + t),
                     frequency=float(np.mean(stats >= constant * math.sqrt(1 + t))),
                     bound=math.exp(-t))
@@ -254,8 +249,8 @@ def _pilot_profile(plan: CoveragePlan) -> VarianceProfile:
     """The variance profile of the plan's pilot sample; it does not depend
     on ``plan.constant``."""
     program = plan.program
-    pilot = ScenarioSet.from_sampler(program.sampler, plan.pilot_n,
-                                     plan.seed ^ 0x9E3779B9)
+    pilot = ScenarioSet(np.atleast_2d(program.sampler(
+        replication_rng(plan.seed, PILOT_STREAM), plan.pilot_n)))
     emp = build_empirical(program, pilot, _relaxations_for(
         plan.theorem, plan.eps, program.n_constraints))
     c = None
@@ -338,10 +333,13 @@ def coverage_experiment(plan: CoveragePlan,
     relax = _relaxations_for(plan.theorem, plan.eps, m)
     check = _event_checker(plan)
     successes = 0
+    emp = None
     for r in range(start, stop):
         rng = replication_rng(plan.seed, r)
         scen = ScenarioSet(np.atleast_2d(sampler(rng, n)))
-        emp = build_empirical(program, scen, relax)
+        # the first replication validates the program; the rest swap data
+        emp = (build_empirical(program, scen, relax) if emp is None
+               else replace(emp, scenarios=scen))
         successes += bool(check(emp))
     count = stop - start
     freq = successes / count

@@ -250,10 +250,15 @@ def test_plan_missing_field_exits_2(capsys, argv, field):
     assert field in payload["message"]
 
 
-@pytest.mark.parametrize("params", [
-    {"bogus": 1}, {"radius": "x"}, [1]])
-def test_family_params_errors_exit_2(capsys, params):
-    spec = json.dumps({"family": "ball2d", "params": params})
+@pytest.mark.parametrize("family, params", [
+    ("ball2d", '{"bogus": 1}'), ("ball2d", '{"radius": "x"}'), ("ball2d", "[1]"),
+    ("quad1d", '{"a": NaN}'), ("halfspace_box", '{"level": 1e400}'),
+    ("ball2d", '{"radius": -Infinity}'),
+], ids=["params0", "params1", "params2", "quad1d-a-nan",
+        "halfspace-level-overflows", "ball2d-radius-minus-infinity"])
+def test_family_params_errors_exit_2(capsys, family, params):
+    """Bad family params, non-finite JSON numbers among them, exit 2."""
+    spec = f'{{"family": "{family}", "params": {params}}}'
     code, _, err = run_cli(capsys, "solve", "--problem", spec, "--n", "10")
     assert code == 2
     assert json.loads(err)["error"] == "config"
@@ -360,6 +365,12 @@ def _space(spec):
     return ["entropy", "--space", spec, "--theta", "0.5"]
 
 
+def _tail(distribution):
+    return ["validate", "--plan", json.dumps({
+        "experiment": "tail", "n": 10, "t_grid": [1], "replications": 5,
+        "distribution": distribution})]
+
+
 @pytest.mark.parametrize("argv", [
     _space('{"kind":"box","lo":[1],"hi":[0]}'),
     _space('{"kind":"ball","center":[0],"radius":-1}'),
@@ -397,13 +408,14 @@ def _space(spec):
     ["validate", "--plan", json.dumps({
         "experiment": "uniform-tail", "family": "quad1d", "n": 10,
         "t_grid": [], "replications": 2})],
+    _tail({"name": "gaussian", "sd": math.nan}),
 ], ids=["box-hi-lo", "ball-radius", "cloud-points", "simplex-dim", "norm",
         "product-parts", "space-not-json", "synthetic-negative",
         "lasso-missing-data", "portfolio-missing-returns",
         "solve-missing-scenarios", "regularity-c", "seed", "out-dir",
         "eps-not-float", "missing-flag", "unknown-flag", "budget", "beta-nan",
         "c0-nan", "coverage-replications", "rate-n-grid", "tail-dist-params",
-        "tail-empty-t-grid", "uniform-tail-empty-t-grid"])
+        "tail-empty-t-grid", "uniform-tail-empty-t-grid", "tail-dist-sd-nan"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     """Every malformed input takes the one JSON error path: no traceback,
     no usage text, no misleading downstream error, nothing on stdout."""
@@ -433,10 +445,16 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
      "budget-exceeded"),
     (_space('{"kind":"ball","center":[1.5e308],"radius":5e307,"norm":"linf"}'),
      "budget-exceeded"),
+    (_tail({"name": "lognormal", "sd": 1000}), "config"),
+    (_tail({"name": "pareto", "shape": 1e308}), "config"),
+    (_tail({"name": "uniform", "lo": -1e308, "hi": 1e308}), "config"),
+    (_tail({"name": "gaussian", "sd": 1e200}), "config"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
         "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
         "box-extent-overflows", "cloud-extent-overflows",
-        "simplex-cells-overflow", "ball-bounds-overflow"])
+        "simplex-cells-overflow", "ball-bounds-overflow",
+        "lognormal-moments-overflow", "pareto-variance-overflows",
+        "uniform-variance-overflows", "gaussian-variance-overflows"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     """Finite values at the edge of float range fail where they are used,
     with the JSON error path, not an OverflowError or a numpy traceback."""

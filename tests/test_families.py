@@ -26,6 +26,15 @@ def test_distribution_moments(name):
     assert np.var(draws) == pytest.approx(dist.var, rel=0.15)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("gaussian", {"sd": math.nan}), ("gaussian", {"mu": math.inf})])
+def test_distribution_moments_must_be_finite(name, params):
+    """A library caller's non-finite params give a ConfigError, not a NaN
+    bound (the CLI rejects such numbers when it reads its JSON)."""
+    with pytest.raises(ConfigError):
+        make_distribution(name, **params)
+
+
 def test_distribution_sampler_shape():
     dist = make_distribution("t3")
     draws = dist.sampler(k=2)(np.random.default_rng(0), 7)

@@ -81,9 +81,7 @@ def test_membership_and_relaxation_monotone():
         assert count >= previous
         previous = count
     emp = build_empirical(program, scen, np.array([0.0]))
-    rec = emp.membership([0.1])
-    assert rec.in_hard_set and rec.feasible
-    assert emp.membership([0.9]).feasible is False
+    assert emp.feasible_mask([[0.1], [0.9]]).tolist() == [True, False]
 
 
 def test_empty_scenarios_rejected():

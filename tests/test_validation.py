@@ -60,13 +60,6 @@ def test_tail_experiment_heavy_tail():
         assert row.threshold == pytest.approx(3.0 * math.sqrt(1 + row.t))
 
 
-def test_tail_experiment_transform():
-    dist = make_distribution("gaussian")
-    rep = tail_experiment(dist, 50, [1.0], 200, 3.0, seed=5,
-                          transform=(lambda v: v ** 2, 1.0, 2.0))
-    assert rep.rows[0].frequency <= rep.rows[0].bound + 1e-12
-
-
 def test_uniform_tail_simplex():
     program = make_family("linear_simplex", dim=3)
     rep = uniform_tail_experiment(program, 100, [0.5, 1.0], 150, 3.0, seed=3,
