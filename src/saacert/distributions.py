@@ -38,12 +38,20 @@ class Distribution:
         return lambda rng, n: self.draw(rng, n * k).reshape(n, k)
 
 
+def _check_sd(name: str, sd: float) -> None:
+    if sd < 0:
+        raise ConfigError(f"{name} needs sd >= 0", sd=sd)
+
+
 def gaussian(mu: float = 0.0, sd: float = 1.0) -> Distribution:
+    _check_sd("gaussian", sd)
     return Distribution("gaussian", mu, sd ** 2,
                         lambda rng, n: rng.normal(mu, sd, n))
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0) -> Distribution:
+    if hi < lo:
+        raise ConfigError("uniform needs lo <= hi", lo=lo, hi=hi)
     return Distribution("uniform", (lo + hi) / 2, (hi - lo) ** 2 / 12,
                         lambda rng, n: rng.uniform(lo, hi, n))
 
@@ -57,6 +65,7 @@ def student_t(dof: float = 3.0) -> Distribution:
 
 
 def lognormal(mu: float = 0.0, sd: float = 1.0) -> Distribution:
+    _check_sd("lognormal", sd)
     mean = math.exp(mu + sd ** 2 / 2)
     var = (math.exp(sd ** 2) - 1) * math.exp(2 * mu + sd ** 2)
     return Distribution("lognormal", mean, var,

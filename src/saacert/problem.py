@@ -11,13 +11,15 @@ objective values are arithmetic means over the scenarios.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, EmptySampleError, open_path
+from .errors import (BudgetError, ConfigError, DimensionMismatchError,
+                     EmptySampleError, open_path)
 from .geometry import SpaceDescriptor
 
 # An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
@@ -309,8 +311,13 @@ class EmpiricalProblem:
         return _sample_means(self.program, i, pts, self.scenarios)
 
     def residuals(self, x) -> np.ndarray:
-        """Fhat_i(x) - eps_i, a column of the constraint table."""
-        return _constraint_table(self, np.atleast_2d(x))[:, 0] - self.relaxations
+        """Fhat_i(x) - eps_i, i = 1..m, at one point.  Unlike a constraint
+        table it is not checked for non-finite values: the subgradient
+        method calls it once a step, and ``solve`` checks its result."""
+        pt = np.atleast_2d(np.asarray(x, dtype=float))
+        vals = [self.fhat_grid(i, pt)[0]
+                for i in range(1, len(self.relaxations) + 1)]
+        return np.array(vals) - self.relaxations
 
     def feasible_mask(self, points: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
         """Empirical feasibility, Fhat_i <= eps_i + tol, of grid points
@@ -356,7 +363,8 @@ def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
     # probe one integrand to surface scenario-dimension mismatches early
     probe = program.space.project(np.zeros(program.space.dim))
     try:
-        vals = program.integrand(0)(probe, scenarios.data)
+        with np.errstate(all="ignore"):  # an overflow raises below instead
+            vals = program.integrand(0)(probe, scenarios.data)
     except Exception as exc:  # pragma: no cover - integrand-specific message
         raise DimensionMismatchError(
             f"objective integrand rejected scenario array: {exc}") from exc
@@ -364,6 +372,8 @@ def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,
         raise DimensionMismatchError(
             "integrand must return one value per scenario",
             got=list(np.shape(vals)), expected=[scenarios.n])
+    if not np.isfinite(vals).all():
+        raise _overflow(0, point=probe.tolist())
     return EmpiricalProblem(program=program, scenarios=scenarios, relaxations=relaxations)
 
 
@@ -385,9 +395,19 @@ def _constraint_table(source, pts: np.ndarray,
     values = source.fhat_grid if empirical else source.true_fn_grid
     first = 0 if objective else 1
     table = np.empty((m + 1 - first, len(pts)))
-    for i in range(first, m + 1):
-        table[i - first] = values(i, pts)
+    with np.errstate(all="ignore"):  # an overflow raises below instead
+        for i in range(first, m + 1):
+            table[i - first] = values(i, pts)
+        finite = math.isfinite(table.sum())  # else an inf, a nan or both
+    if not finite and not np.isfinite(table).all():
+        raise _overflow(first + int(np.isfinite(table).all(axis=1).argmin()))
     return table
+
+
+def _overflow(i: int, **details) -> BudgetError:
+    """The error for a mean of integrand ``i`` that is not finite."""
+    return BudgetError(f"integrand {i} has a non-finite mean: its values "
+                       "overflow the float range", integrand=i, **details)
 
 
 def relaxed_set_grid(table: np.ndarray, level: float = 0.0,

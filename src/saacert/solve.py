@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, JsonResult
 from .geometry import MIN_GRID_DIAMETER
-from .problem import FEAS_TOL, EmpiricalProblem
+from .problem import FEAS_TOL, EmpiricalProblem, _overflow
 
 # Step of the central finite differences behind ``_fd_gradient``: of the
 # order of the cube root of machine epsilon (6e-6), which balances the
@@ -46,13 +46,19 @@ class SolveResult(JsonResult):
 
 
 def solve(emp: EmpiricalProblem, config: SolverConfig | None = None) -> SolveResult:
+    """Solve with ``config.method``; a non-finite value or residual in the
+    result raises BudgetError naming its integrand (0 is the objective)."""
     config = config or SolverConfig()
-    if config.method == "grid":
-        return grid_solve(emp, config.grid_h)
-    if config.method == "subgradient":
-        return subgradient_solve(emp, config)
-    raise ConfigError(f"unknown solver method {config.method!r}",
-                      allowed=["grid", "subgradient"])
+    if config.method not in ("grid", "subgradient"):
+        raise ConfigError(f"unknown solver method {config.method!r}",
+                          allowed=["grid", "subgradient"])
+    with np.errstate(all="ignore"):  # an overflow raises below instead
+        res = (grid_solve(emp, config.grid_h) if config.method == "grid"
+               else subgradient_solve(emp, config))
+    means = np.append(res.value, res.residuals)
+    if not np.isfinite(means).all():
+        raise _overflow(int(np.isfinite(means).argmin()))
+    return res
 
 
 def grid_solve(emp: EmpiricalProblem, h: float) -> SolveResult:

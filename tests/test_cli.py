@@ -371,6 +371,11 @@ def _tail(distribution):
         "distribution": distribution})]
 
 
+def _quad_dist(distribution):
+    return ["solve", "--problem", json.dumps(
+        {"family": "quad1d", "params": {"dist": distribution}}), "--n", "10"]
+
+
 @pytest.mark.parametrize("argv", [
     _space('{"kind":"box","lo":[1],"hi":[0]}'),
     _space('{"kind":"ball","center":[0],"radius":-1}'),
@@ -449,19 +454,42 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     (_tail({"name": "pareto", "shape": 1e308}), "config"),
     (_tail({"name": "uniform", "lo": -1e308, "hi": 1e308}), "config"),
     (_tail({"name": "gaussian", "sd": 1e200}), "config"),
+    (_tail({"name": "gaussian", "sd": -1}), "config"),
+    (_tail({"name": "uniform", "lo": 1, "hi": 0}), "config"),
+    (_tail({"name": "lognormal", "sd": -0.5}), "config"),
+    (_quad_dist({"name": "gaussian", "sd": -1}), "config"),
+    (_quad_dist({"name": "uniform", "lo": 1, "hi": 0}), "config"),
+    (_quad_dist({"name": "lognormal", "sd": -0.5}), "config"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
         "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
         "box-extent-overflows", "cloud-extent-overflows",
         "simplex-cells-overflow", "ball-bounds-overflow",
         "lognormal-moments-overflow", "pareto-variance-overflows",
-        "uniform-variance-overflows", "gaussian-variance-overflows"])
+        "uniform-variance-overflows", "gaussian-variance-overflows",
+        "gaussian-sd-negative", "uniform-hi-below-lo", "lognormal-sd-negative",
+        "family-gaussian-sd-negative", "family-uniform-hi-below-lo",
+        "family-lognormal-sd-negative"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
-    """Finite values at the edge of float range fail where they are used,
-    with the JSON error path, not an OverflowError or a numpy traceback."""
+    """Finite values at the edge of float range, and distribution params
+    numpy would refuse only when it samples, fail with the JSON error path,
+    not an OverflowError or a numpy traceback."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.filterwarnings("error")  # the matmul overflow warns no more
+def test_overflowing_integrand_exits_2_naming_its_index(capsys):
+    """A noise scale whose per-scenario values overflow the float range is
+    refused before the solve, not solved to a value of -2.5e307."""
+    spec = '{"family":"quad1d","params":{"noise":1e308}}'
+    code, out, err = run_cli(capsys, "solve", "--problem", spec, "--n", "10")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget-exceeded"
+    assert error["details"]["integrand"] == 0
+    assert "integrand 0" in error["message"]
 
 
 def test_every_numeric_flag_uses_a_named_kind():

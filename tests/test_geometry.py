@@ -1,20 +1,28 @@
 """Packing nets, entropy numbers, the chaining constant, and projections."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saacert.certify import _max_ratio
+import saacert
+from saacert.certify import _max_ratio, estimate_regularity
 from saacert.errors import BudgetError, ConfigError
-from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _entropy_model,
-                              _nearest_dists, a_alpha, cross_dists, dists_to,
-                              entropy_number, greedy_pack, max_pairwise,
-                              min_pairwise_gap, packing_net, set_deviation,
-                              vec_norm)
-from saacert.problem import MODULUS_RTOL
+from saacert.families import make_family
+from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _boundary_split,
+                              _entropy_model, _nearest_dists, a_alpha,
+                              cross_dists, dists_to, entropy_number,
+                              greedy_pack, max_pairwise, min_pairwise_gap,
+                              packing_net, set_deviation, vec_norm)
+from saacert.moments import variance_profile
+from saacert.problem import MODULUS_RTOL, ScenarioSet, build_empirical
 
 # Frozen reference: chaining constant of the two-point set {0, 1},
 # recomputed independently in test_a_alpha_two_point_matches_series below.
@@ -291,6 +299,113 @@ def test_kernels_match_brute_force_in_eight_or_more_dims(pts, other, norm):
     if pts.shape[1] == other.shape[1] and len(other):
         assert np.array_equal(_nearest_dists(pts, other, norm),
                               cross_dists(pts, other, norm).min(axis=1))
+
+
+@st.composite
+def grid_subsets(draw, dims=(1, 2, 3, 4, 8, 9)):
+    """Rows ``a`` and ``b`` drawn as masks of one product grid, so that
+    ``b`` has interior rows: dense and sparse masks, repeated rows, -0.0
+    next to 0.0, an empty ``a`` and widths that only broadcast."""
+    d = draw(st.sampled_from(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8, 8))
+    axes = []
+    for _ in range(d):
+        side = draw(st.integers(1, 4 if d <= 4 else 2))
+        steps = (np.ones(side) if draw(st.booleans())
+                 else rng.uniform(0.1, 1.0, side))
+        axes.append((np.cumsum(steps) - draw(st.integers(0, side))) * scale)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    zeros = grid == 0.0
+    grid[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    density = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+    a = grid[rng.random(len(grid)) < draw(density)]
+    in_b = rng.random(len(grid)) < draw(density)
+    in_b[rng.integers(len(grid))] = True
+    b = grid[in_b]
+    if draw(st.booleans()):  # repeated rows, shuffled
+        a = a[rng.integers(len(a), size=2 * len(a))] if len(a) else a
+        b = b[rng.integers(len(b), size=2 * len(b))]
+    cut = draw(st.sampled_from([None, None, None, "a", "b"]))
+    if cut == "a":
+        a = a[:, :1]
+    elif cut == "b":
+        b = b[:, :1]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_subsets(), NORM)
+def test_nearest_distances_on_grid_subsets_match_brute_force_bit_for_bit(sets,
+                                                                         norm):
+    a, b = sets
+    got = _nearest_dists(a, b, norm)
+    want = cross_dists(a, b, norm).min(axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_nearest_distances_take_the_plain_scan_when_codes_cannot(norm):
+    """Non-finite rows and 2**62 codes or more skip the boundary pass."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((10, 2))
+    odd = np.array([[np.inf, 0.0], [np.nan, 1.0], [0.5, -np.inf], [0.0, 0.0]])
+    assert _boundary_split(odd, b) is None
+    assert np.array_equal(_nearest_dists(odd, b, norm),
+                          cross_dists(odd, b, norm).min(axis=1), equal_nan=True)
+    wide = rng.standard_normal((140, 9))  # 150 values a column: 150**9 > 2**62
+    narrow = rng.standard_normal((10, 9))
+    assert _boundary_split(wide, narrow) is None
+    assert (_nearest_dists(wide, narrow, norm).tobytes()
+            == cross_dists(wide, narrow, norm).min(axis=1).tobytes())
+
+
+def test_exterior_geometry_of_ball2d_is_pinned():
+    """The regularity ratio and the inflated set at h = 0.02, as computed by
+    the full grid-to-set scan; the scan now meets 168 of the 2821 rows."""
+    program = make_family("ball2d")
+    program.oracle.mc_budget = 500
+    est = estimate_regularity(program, h=0.02, use_exact_distance=False)
+    assert est.c_hat == 1.4016612938340518 and est.points_used == 6996
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 60, seed=3),
+        np.zeros(program.n_constraints))
+    prof = variance_profile(program, emp, "exterior", eps=0.1, h=0.02,
+                            c=est.c_hat)
+    assert prof.details["feasible_grid_points"] == 2821
+    assert prof.details["exterior_grid_points"] == 6025
+    grid = program.space.grid(0.02)
+    feas = grid[np.hypot(grid[:, 0], grid[:, 1]) <= 0.6 + 1e-12]
+    assert len(feas) == 2821
+    rest, edge = _boundary_split(grid, feas)
+    assert (int(rest.sum()), int(edge.sum())) == (7380, 168)
+
+
+def test_exterior_workload_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` (2 MiB of resident memory); the
+    regularity and exterior-profile path must not reach it."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from saacert.certify import estimate_regularity
+        from saacert.families import make_family
+        from saacert.moments import variance_profile
+        from saacert.problem import ScenarioSet, build_empirical
+        program = make_family("ball2d")
+        program.oracle.mc_budget = 200
+        est = estimate_regularity(program, h=0.05, use_exact_distance=False)
+        emp = build_empirical(
+            program, ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=1),
+            np.zeros(program.n_constraints))
+        variance_profile(program, emp, "exterior", eps=0.1, h=0.05, c=est.c_hat)
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    src = str(Path(saacert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])

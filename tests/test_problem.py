@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saacert.distributions import make_distribution
-from saacert.errors import (ConfigError, DimensionMismatchError,
-                            EmptySampleError)
+from saacert.errors import (BudgetError, ConfigError,
+                            DimensionMismatchError, EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.problem import (MC_SEED, SET_TOL, EmpiricalProblem, HolderInfo,
                              ScenarioSet, StochasticProgram, TrueOracle,
                              _constraint_table, _sample_means, build_empirical,
                              read_table, relaxed_set_grid)
+from saacert.solve import solve
 
 
 def toy_program():
@@ -254,6 +255,42 @@ def test_monte_carlo_draws_follow_the_budget_and_sampler():
         program.sampler, 500, MC_SEED).data)
     program.oracle.sampler = lambda rng, n: np.full((n, 1), 2.0)
     assert np.array_equal(program._mc_draws.data, np.full((500, 1), 2.0))
+
+
+def overflowing_program(objective_scale, constraint_scale):
+    """Means that overflow on part of [0, 1] but not at the probe x = 0."""
+    def f0(x, xis):
+        return -(objective_scale * x[0]) * xis[:, 0]
+
+    def f1(x, xis):
+        return (constraint_scale * x[0]) * xis[:, 0] - 1.0
+
+    return StochasticProgram(
+        objective=f0, constraints=[f1],
+        space=SpaceDescriptor.interval(0.0, 1.0),
+        holder=[HolderInfo(1.0), HolderInfo(1.0)], name="overflowing")
+
+
+@pytest.mark.parametrize("scales, integrand", [((1e-10, 10.0), 1),
+                                               ((10.0, 0.0), 0)],
+                         ids=["constraint-table", "objective-at-the-solution"])
+def test_non_finite_means_raise_naming_the_integrand(scales, integrand):
+    """A constraint table, or the solve's own result, that holds an inf
+    raises BudgetError naming the integrand; no overflow warning escapes
+    (RuntimeWarnings are errors in this suite)."""
+    emp = build_empirical(overflowing_program(*scales),
+                          ScenarioSet([[1e308], [1.5e308]]), np.array([0.0]))
+    grid = emp.program.space.grid(0.1)
+    if integrand:
+        with pytest.raises(BudgetError) as info:
+            _constraint_table(emp, grid)
+        assert info.value.details["integrand"] == integrand
+    else:
+        assert np.isfinite(_constraint_table(emp, grid)).all()
+    with pytest.raises(BudgetError) as info:
+        solve(emp)
+    assert info.value.details["integrand"] == integrand
+    assert f"integrand {integrand}" in info.value.message
 
 
 def test_read_table_missing_file_is_config_error(tmp_path):
