@@ -187,12 +187,11 @@ def _cmd_entropy(args):
 
 def _cmd_aalpha(args):
     space = space_from_spec(args.space)
-    comp = a_alpha(space, args.alpha, h=args.h)
+    comp = a_alpha(space, args.alpha)
     results = {"A_alpha": comp.value, "alpha": comp.alpha,
                "diameter": comp.diameter, "levels": comp.levels,
                "truncation": comp.truncation, "tail_bound": comp.tail_bound,
-               "entropy_model": comp.entropy_model,
-               "approximate": comp.approximate}
+               "entropy_model": comp.entropy_model}
     return results, None
 
 
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("aalpha", _cmd_aalpha, "chaining complexity A_alpha")
     sp.add_argument("--space", required=True)
     sp.add_argument("--alpha", type=finite, required=True)
-    sp.add_argument("--h", type=positive, default=None)
 
     sp = command("certify", _cmd_certify, "sample-size certificate")
     sp.add_argument("--theorem", required=True,

@@ -32,12 +32,9 @@ BALL_TOL = 1e-12
 BRACKET_TOL = 1e-12
 LATTICE_RTOL = 1e-9
 # a_alpha stops at a term below CHAIN_RTOL times the partial sum and bounds
-# the tail up to a term at most TAIL_RTOL times max(sum, 1); a grid entropy
-# model's default step is max(diameter, MIN_GRID_DIAMETER) / 64, and the
-# solvers floor the diameter behind their grids the same way.
+# the tail up to a term at most TAIL_RTOL times max(sum, 1).
 CHAIN_RTOL = 1e-9
 TAIL_RTOL = 1e-16
-MIN_GRID_DIAMETER = 1e-12
 
 # ---------------------------------------------------------------------------
 # norms and distances
@@ -472,17 +469,9 @@ class SpaceDescriptor:
     # -- grids ---------------------------------------------------------------
 
     def grid(self, h: float) -> np.ndarray:
-        """Deterministic covering grid with spacing at most ``h`` per axis.
-
-        Raises :class:`BudgetError` when the enumeration would exceed
-        ``GRID_BUDGET`` points.
-        """
-        pts, _ = self.grid_with_gap(h)
-        return pts
-
-    def grid_with_gap(self, h: float) -> tuple[np.ndarray, float]:
-        """Grid points plus the exact minimum positive gap of the lattice;
-        each kind checks its size against the budget before it allocates."""
+        """Deterministic covering grid with spacing at most ``h`` per axis
+        (a cloud's own points).  Each kind checks its size against
+        ``GRID_BUDGET`` before it allocates: :class:`BudgetError` beyond."""
         if not h > 0:
             raise ConfigError("grid resolution must be positive", h=h)
         if self.kind == "box":
@@ -490,45 +479,30 @@ class SpaceDescriptor:
                       for a, b in zip(self.lo.tolist(), self.hi.tolist())]
             _check_budget(math.prod(counts), h)
             axes = [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
-            steps = [(b - a) / (n - 1) for a, b, n in zip(self.lo, self.hi, counts)
-                     if n > 1]
             if len(axes) == 1:      # the same points without the mesh
-                pts = axes[0][:, None]
-            else:
-                mesh = np.meshgrid(*axes, indexing="ij")
-                pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            return pts, (min(steps) if steps else math.inf)
+                return axes[0][:, None]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            return np.stack([m.ravel() for m in mesh], axis=-1)
         if self.kind == "ball":
             c, r = self.center.tolist(), self.radius  # Python floats: no warning
-            outer = SpaceDescriptor.box([x - r for x in c], [x + r for x in c])
-            pts, gap = outer.grid_with_gap(h)
-            keep = dists_to(pts, self.center, self.norm) <= self.radius + BALL_TOL
-            pts = pts[keep]
-            if not len(pts):
-                pts = self.center[None, :]
-            return pts, gap
+            pts = SpaceDescriptor.box([x - r for x in c], [x + r for x in c]).grid(h)
+            pts = pts[dists_to(pts, self.center, self.norm) <= self.radius + BALL_TOL]
+            return pts if len(pts) else self.center[None, :]
         if self.kind == "simplex":
             m = max(1, _cells(1.0, h))
             _check_budget(math.comb(m + self.dim - 1, self.dim - 1), h)
-            pts = _simplex_lattice(self.dim, m)
-            gap = {"l1": 2.0 / m, "l2": math.sqrt(2.0) / m, "linf": 1.0 / m}[self.norm]
-            if self.dim == 1:
-                gap = math.inf
-            return pts, gap
+            return _simplex_lattice(self.dim, m)
         if self.kind == "cloud":
             _check_budget(len(self.points), h)
-            key = ("gap", self.norm)
-            if key not in self._cache:
-                self._cache[key] = min_pairwise_gap(self.points, self.norm)
-            return self.points, self._cache[key]
-        blocks, gaps = zip(*(p.grid_with_gap(h) for p in self.parts))  # product
+            return self.points
+        blocks = [p.grid(h) for p in self.parts]  # product
         _check_budget(math.prod(len(blk) for blk in blocks), h)
         pts = blocks[0]
         for blk in blocks[1:]:
             pts = np.concatenate(
                 [np.repeat(pts, len(blk), axis=0),
                  np.tile(blk, (len(pts), 1))], axis=1)
-        return pts, min(gaps)
+        return pts
 
 
 def _cells(extent: float, h: float) -> int:
@@ -661,17 +635,23 @@ class EntropyNumber:
 def entropy_number(space: SpaceDescriptor, theta: float, h: float | None = None) -> EntropyNumber:
     """Metric entropy ln N(theta) computed from a greedy packing net.
 
-    For balls and boxes the result also carries the analytic bracket
-    ``[d ln(R/theta) (when theta < R), d ln(1 + 2 R/theta)]`` with ``R`` the
-    half-diameter; the lower end is meaningful for balls and cube-like boxes.
+    Every kind but the cloud also carries an analytic bracket on the true
+    ln M(theta).  The upper end is the volumetric model.  The lower end is
+    sum over the sides s > 2 theta of ln(s / (2 theta)) for a box (the l-inf
+    volume bound of that sub-box, which holds in every norm, since none is
+    below l-inf), d ln(r / theta) for a ball of radius r > theta, else 0.
     """
     net = packing_net(space, theta, h)
     bracket = None
-    if space.kind in ("box", "ball"):
-        big_r = space.diameter() / 2.0
-        lo = space.dim * math.log(big_r / theta) if theta < big_r else 0.0
-        hi = space.dim * math.log1p(2.0 * big_r / theta)
-        bracket = (max(lo, 0.0), hi)
+    if space.kind != "cloud":
+        if space.kind == "box":
+            lo = sum(math.log(s / (2.0 * theta))
+                     for s in (space.hi - space.lo).tolist() if s > 2.0 * theta)
+        elif space.kind == "ball" and theta < space.radius:
+            lo = space.dim * math.log(space.radius / theta)
+        else:
+            lo = 0.0
+        bracket = (lo, _VolumetricEntropy(space)(theta))
     return EntropyNumber(value=math.log(net.size), net_size=net.size,
                          theta=theta, bracket=bracket)
 
@@ -707,17 +687,17 @@ class _LatticeEntropy:
 
 
 class _CloudEntropy:
-    """Greedy packing entropy of a finite candidate set.
+    """Greedy packing entropy of a finite point set.
 
     Below the smallest positive pairwise gap every point is admissible, so
     the entropy saturates at ln(n) and no packing run is needed.
     """
 
-    def __init__(self, points: np.ndarray, norm: str, min_gap: float, model: str = "cloud"):
-        self.points = np.atleast_2d(points)
-        self.norm = norm
-        self.min_gap = min_gap
-        self.model = model
+    model = "cloud"
+
+    def __init__(self, space: SpaceDescriptor):
+        self.points, self.norm = space.grid(1.0), space.norm  # budget-checked
+        self.min_gap = min_pairwise_gap(self.points, self.norm)
 
     def __call__(self, theta: float) -> float:
         if theta < self.min_gap:
@@ -725,16 +705,43 @@ class _CloudEntropy:
         return math.log(len(greedy_pack(self.points, theta, self.norm)))
 
 
-def _entropy_model(space: SpaceDescriptor, h: float | None):
+class _VolumetricEntropy:
+    """ln of the volumetric bound (1 + 2R/theta)^d on the packing number:
+    the theta/2-balls about a theta-packing are disjoint and lie in the
+    (R + theta/2)-ball, all within the d-dimensional affine hull."""
+
+    model = "volumetric"
+
+    def __init__(self, space: SpaceDescriptor):
+        self.radius, self.dim = _volume_extent(space, space.norm)
+
+    def __call__(self, theta: float) -> float:
+        return self.dim * math.log1p(2.0 * self.radius / theta)
+
+
+def _volume_extent(space: SpaceDescriptor, norm: str) -> tuple[float, int]:
+    """(R, d): the set lies in a ``norm`` ball of radius R about a point of
+    its affine hull, of dimension at most d (README, "Entropy models")."""
+    if space.kind == "box":  # symmetric about its centre; flat sides drop
+        return space.diameter(norm) / 2.0, int(np.count_nonzero(space.hi > space.lo))
+    if space.kind == "ball":
+        return space.diameter(norm) / 2.0, space.dim
+    if space.kind == "simplex":
+        off = 1.0 - 1.0 / space.dim  # a vertex minus the centroid, largest entry
+        return {"l1": 2.0 * off, "l2": math.sqrt(off), "linf": off}[norm], space.dim - 1
     if space.kind == "cloud":
-        pts, gap = space.grid_with_gap(1.0)
-        return _CloudEntropy(pts, space.norm, gap, model="cloud")
+        return space.diameter(norm), min(space.dim, len(space.points) - 1)
+    extents = [_volume_extent(p, "l1") for p in space.parts]  # product
+    return sum(r for r, _ in extents), sum(d for _, d in extents)
+
+
+def _entropy_model(space: SpaceDescriptor):
+    """Exact for l-inf boxes, greedy packing for clouds, else volumetric."""
+    if space.kind == "cloud":
+        return _CloudEntropy(space)
     if space.kind == "box" and space.norm == "linf":
         return _LatticeEntropy(space.hi - space.lo)
-    d = space.diameter()
-    resolution = h if h is not None else max(d, MIN_GRID_DIAMETER) / 64.0
-    pts, gap = space.grid_with_gap(resolution)
-    return _CloudEntropy(pts, space.norm, gap, model="grid")
+    return _VolumetricEntropy(space)
 
 
 @dataclass
@@ -742,9 +749,9 @@ class AlphaComplexity:
     """Value and diagnostics of the dyadic chaining sum.
 
     ``value`` is ``sum_i (D^alpha / 2^(i alpha)) * sqrt(H(D/2^i) +
-    H(D/2^(i-1)) + ln(i (i+1)))`` truncated per the reported rule.  When the
-    entropy came from a grid surrogate of a continuous set, ``approximate``
-    is True.
+    H(D/2^(i-1)) + ln(i (i+1)))`` truncated per the reported rule, with H
+    from the ``entropy_model``: "lattice" (exact, an l-inf box), "cloud" (a
+    greedy packing of the points) or "volumetric" (an upper bound).
     """
 
     value: float
@@ -755,10 +762,9 @@ class AlphaComplexity:
     truncation: str
     tail_bound: float
     entropy_model: str
-    approximate: bool
 
 
-def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
+def a_alpha(space: SpaceDescriptor, alpha: float,
             max_levels: int = 60) -> AlphaComplexity:
     """Dyadic chaining sum of the space at Holder exponent ``alpha``.
 
@@ -771,8 +777,8 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
     diam = space.diameter()
     if diam <= 0:
         return AlphaComplexity(0.0, alpha, 0.0, np.zeros(0), 0, "degenerate", 0.0,
-                               "none", False)
-    model = _entropy_model(space, h)
+                               "none")
+    model = _entropy_model(space)
     chain = _chain_terms(model, diam, alpha)
     terms, total = [], 0.0
     truncation = "level-cap"
@@ -786,7 +792,7 @@ def a_alpha(space: SpaceDescriptor, alpha: float, h: float | None = None,
     return AlphaComplexity(value=total, alpha=alpha, diameter=diam,
                            terms=np.asarray(terms), levels=len(terms),
                            truncation=truncation, tail_bound=tail,
-                           entropy_model=model.model, approximate=model.model == "grid")
+                           entropy_model=model.model)
 
 
 def _chain_terms(model, diam: float, alpha: float):

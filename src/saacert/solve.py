@@ -13,8 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, JsonResult
-from .geometry import MIN_GRID_DIAMETER
 from .problem import FEAS_TOL, EmpiricalProblem, _overflow
+
+# Floor of the hard set's diameter behind the subgradient solver's start
+# grid (step max(diameter, MIN_GRID_DIAMETER) / 2), so a one-point hard set
+# gets a positive step.
+MIN_GRID_DIAMETER = 1e-12
 
 # Step of the central finite differences behind ``_fd_gradient``: of the
 # order of the cube root of machine epsilon (6e-6), which balances the

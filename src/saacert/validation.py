@@ -136,7 +136,7 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     grid = space.grid(h)
     pts = np.vstack([grid, grid[:1]])
     true_vals = program.true_fn_grid(0, pts)
-    comp = a_alpha(space, program.holder[0].alpha, h=h)
+    comp = a_alpha(space, program.holder[0].alpha)
     pop_l, _ = _population_l(program, 0)
 
     sups = np.empty(replications)
@@ -158,7 +158,6 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     return TailReport(kind="uniform-tail", rows=rows, n=n,
                       replications=replications, constant=constant, seed=seed,
                       details={"a_alpha": comp.value,
-                               "a_alpha_approximate": comp.approximate,
                                "pop_l": pop_l, "grid_points": len(grid),
                                "sup_is_grid_lower_bound": True,
                                "family": program.name})

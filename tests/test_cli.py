@@ -321,8 +321,8 @@ def test_malformed_plan_exits_2(capsys, argv, field):
     ["entropy", "--space", BOX01, "--theta", "nan"],
     ["entropy", "--space", BOX01, "--theta", "0"],
     ["entropy", "--space", BOX01, "--theta", "0.5", "--h", "-0.1"],
-    ["aalpha", "--space", BOX01, "--alpha", "1", "--h", "-1"],
-    ["aalpha", "--space", BOX01, "--alpha", "1", "--h", "inf"],
+    ["aalpha", "--space", BOX01, "--alpha", "-1"],
+    ["aalpha", "--space", BOX01, "--alpha", "inf"],
     ["aalpha", "--space", BOX01, "--alpha", "0"],
     ["aalpha", "--space", BOX01, "--alpha", "1.5"],
     ["aalpha", "--space", BOX01, "--alpha", "nan"],
@@ -513,8 +513,7 @@ STEPS = ["0.1", "0.25", "0", "-0.1", "inf", "x"]
 GRAMMAR = {
     "entropy": {"--space": SPACES, "--theta": ["0.3", "0.5", *REALS[3:]],
                 "--h": STEPS},
-    "aalpha": {"--space": SPACES, "--alpha": ["0.5", "1", "0", "1.5", "nan", "x"],
-               "--h": STEPS},
+    "aalpha": {"--space": SPACES, "--alpha": ["0.5", "1", "0", "1.5", "nan", "x"]},
     "certify": {"--theorem": ["fixed", "exterior", "interior", "bogus"],
                 "--eps": REALS, "--p": REALS, "--sigma": REALS, "--m": INTS,
                 "--C": REALS, "--slater": REALS, "--n-available": INTS},

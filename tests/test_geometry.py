@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saacert
+from saacert import geometry
+from saacert.apps import ReturnsDataset, build_portfolio
 from saacert.certify import _max_ratio, estimate_regularity
 from saacert.errors import BudgetError, ConfigError
 from saacert.families import make_family
 from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _boundary_split,
-                              _entropy_model, _nearest_dists, a_alpha,
+                              _entropy_model, _nearest_dists,
+                              _volume_extent, a_alpha,
                               cross_dists, dists_to, entropy_number,
                               greedy_pack, max_pairwise, min_pairwise_gap,
                               packing_net, set_deviation, vec_norm)
@@ -91,6 +94,16 @@ def test_entropy_bracket_interval():
     assert ent.within_bracket()
 
 
+def test_entropy_bracket_holds_on_a_segment():
+    """A box with one flat side is a segment: ln M(0.1) is ln 9, the lower
+    end counts only the sides above 2 theta and the upper end the box's
+    affine dimension 1."""
+    ent = entropy_number(SpaceDescriptor.box([0.0, 0.0], [1.0, 0.0]), 0.1)
+    assert ent.net_size == 9
+    assert ent.bracket == (math.log(5.0), math.log(11.0))
+    assert ent.within_bracket()
+
+
 def test_a_alpha_two_point_matches_series():
     """Recompute the dyadic sum directly from the two-point packing counts."""
     def H(s):
@@ -118,14 +131,14 @@ def test_a_alpha_single_level_closed_form():
 def test_a_alpha_nondecreasing_in_diameter():
     values = []
     for D in (0.5, 1.0, 2.0):
-        comp = a_alpha(SpaceDescriptor.box([0.0], [D]), 1.0, h=D / 100)
+        comp = a_alpha(SpaceDescriptor.box([0.0], [D]), 1.0)
         assert comp.diameter == pytest.approx(D)
         values.append(comp.value)
     assert values[0] <= values[1] + 1e-12 <= values[2] + 2e-12
 
 
 def test_a_alpha_truncation_reported():
-    comp = a_alpha(SpaceDescriptor.box([0.0], [1.0]), 0.5, h=0.01)
+    comp = a_alpha(SpaceDescriptor.box([0.0], [1.0]), 0.5)
     assert comp.levels >= 1
     assert comp.tail_bound >= 0.0
     assert comp.value > 0.0
@@ -428,8 +441,7 @@ def test_min_gap_is_zero_for_repeated_rows(norm):
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]])
     assert min_pairwise_gap(pts, norm) == 0.0
     cloud = SpaceDescriptor.cloud(pts, norm=norm)
-    assert cloud.grid_with_gap(1.0)[1] == 0.0
-    assert _entropy_model(cloud, None)(1e-3) == math.log(2)  # not ln 3
+    assert _entropy_model(cloud)(1e-3) == math.log(2)  # not ln 3
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
@@ -551,3 +563,94 @@ def test_linear_modulus_bounds_every_secant_ratio(case):
             step = 2 * space.radius * _dual_maximiser(row, space.norm)
             ratio = abs(row @ step) / vec_norm(step, space.norm)
             assert bound <= ratio * (1 + MODULUS_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# entropy models of the chaining sum
+
+
+@st.composite
+def entropy_cases(draw):
+    """A box (at times with a flat side), ball, simplex or cloud in each
+    norm, or a simplex x interval x cloud product; theta from a twentieth
+    of the diameter to above it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, norm = draw(st.sampled_from(["box", "ball", "simplex", "cloud",
+                                       "product"])), draw(NORM)
+    d = draw(st.integers(1, 3))
+    lo = rng.uniform(-2.0, 1.0, d)
+    if kind == "box":
+        sides = rng.uniform(0.1, 2.0, d) * (np.arange(d) != draw(st.integers(1, 4)))
+        space = SpaceDescriptor.box(lo, lo + sides, norm=norm)
+    elif kind == "ball":
+        space = SpaceDescriptor.ball(lo, rng.uniform(0.1, 2.0), norm=norm)
+    elif kind == "cloud":
+        space = SpaceDescriptor.cloud(rng.standard_normal((20, d)), norm=norm)
+    elif kind == "simplex":
+        space = SpaceDescriptor.simplex(draw(st.integers(2, 4)), norm=norm)
+    else:
+        space = SpaceDescriptor.product(
+            SpaceDescriptor.simplex(draw(st.integers(2, 3))),
+            SpaceDescriptor.interval(lo[0], lo[0] + rng.uniform(0.1, 1.5)),
+            SpaceDescriptor.cloud(rng.standard_normal((3, 2)), norm=norm))
+    return space, space.diameter() * draw(st.floats(0.05, 1.2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(entropy_cases())
+def test_entropy_model_bounds_a_fine_grid_packing(case):
+    """ln M(theta) from the chaining sum's entropy model is at least ln of a
+    greedy packing of a fine grid of the set.  The packing separates at
+    theta (1 + 1e-9), so that a pair rounded just above theta does not
+    count; a cloud's model is its own greedy packing at theta."""
+    space, theta = case
+    model = _entropy_model(space)
+    step = max(theta / 3, space.diameter() / 16)
+    sep = theta if space.kind == "cloud" else theta * (1 + 1e-9)
+    packed = greedy_pack(space.grid(step), sep, space.norm)
+    assert model(theta) >= math.log(len(packed))
+
+
+@pytest.mark.parametrize("space, norm, extent", [
+    (SpaceDescriptor.box([0.0, 0.0], [1.0, 0.0], norm="l2"), "l2", (0.5, 1)),
+    (SpaceDescriptor.box([0.0, 0.0], [2.0, 1.0]), "l1", (1.5, 2)),
+    (SpaceDescriptor.ball([1.0, 1.0], 0.5, norm="linf"), "l1", (1.0, 2)),
+    (SpaceDescriptor.simplex(4), "l1", (1.5, 3)),
+    (SpaceDescriptor.simplex(4), "linf", (0.75, 3)),
+    (SpaceDescriptor.cloud([[0.0, 0.0], [1.0, 1.0]]), "l1", (2.0, 1)),
+    (SpaceDescriptor.product(SpaceDescriptor.simplex(2),
+                             SpaceDescriptor.interval(0.0, 1.0),
+                             SpaceDescriptor.cloud([[0.0, 0.0], [1.0, 1.0]])),
+     "l1", (3.5, 3)),
+], ids=["segment", "box", "ball", "simplex-l1", "simplex-linf", "cloud",
+        "product"])
+def test_volume_extent_per_kind(space, norm, extent):
+    """R and d of README's volumetric table: half the diameter and the flat
+    sides dropped for a box, 2(1 - 1/n) (l1) or 1 - 1/n (l-inf) and n - 1
+    for a simplex, the diameter for a cloud, sums for a product."""
+    assert _volume_extent(space, norm) == extent
+
+
+def _portfolio_space(assets):
+    dataset = ReturnsDataset.synthetic(assets, 50, 0)
+    return build_portfolio(dataset, 0.2, 0.05).program.space
+
+
+@pytest.mark.parametrize("space", [
+    SpaceDescriptor.box([0.0, 0.0], [1.0, 2.0], norm="l2"),
+    SpaceDescriptor.ball([0.0, 0.0, 0.0], 1.0, norm="l1"),
+    SpaceDescriptor.simplex(3),
+    _portfolio_space(5),
+    _portfolio_space(8),
+], ids=["box-l2", "ball-l1", "simplex", "portfolio-5", "portfolio-8"])
+def test_a_alpha_enumerates_no_grid_for_continuous_sets(space, monkeypatch):
+    """A_alpha of a box, ball, simplex or product is a closed form: no grid
+    is sized (every kind checks its size against the budget before it
+    enumerates), so its cost does not grow with the dimension."""
+    def no_grid(required, h):
+        raise AssertionError("a_alpha sized a grid")
+
+    monkeypatch.setattr(geometry, "_check_budget", no_grid)
+    comp = a_alpha(space, 1.0)
+    assert comp.entropy_model == "volumetric"
+    assert math.isfinite(comp.value) and comp.value > 0
