@@ -49,7 +49,6 @@ from .families import FAMILIES, make_family
 from .geometry import (
     AlphaComplexity,
     EntropyNumber,
-    PackingNet,
     SpaceDescriptor,
     a_alpha,
     entropy_number,

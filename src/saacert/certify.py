@@ -411,7 +411,7 @@ class DeviationLedger:
     levels: list             # levels at which active-set deviations were taken
     Delta_active: list       # per level: (m,) array
     Delta0: dict             # (anchor name, level index) -> anchored objective dev
-    grid_size: int = 0
+    grid_size: int
 
     def _level_index(self, level: float) -> int:
         for j, lv in enumerate(self.levels):
@@ -431,23 +431,22 @@ class DeviationLedger:
 
 def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
                      anchors: dict, probes: np.ndarray | None = None,
-                     levels: tuple = None, tol_active: float | None = None) -> DeviationLedger:
+                     tol_active: float | None = None) -> DeviationLedger:
     """Tabulate the deviation suprema the deterministic checker consumes.
 
     ``probes`` are extra evaluation points appended to the grid (e.g. exact
     boundary roots, so that sups over active sets are continuum-exact for
-    piecewise-affine trials).  ``levels`` defaults to (gamma, 0).  Grid,
-    probes and anchors are evaluated together: one (m + 1, G + A) table per
-    side, objective in row 0 and the A anchors in the last columns.
+    piecewise-affine trials).  The levels are (gamma, 0), or (0,) alone when
+    |gamma| <= LEVEL_TOL.  Grid, probes and anchors are evaluated together:
+    one (m + 1, G + A) table per side, objective in row 0 and the A anchors
+    in the last columns.
     """
     program = emp.program
     grid = program.space.grid(h)
     if probes is not None:
         probes = np.atleast_2d(np.asarray(probes, dtype=float))
         grid = np.concatenate([grid, probes])
-    if levels is None:
-        levels = (gamma, 0.0) if abs(gamma) > LEVEL_TOL else (0.0,)
-    levels = list(dict.fromkeys(float(lv) for lv in levels))
+    levels = [float(gamma), 0.0] if abs(gamma) > LEVEL_TOL else [0.0]
     tol_active = h if tol_active is None else tol_active
     anchors = {k: np.asarray(v, dtype=float) for k, v in anchors.items()}
     bad = sorted(k for k, z in anchors.items() if z.size != program.space.dim)

@@ -399,7 +399,7 @@ def _cmd_report(args):
 class _Parser(argparse.ArgumentParser):
     """Made with ``exit_on_error=False``, its failures raise ConfigError
     instead of printing usage and exiting, so they take ``main``'s JSON
-    error path."""
+    error path.  With ``allow_abbrev=False`` a flag's prefix is no flag."""
 
     def parse_known_args(self, args=None, namespace=None):
         try:
@@ -414,7 +414,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="saacert", exit_on_error=False,
+        prog="saacert", exit_on_error=False, allow_abbrev=False,
         description="Finite-sample certificates for sample-average "
                     "approximation with stochastic constraints.")
     parser.add_argument("--version", action="version",
@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help):
-        sp = sub.add_parser(name, help=help, exit_on_error=False)
+        sp = sub.add_parser(name, help=help, exit_on_error=False,
+                            allow_abbrev=False)
         sp.add_argument("--out", help="write the JSON artifact to this path")
         sp.add_argument("--seed", type=natural, default=0)
         sp.set_defaults(handler=handler)

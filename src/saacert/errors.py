@@ -64,12 +64,12 @@ class UncalibratableError(SaacertError):
 
 def from_table(table: dict, what: str, name, params: dict):
     """``table[name](**params)``; an unknown ``name``, params the entry does
-    not take, or params whose values overflow a float raise ConfigError."""
+    not take, or values that are not floats or overflow one raise ConfigError."""
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"unknown {what} {name!r}", allowed=sorted(table))
     try:
         return table[name](**params)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what} params: {exc}", name=name) from exc
 
 

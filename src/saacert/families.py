@@ -36,23 +36,27 @@ def _resolve_dist(dist) -> Distribution:
                       got=type(dist).__name__)
 
 
+def _floats(*values) -> list[float]:
+    """The params as finite floats; anything else is a ValueError, which
+    ``make_family`` reports as a ConfigError."""
+    out = [float(v) for v in values]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"numeric params must be finite, got {out}")
+    return out
+
+
 def quad1d(a: float = 0.3, noise: float = 0.2, dist="t3") -> StochasticProgram:
     """1-D quadratic with multiplicative noise: F0 = (x - a)^2 + s*xi*x on [0,1].
 
     No stochastic constraints; the fixed-feasible-set theorem's test bed.
     """
+    a, s = _floats(a, noise)
     d = _resolve_dist(dist)
-    s, mu, var = noise, d.mean, d.var
     space = SpaceDescriptor.interval(0.0, 1.0)
-    x_star = float(np.clip(a - s * mu / 2, 0.0, 1.0))
 
     f0 = NoiseAffine(lambda x: (x[..., 0] - a) ** 2, [[s]])
-    oracle = TrueOracle(
-        noise_mean=np.array([mu]), noise_var=var,
-        sampler=d.sampler(1),
-        f_star=(x_star - a) ** 2 + s * mu * x_star,
-        x_star=np.array([x_star]),
-    )
+    oracle = TrueOracle(noise_mean=np.array([d.mean]), noise_var=d.var,
+                        sampler=d.sampler(1))
     return StochasticProgram(objective=f0, constraints=[], space=space,
                              holder=[HolderInfo()], oracle=oracle,
                              convex=False, name="quad1d")
@@ -78,13 +82,7 @@ def linear_simplex(dim: int = 3, dist="t3", offsets=None) -> StochasticProgram:
         return base(rng, n) + offsets
 
     f0 = NoiseAffine(lambda x: np.zeros(x.shape[:-1]), np.eye(dim))
-    j = int(np.argmin(means))
-    oracle = TrueOracle(
-        noise_mean=means, noise_var=d.var,
-        sampler=sampler,
-        f_star=float(means[j]),
-        x_star=np.eye(dim)[j],
-    )
+    oracle = TrueOracle(noise_mean=means, noise_var=d.var, sampler=sampler)
     return StochasticProgram(objective=f0, constraints=[], space=space,
                              holder=[HolderInfo()], oracle=oracle,
                              convex=True, name="linear_simplex")
@@ -98,24 +96,20 @@ def ball2d(radius: float = 0.6, noise: float = 0.1, obj_noise: float = 0.1,
     centered distribution the feasible set is the exact ball, the distance
     to it is ||x||_2 - radius, and the regularity constant is exactly 1.
     """
+    rho, s1, s0 = _floats(radius, noise, obj_noise)
     d = _resolve_dist(dist)
     if abs(d.mean) > CENTRED_TOL:
         raise ConfigError("ball2d needs a centered noise distribution so the "
                           "population feasible set stays a ball",
                           mean=d.mean)
-    s1, s0, var = noise, obj_noise, d.var
-    rho = radius
     space = SpaceDescriptor.box([-1.0, -1.0], [1.0, 1.0], norm="l2")
 
     f0 = NoiseAffine(lambda x: x[..., 0] + x[..., 1], [[0.0, 0.0], [0.0, s0]])
     f1 = NoiseAffine(lambda x: np.hypot(x[..., 0], x[..., 1]) - rho,
                      [[s1, 0.0], [0.0, 0.0]])
-    x_star = np.array([-rho / math.sqrt(2)] * 2)
     oracle = TrueOracle(
-        noise_mean=np.full(2, d.mean), noise_var=var,
+        noise_mean=np.full(2, d.mean), noise_var=d.var,
         sampler=d.sampler(2),
-        f_star=-math.sqrt(2) * rho,
-        x_star=x_star,
         slater_margin=rho,
         regularity_c=1.0,
         dist_to_feasible=lambda x: max(0.0, math.hypot(x[0], x[1]) - rho),
@@ -134,6 +128,7 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     gain and tightening cost are exactly gamma); ``interior`` puts the
     minimizer strictly inside (both gaps are exactly zero).
     """
+    b, s1, s0 = _floats(level, noise, obj_noise)
     d = _resolve_dist(dist)
     if abs(d.mean) > CENTRED_TOL:
         raise ConfigError("halfspace_box needs a centered noise distribution",
@@ -141,25 +136,19 @@ def halfspace_box(level: float = 1.2, noise: float = 0.1,
     if objective not in ("corner", "interior"):
         raise ConfigError("objective must be 'corner' or 'interior'",
                           got=objective)
-    s1, s0, var = noise, obj_noise, d.var
-    b = level
     space = SpaceDescriptor.box([0.0, 0.0], [1.0, 1.0], norm="linf")
 
     f1 = NoiseAffine(lambda x: x[..., 0] + x[..., 1] - b, [[s1, 0.0], [0.0, 0.0]])
     if objective == "corner":
         f0 = NoiseAffine(lambda x: -x[..., 0] - x[..., 1], [[0.0, 0.0], [0.0, s0]])
-        x_star, f_star = np.array([b / 2, b / 2]), -b
     else:
         cx = 0.3
         f0 = NoiseAffine(lambda x: (x[..., 0] - cx) ** 2 + (x[..., 1] - cx) ** 2,
                          [[0.0, 0.0], [s0, s0]])
-        x_star, f_star = np.array([cx, cx]), 0.0
 
     oracle = TrueOracle(
-        noise_mean=np.full(2, d.mean), noise_var=var,
+        noise_mean=np.full(2, d.mean), noise_var=d.var,
         sampler=d.sampler(2),
-        f_star=f_star,
-        x_star=x_star,
         slater_margin=b,
         regularity_c=0.5,
         dist_to_feasible=lambda x: max(0.0, (x[0] + x[1] - b) / 2),

@@ -31,9 +31,11 @@ GRID_BUDGET = 2_000_000
 BALL_TOL = 1e-12
 BRACKET_TOL = 1e-12
 LATTICE_RTOL = 1e-9
-# a_alpha stops at a term below CHAIN_RTOL times the partial sum and bounds
-# the tail up to a term at most TAIL_RTOL times max(sum, 1).
+# a_alpha stops at a term below CHAIN_RTOL times the partial sum or after
+# MAX_LEVELS terms, and bounds the tail up to a term at most TAIL_RTOL times
+# max(sum, 1).
 CHAIN_RTOL = 1e-9
+MAX_LEVELS = 60
 TAIL_RTOL = 1e-16
 
 # ---------------------------------------------------------------------------
@@ -552,20 +554,6 @@ def _simplex_lattice(dim: int, m: int) -> np.ndarray:
 # packing nets and metric entropy
 
 
-@dataclass
-class PackingNet:
-    """A maximal theta-separated subset of the candidate grid."""
-
-    points: np.ndarray
-    theta: float
-    norm: str
-    candidate_count: int
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
 def _lex_order(points: np.ndarray) -> np.ndarray:
     keys = tuple(points[:, j] for j in range(points.shape[1] - 1, -1, -1))
     return points[np.lexsort(keys)]
@@ -599,8 +587,8 @@ def greedy_pack(candidates: np.ndarray, theta: float, norm: str) -> np.ndarray:
     return cands[np.array(chosen, dtype=int)]
 
 
-def packing_net(space: SpaceDescriptor, theta: float, h: float | None = None) -> PackingNet:
-    """Greedy maximal packing of the space at separation ``theta``.
+def packing_net(space: SpaceDescriptor, theta: float, h: float | None = None) -> np.ndarray:
+    """The points of a greedy maximal packing of the space at separation ``theta``.
 
     Candidates come from the descriptor's deterministic grid (the points
     themselves for clouds).  ``h`` defaults to ``theta / 4`` so the grid
@@ -612,8 +600,7 @@ def packing_net(space: SpaceDescriptor, theta: float, h: float | None = None) ->
         cands = space.points
     else:
         cands = space.grid(h if h is not None else theta / 4.0)
-    pts = greedy_pack(cands, theta, space.norm)
-    return PackingNet(points=pts, theta=theta, norm=space.norm, candidate_count=len(cands))
+    return greedy_pack(cands, theta, space.norm)
 
 
 @dataclass
@@ -623,7 +610,7 @@ class EntropyNumber:
     value: float
     net_size: int
     theta: float
-    bracket: tuple[float, float] | None = None
+    bracket: tuple[float, float] | None
 
     def within_bracket(self) -> bool | None:
         if self.bracket is None:
@@ -641,7 +628,7 @@ def entropy_number(space: SpaceDescriptor, theta: float, h: float | None = None)
     volume bound of that sub-box, which holds in every norm, since none is
     below l-inf), d ln(r / theta) for a ball of radius r > theta, else 0.
     """
-    net = packing_net(space, theta, h)
+    size = len(packing_net(space, theta, h))
     bracket = None
     if space.kind != "cloud":
         if space.kind == "box":
@@ -652,7 +639,7 @@ def entropy_number(space: SpaceDescriptor, theta: float, h: float | None = None)
         else:
             lo = 0.0
         bracket = (lo, _VolumetricEntropy(space)(theta))
-    return EntropyNumber(value=math.log(net.size), net_size=net.size,
+    return EntropyNumber(value=math.log(size), net_size=size,
                          theta=theta, bracket=bracket)
 
 
@@ -764,12 +751,11 @@ class AlphaComplexity:
     entropy_model: str
 
 
-def a_alpha(space: SpaceDescriptor, alpha: float,
-            max_levels: int = 60) -> AlphaComplexity:
+def a_alpha(space: SpaceDescriptor, alpha: float) -> AlphaComplexity:
     """Dyadic chaining sum of the space at Holder exponent ``alpha``.
 
     Stops when the current term drops below CHAIN_RTOL times the partial
-    sum or at ``max_levels``, whichever comes first, and reports a numeric
+    sum or at MAX_LEVELS terms, whichever comes first, and reports a numeric
     bound on the truncated tail.
     """
     if not (0.0 < alpha <= 1.0):
@@ -782,7 +768,7 @@ def a_alpha(space: SpaceDescriptor, alpha: float,
     chain = _chain_terms(model, diam, alpha)
     terms, total = [], 0.0
     truncation = "level-cap"
-    for term in islice(chain, max_levels):
+    for term in islice(chain, MAX_LEVELS):
         terms.append(term)
         total += term
         if term < CHAIN_RTOL * total:

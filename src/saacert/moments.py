@@ -99,16 +99,13 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray,
 # pointwise variances
 
 
-def sigma_hat_sq(emp: EmpiricalProblem, i: int, x, pop_mean: float | None = None) -> float:
+def sigma_hat_sq(emp: EmpiricalProblem, i: int, x, pop_mean: float) -> float:
     """Empirical mean of squared deviations around the population mean.
 
     This is (1/N) sum_j (F_i(x, xi_j) - f_i(x))^2, *not* the sample variance:
     the centering uses the true mean, matching the self-normalized bound.
     """
-    x = np.asarray(x, dtype=float)
-    if pop_mean is None:
-        pop_mean = emp.program.true_fn(i, x)
-    vals = emp.program.integrand(i)(x, emp.scenarios.data)
+    vals = emp.program.integrand(i)(np.asarray(x, dtype=float), emp.scenarios.data)
     return float(np.mean((vals - pop_mean) ** 2))
 
 

@@ -111,8 +111,6 @@ class TrueOracle:
     noise_mean: np.ndarray | None = None
     noise_var: float | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    f_star: float | None = None
-    x_star: np.ndarray | None = None
     slater_margin: float | None = None
     regularity_c: float | None = None
     dist_to_feasible: Callable[[np.ndarray], float] | None = None
@@ -219,13 +217,6 @@ class ScenarioSet:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.data.shape[1]
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
     @cached_property
     def mean(self) -> np.ndarray:
         """``_mean`` of each column, shape (k,), computed once."""
@@ -248,14 +239,6 @@ class ScenarioSet:
                 "scenario CSV header must be xi_1,...,xi_k",
                 got=header, expected=expected)
         return cls(data=data)
-
-    def to_csv(self, path_or_buffer) -> None:
-        header = ",".join(f"xi_{j + 1}" for j in range(self.k))
-        if hasattr(path_or_buffer, "write"):
-            np.savetxt(path_or_buffer, self.data, delimiter=",", header=header, comments="")
-        else:
-            with open(path_or_buffer, "w", newline="") as handle:
-                np.savetxt(handle, self.data, delimiter=",", header=header, comments="")
 
 
 def read_table(path_or_buffer) -> tuple[list[str], np.ndarray]:

@@ -268,12 +268,11 @@ def coverage_certificate(plan: CoveragePlan,
     ``profile`` is the plan's ``_pilot_profile``, computed here when omitted.
     """
     program = plan.program
-    m = program.n_constraints
     if profile is None:
         profile = _pilot_profile(plan)
     margin = program.oracle.slater_margin if plan.theorem == "interior" else None
-    return certificate_from_profile(profile, plan.eps, plan.p, m=max(m, 1)
-                                    if plan.theorem != "fixed" else m,
+    return certificate_from_profile(profile, plan.eps, plan.p,
+                                    m=program.n_constraints,
                                     constant=plan.constant,
                                     scope=_EVENT_SCOPES[plan.event][plan.theorem],
                                     slater_margin=margin)

@@ -98,7 +98,7 @@ def test_acceptance_01_packing_oracle():
     mismatches = []
     for k, (factory, theta, h) in enumerate(PACKING_CASES):
         space = factory()
-        greedy = packing_net(space, theta, h).size
+        greedy = len(packing_net(space, theta, h))
         exact = exhaustive_max_packing(space.grid(h), theta, space.norm)
         if greedy != exact:
             mismatches.append((k, greedy, exact))
@@ -126,7 +126,7 @@ def test_acceptance_02_chaining_constant():
         i += 1
     two_point = SpaceDescriptor.cloud([[0.0], [1.0]])
     value = a_alpha(two_point, 1.0).value
-    single = a_alpha(two_point, 1.0, max_levels=1).value
+    single = a_alpha(two_point, 1.0).terms[0]
     closed = 0.5 * math.sqrt(2 * math.log(2))
     ok = abs(value - independent) <= 0.01 and abs(single - closed) <= 1e-9
     report(2, "two-point-chaining-constant", ok,

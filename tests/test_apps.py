@@ -58,7 +58,8 @@ def test_cvar_rejects_bad_level():
 def test_returns_dataset_csv_round_trip(tmp_path):
     ds = ReturnsDataset.synthetic(3, 50, seed=4)
     path = tmp_path / "returns.csv"
-    ScenarioSet(ds.returns).to_csv(path)
+    np.savetxt(path, ds.returns, delimiter=",", header="xi_1,xi_2,xi_3",
+               comments="")
     back = ReturnsDataset.from_csv(path)
     assert np.allclose(back.returns, ds.returns)
     assert back.assets == 3

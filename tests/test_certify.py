@@ -161,9 +161,8 @@ def test_deviation_ledger_without_constraints():
     """With m = 0 the population level sets are the whole grid at every level."""
     program = make_family("quad1d")
     scen = ScenarioSet.from_sampler(program.oracle.sampler, 50, seed=0)
-    ledger = deviation_ledger(build_empirical(program, scen), gamma=0.1,
-                              h=0.1, anchors={"x_star": [0.3]},
-                              levels=(-0.1, 0.0))
+    ledger = deviation_ledger(build_empirical(program, scen), gamma=-0.1,
+                              h=0.1, anchors={"x_star": [0.3]})
     below = ledger.Delta0_at("x_star", -0.1)
     assert below > 0.0
     assert below == ledger.Delta0_at("x_star", 0.0)

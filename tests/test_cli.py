@@ -254,8 +254,15 @@ def test_plan_missing_field_exits_2(capsys, argv, field):
     ("ball2d", '{"bogus": 1}'), ("ball2d", '{"radius": "x"}'), ("ball2d", "[1]"),
     ("quad1d", '{"a": NaN}'), ("halfspace_box", '{"level": 1e400}'),
     ("ball2d", '{"radius": -Infinity}'),
+    ("halfspace_box", '{"objective": "interior", "level": "x"}'),
+    ("halfspace_box", '{"noise": "x"}'), ("ball2d", '{"noise": "x"}'),
+    ("quad1d", '{"noise": "x"}'), ("quad1d", '{"noise": "nan"}'),
+    ("ball2d", '{"radius": "inf"}'),
 ], ids=["params0", "params1", "params2", "quad1d-a-nan",
-        "halfspace-level-overflows", "ball2d-radius-minus-infinity"])
+        "halfspace-level-overflows", "ball2d-radius-minus-infinity",
+        "halfspace-level-string", "halfspace-noise-string",
+        "ball2d-noise-string", "quad1d-noise-string", "quad1d-noise-nan-string",
+        "ball2d-radius-inf-string"])
 def test_family_params_errors_exit_2(capsys, family, params):
     """Bad family params, non-finite JSON numbers among them, exit 2."""
     spec = f'{{"family": "{family}", "params": {params}}}'
@@ -414,13 +421,21 @@ def _quad_dist(distribution):
         "experiment": "uniform-tail", "family": "quad1d", "n": 10,
         "t_grid": [], "replications": 2})],
     _tail({"name": "gaussian", "sd": math.nan}),
+    # a flag's prefix is no flag: --h is not --help, --sig is not --sigma
+    ["aalpha", "--space", '{"kind":"simplex","dim":3}', "--alpha", "1",
+     "--h", "0.1"],
+    ["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+     "--sigma", "1", "--h", "1"],
+    ["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
+     "--sigma", "1", "--sig", "2"],
 ], ids=["box-hi-lo", "ball-radius", "cloud-points", "simplex-dim", "norm",
         "product-parts", "space-not-json", "synthetic-negative",
         "lasso-missing-data", "portfolio-missing-returns",
         "solve-missing-scenarios", "regularity-c", "seed", "out-dir",
         "eps-not-float", "missing-flag", "unknown-flag", "budget", "beta-nan",
         "c0-nan", "coverage-replications", "rate-n-grid", "tail-dist-params",
-        "tail-empty-t-grid", "uniform-tail-empty-t-grid", "tail-dist-sd-nan"])
+        "tail-empty-t-grid", "uniform-tail-empty-t-grid", "tail-dist-sd-nan",
+        "aalpha-h-prefix", "certify-h-prefix", "certify-sig-prefix"])
 def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     """Every malformed input takes the one JSON error path: no traceback,
     no usage text, no misleading downstream error, nothing on stdout."""
@@ -518,7 +533,8 @@ GRAMMAR = {
                 "--eps": REALS, "--p": REALS, "--sigma": REALS, "--m": INTS,
                 "--C": REALS, "--slater": REALS, "--n-available": INTS},
     "solve": {"--problem": [QUAD, '{"family":"ball2d"}', '{"family":"nope"}',
-                            '{"family":"quad1d","params":{"bogus":1}}', "[1]"],
+                            '{"family":"quad1d","params":{"bogus":1}}', "[1]",
+                            '{"family":"ball2d","params":{"noise":"x"}}'],
               "--n": ["10", "50", "0", "-3", "x"],
               "--h": ["0.05", "0.1", "0", "nan"],
               "--relax": ["0.1", "0,0.1", "a", "nan", "-0.1", ""],
@@ -540,7 +556,8 @@ def cli_argv(draw):
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
             argv += [flag, value]
-    return argv + draw(st.sampled_from([[], ["--bogus"], ["x"], ["--seed"]]))
+    return argv + draw(st.sampled_from([[], ["--bogus"], ["x"], ["--seed"],
+                                        ["--h"]]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -57,22 +57,26 @@ def test_family_oracle_matches_monte_carlo(name):
 
 
 def test_quad1d_minimizer():
+    """Without noise f(x) = (x - a)^2 is least at x = a."""
     program = make_family("quad1d", a=0.4, noise=0.0)
-    x_star = program.oracle.x_star
     grid = program.space.grid(0.001)
     vals = program.true_fn_grid(0, grid)
-    assert program.true_fn(0, x_star) <= vals.min() + 1e-9
+    assert program.true_fn(0, [0.4]) <= vals.min() + 1e-9
 
 
 def test_ball2d_geometry():
     program = make_family("ball2d", radius=0.6)
     oracle = program.oracle
-    assert oracle.f_star == pytest.approx(-np.sqrt(2) * 0.6)
     assert oracle.slater_margin == pytest.approx(0.6)
     assert oracle.regularity_c == pytest.approx(1.0)
-    # the declared minimizer is feasible and attains f_star
-    assert program.true_fn(1, oracle.x_star) <= 1e-9
-    assert program.true_fn(0, oracle.x_star) == pytest.approx(oracle.f_star)
+    # x1 + x2 is least on the ball at x* = -(0.6 / sqrt 2)(1, 1); the grid
+    # minimum over the feasible grid (step 0.01) lies within 0.02 above it
+    f_star, x_star = -np.sqrt(2) * 0.6, np.full(2, -0.6 / np.sqrt(2))
+    assert program.true_fn(1, x_star) <= 1e-9
+    assert program.true_fn(0, x_star) == pytest.approx(f_star)
+    grid = program.space.grid(0.01)
+    feas = grid[program.true_fn_grid(1, grid) <= 0.0]
+    assert f_star - 1e-9 <= program.true_fn_grid(0, feas).min() <= f_star + 0.02
 
 
 def test_ball2d_requires_centered_noise():
@@ -82,19 +86,26 @@ def test_ball2d_requires_centered_noise():
 
 def test_halfspace_corner_attains_boundary():
     program = make_family("halfspace_box", objective="corner", level=1.2)
-    oracle = program.oracle
-    assert oracle.f_star == pytest.approx(-1.2)
-    assert program.true_fn(1, oracle.x_star) == pytest.approx(0.0, abs=1e-12)
+    # -x1 - x2 is least, at -1.2, on the boundary x1 + x2 = 1.2
+    x_star = np.array([0.6, 0.6])
+    assert program.true_fn(1, x_star) == pytest.approx(0.0, abs=1e-12)
+    assert program.true_fn(0, x_star) == pytest.approx(-1.2)
+    grid = program.space.grid(0.1)
+    feas = grid[program.true_fn_grid(1, grid) <= 1e-12]
+    assert program.true_fn_grid(0, feas).min() == pytest.approx(-1.2)
 
 
 def test_linear_simplex_vertex_optimum():
-    program = make_family("linear_simplex", dim=3)
-    x_star = program.oracle.x_star
-    # a vertex: one coordinate 1, rest 0
-    assert sorted(x_star) == pytest.approx([0.0, 0.0, 1.0])
-    f_star = program.oracle.f_star
+    program = make_family("linear_simplex", dim=3, offsets=[0.2, -0.1, 0.3])
+    # xi_bar^T x is least at the vertex of the smallest mean coordinate
+    means = program.oracle.noise_mean
+    j = int(np.argmin(means))
+    f_star = program.true_fn(0, np.eye(3)[j])
+    assert f_star == pytest.approx(means[j])
     for v in np.eye(3):
         assert f_star <= program.true_fn(0, v) + 1e-12
+    grid = program.space.grid(0.25)
+    assert program.true_fn_grid(0, grid).min() == pytest.approx(f_star)
 
 
 def test_make_family_rejects_unknown():

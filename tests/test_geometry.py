@@ -63,11 +63,11 @@ def exhaustive_max_packing(points, theta, norm):
 
 def test_packing_interval_counts():
     space = SpaceDescriptor.box([0.0], [1.0])
-    net = packing_net(space, 0.4, h=0.01)
-    assert net.size == 3
+    pts = packing_net(space, 0.4, h=0.01)
+    assert len(pts) == 3
     # pairwise separation strictly above theta
-    for i in range(net.size):
-        d = dists_to(np.delete(net.points, i, axis=0), net.points[i], "linf")
+    for i in range(len(pts)):
+        d = dists_to(np.delete(pts, i, axis=0), pts[i], "linf")
         assert np.all(d > 0.4)
 
 
@@ -75,10 +75,10 @@ def test_packing_permutation_invariant():
     """Cloud packing size must not depend on the point order."""
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(30, 2))
-    base = packing_net(SpaceDescriptor.cloud(pts), 0.3).size
+    base = len(packing_net(SpaceDescriptor.cloud(pts), 0.3))
     for _ in range(5):
         perm = rng.permutation(30)
-        assert packing_net(SpaceDescriptor.cloud(pts[perm]), 0.3).size == base
+        assert len(packing_net(SpaceDescriptor.cloud(pts[perm]), 0.3)) == base
 
 
 def test_entropy_nonincreasing_in_theta():
@@ -123,8 +123,8 @@ def test_a_alpha_two_point_matches_series():
 
 
 def test_a_alpha_single_level_closed_form():
-    comp = a_alpha(SpaceDescriptor.cloud([[0.0], [1.0]]), 1.0, max_levels=1)
-    assert comp.value == pytest.approx(0.5 * math.sqrt(2 * math.log(2)),
+    comp = a_alpha(SpaceDescriptor.cloud([[0.0], [1.0]]), 1.0)
+    assert comp.terms[0] == pytest.approx(0.5 * math.sqrt(2 * math.log(2)),
                                        abs=1e-9)
 
 
@@ -215,10 +215,10 @@ def test_greedy_packing_attains_maximum_on_small_cases():
                 (1.0, 0.9, 0.1), (0.5, 0.2, 0.05)]
     for L, theta, h in cases_1d:
         sp = SpaceDescriptor.box([0.0], [L])
-        assert packing_net(sp, theta, h).size == exhaustive_max_packing(
+        assert len(packing_net(sp, theta, h)) == exhaustive_max_packing(
             sp.grid(h), theta, sp.norm)
     sp = SpaceDescriptor.box([0.0, 0.0], [1.0, 1.0])
-    assert packing_net(sp, 0.5, 0.25).size == exhaustive_max_packing(
+    assert len(packing_net(sp, 0.5, 0.25)) == exhaustive_max_packing(
         sp.grid(0.25), 0.5, sp.norm)
 
 

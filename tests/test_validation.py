@@ -116,6 +116,18 @@ def test_coverage_fixed_event():
     assert 0.0 <= rep.wilson[0] <= rep.frequency <= rep.wilson[1] <= 1.0
 
 
+def test_coverage_certificate_keeps_m_zero():
+    """A program without stochastic constraints gets no exterior
+    certificate: its m = 0 reaches the sample-size rule as it is."""
+    program = make_family("quad1d")
+    program.oracle.regularity_c = 1.0
+    plan = CoveragePlan(program=program, theorem="exterior",
+                        event="feasible-relaxed", eps=0.1, p=0.1,
+                        replications=5, seed=0, h=0.05)
+    with pytest.raises(ConfigError, match="at least one stochastic"):
+        coverage_certificate(plan)
+
+
 def test_coverage_half_run_merge_is_exact():
     """Replication streams are keyed by index, so split runs merge exactly."""
     plan = fixed_plan(replications=40)
