@@ -785,7 +785,11 @@ def _chain_terms(model, diam: float, alpha: float):
     """Terms of the chaining sum at levels 1, 2, ..., without end."""
     prev_h = 0.0  # entropy at scale D / 2^0 is ln(1)
     for i in count(1):
-        cur_h = model(diam / 2.0**i)
+        try:
+            cur_h = model(diam / 2.0**i)
+        except ZeroDivisionError:  # D / 2^i underflowed to 0 on a continuum
+            raise BudgetError("chaining scale D / 2^i underflows to 0",
+                              level=i, diameter=diam, alpha=alpha) from None
         yield (diam**alpha / 2.0 ** (i * alpha)) * math.sqrt(
             cur_h + prev_h + math.log(i * (i + 1)))
         prev_h = cur_h

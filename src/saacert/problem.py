@@ -302,11 +302,11 @@ class EmpiricalProblem:
                 for i in range(1, len(self.relaxations) + 1)]
         return np.array(vals) - self.relaxations
 
-    def feasible_mask(self, points: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-        """Empirical feasibility, Fhat_i <= eps_i + tol, of grid points
+    def feasible_mask(self, points: np.ndarray) -> np.ndarray:
+        """Empirical feasibility, Fhat_i <= eps_i + FEAS_TOL, of grid points
         already inside Y."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bounds = self.relaxations[:, None] + tol
+        bounds = self.relaxations[:, None] + FEAS_TOL
         return np.all(_constraint_table(self, pts) <= bounds, axis=0)
 
 

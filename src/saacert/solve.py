@@ -138,9 +138,12 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
             "subgradient method never reached the empirical feasible region",
             budget=config.budget)
     x_out = space.project(avg / weight)
-    t = obj_steps
-    gap = ((diam ** 2 + config.c0 ** 2 * g_max ** 2 * (1 + math.log(max(t, 1))))
-           / (4 * config.c0 * (math.sqrt(t + 1) - 1))) if t >= 1 else math.inf
+    t = obj_steps  # >= 1, as weight > 0
+    try:  # c0^2 or g_max^2 past the float range: the bound is inf
+        gap = ((diam ** 2 + config.c0 ** 2 * g_max ** 2 * (1 + math.log(t)))
+               / (4 * config.c0 * (math.sqrt(t + 1) - 1)))
+    except OverflowError:
+        gap = math.inf
     res = emp.residuals(x_out)
     return SolveResult(
         x=x_out, value=emp.fhat(0, x_out), residuals=res,

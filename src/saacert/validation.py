@@ -1,10 +1,12 @@
 """Monte Carlo laboratory for the probabilistic guarantees.
 
-Every experiment derives one RNG stream per replication as
-``default_rng(base_seed ^ index)`` (``replication_rng``), so runs are
-reproducible, halves of a run merge exactly into the whole, and
+Every experiment draws on one path, ``_draws``: replication ``index`` gets
+the stream ``default_rng(base_seed ^ index)`` (``replication_rng``), so runs
+are reproducible, halves of a run merge exactly into the whole, and
 replications could run concurrently without changing any count.  A coverage
-plan's pilot sample is the stream of index ``PILOT_STREAM``.
+plan's pilot sample is the stream of index ``PILOT_STREAM``.  A statistic of
+the objective past the float range raises the ``BudgetError`` naming
+integrand 0, as a constraint table does.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .geometry import a_alpha
 from .moments import (_GUARANTEES, VarianceProfile, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
 from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
-                      _constraint_table, _sample_means, build_empirical,
-                      relaxed_set_grid)
+                      _constraint_table, _overflow, _sample_means,
+                      build_empirical, relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -43,6 +45,25 @@ TAIL_SLACK = 1e-12
 def replication_rng(base_seed: int, index: int) -> np.random.Generator:
     """Per-replication stream: base XOR index (order-free, merge-exact)."""
     return np.random.default_rng(base_seed ^ index)
+
+
+def _draws(sampler, seed: int, n: int, indices):
+    """The scenarios of each replication in ``indices``, in order: ``n``
+    draws of ``sampler`` from the stream ``replication_rng(seed, index)``."""
+    for index in indices:
+        yield ScenarioSet(sampler(replication_rng(seed, index), n))
+
+
+def _check_replications(replications: int) -> None:
+    if replications < 1:
+        raise ConfigError("need at least one replication", got=replications)
+
+
+def _check_finite(stats) -> None:
+    """A constraint table's check, for statistics of the objective computed
+    with numpy warnings off."""
+    if not np.isfinite(stats).all():
+        raise _overflow(0)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -95,28 +116,31 @@ class TailReport(JsonResult):
 
 
 def _check_tail_plan(t_grid, replications: int) -> None:
-    if replications < 1:
-        raise ConfigError("need at least one replication", got=replications)
-    if not len(t_grid):
-        raise ConfigError("tail experiments need a nonempty t_grid",
-                          field="t_grid")
+    _check_replications(replications)
+    if not len(t_grid) or min(t_grid) < 0:  # t < 0 has a bound e^{-t} > 1
+        raise ConfigError("tail experiments need a nonempty t_grid of t >= 0",
+                          field="t_grid", t_grid=list(t_grid))
+
+
+def _tail_rows(t_grid, stats: np.ndarray, constant: float, scales) -> list:
+    """One row per t: the frequency of ``stats >= constant * sqrt(1 + t) *
+    scales`` (one scale per replication, or one for all) against the bound
+    e^{-t}, and the median threshold."""
+    cuts = [(t, constant * math.sqrt(1 + t) * scales) for t in t_grid]
+    return [TailRow(float(t), float(np.median(c)), float(np.mean(stats >= c)),
+                    math.exp(-t)) for t, c in cuts]
 
 
 def tail_experiment(dist: Distribution, n: int, t_grid, replications: int,
                     constant: float, seed: int) -> TailReport:
     """Exceedance of the self-normalized statistic vs its e^{-t} bound."""
     _check_tail_plan(t_grid, replications)
-    stats = np.empty(replications)
-    for r in range(replications):
-        vals = dist.sample(replication_rng(seed, r), n)
-        stats[r] = self_normalized(vals, dist.mean, dist.var)
-    rows = [TailRow(t=float(t), threshold=constant * math.sqrt(1 + t),
-                    frequency=float(np.mean(stats >= constant * math.sqrt(1 + t))),
-                    bound=math.exp(-t))
-            for t in t_grid]
-    return TailReport(kind="tail", rows=rows, n=n, replications=replications,
-                      constant=constant, seed=seed,
-                      details={"distribution": dist.name})
+    stats = np.array([self_normalized(scen.data[:, 0], dist.mean, dist.var)
+                      for scen in _draws(dist.sampler(), seed, n,
+                                         range(replications))])
+    return TailReport(kind="tail", rows=_tail_rows(t_grid, stats, constant, 1.0),
+                      n=n, replications=replications, constant=constant,
+                      seed=seed, details={"distribution": dist.name})
 
 
 def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
@@ -131,30 +155,21 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     in details).
     """
     _check_tail_plan(t_grid, replications)
-    space = program.space
-    sampler = program.sampler
-    grid = space.grid(h)
+    grid = program.space.grid(h)
     pts = np.vstack([grid, grid[:1]])
-    true_vals = program.true_fn_grid(0, pts)
-    comp = a_alpha(space, program.holder[0].alpha)
-    pop_l, _ = _population_l(program, 0)
-
-    sups = np.empty(replications)
-    scales = np.empty(replications)
-    for r in range(replications):
-        rng = replication_rng(seed, r)
-        xis = sampler(rng, n)
-        dev = _sample_means(program, 0, pts, ScenarioSet(xis)) - true_vals
-        sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
-        l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, xis) ** 2))
-        scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
-    rows = []
-    for t in t_grid:
-        thresholds = constant * comp.value * math.sqrt(1 + t) * scales
-        rows.append(TailRow(t=float(t),
-                            threshold=float(np.median(thresholds)),
-                            frequency=float(np.mean(sups >= thresholds)),
-                            bound=math.exp(-t)))
+    sups, scales = np.empty((2, replications))
+    with np.errstate(all="ignore"):  # a non-finite statistic raises below
+        true_vals = program.true_fn_grid(0, pts)
+        comp = a_alpha(program.space, program.holder[0].alpha)
+        pop_l, _ = _population_l(program, 0)
+        draws = _draws(program.sampler, seed, n, range(replications))
+        for r, scen in enumerate(draws):
+            dev = _sample_means(program, 0, pts, scen) - true_vals
+            sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
+            l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, scen.data) ** 2))
+            scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
+    _check_finite([sups, scales])
+    rows = _tail_rows(t_grid, sups, constant * comp.value, scales)
     return TailReport(kind="uniform-tail", rows=rows, n=n,
                       replications=replications, constant=constant, seed=seed,
                       details={"a_alpha": comp.value,
@@ -191,9 +206,7 @@ class CoveragePlan:
     name: str = ""
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("need at least one replication",
-                              got=self.replications)
+        _check_replications(self.replications)
         if self.event not in _EVENT_SCOPES:
             raise ConfigError(f"unknown coverage event {self.event!r}",
                               allowed=sorted(_EVENT_SCOPES))
@@ -203,8 +216,7 @@ class CoveragePlan:
                 f"{self.theorem!r} certificate",
                 allowed=sorted(_EVENT_SCOPES[self.event]))
         if self.theorem == "interior":
-            oracle = self.program.oracle
-            margin = oracle.slater_margin if oracle is not None else None
+            margin = getattr(self.program.oracle, "slater_margin", None)
             if margin is None:
                 raise ConfigError("interior coverage plans need a program "
                                   "with a declared interior margin")
@@ -248,8 +260,8 @@ def _pilot_profile(plan: CoveragePlan) -> VarianceProfile:
     """The variance profile of the plan's pilot sample; it does not depend
     on ``plan.constant``."""
     program = plan.program
-    pilot = ScenarioSet(np.atleast_2d(program.sampler(
-        replication_rng(plan.seed, PILOT_STREAM), plan.pilot_n)))
+    pilot = next(_draws(program.sampler, plan.seed, plan.pilot_n,
+                        [PILOT_STREAM]))
     emp = build_empirical(program, pilot, _relaxations_for(
         plan.theorem, plan.eps, program.n_constraints))
     c = None
@@ -279,32 +291,29 @@ def coverage_certificate(plan: CoveragePlan,
 
 
 def _event_checker(plan: CoveragePlan):
-    """Precompute population grids; return the per-replication check."""
-    program = plan.program
-    eps = plan.eps
-    grid = program.space.grid(plan.h)
-    f0 = program.true_fn_grid(0, grid)
-    table = _constraint_table(program, grid)
+    """Precompute the population masks; return the per-replication check.
 
-    if plan.event == "near-optimal-subset":
-        f_star = float(f0[relaxed_set_grid(table)].min())
-        good = f0 <= f_star + 2 * eps + SET_TOL
-
-        def check(emp):
-            hard = emp.feasible_mask(grid, tol=SET_TOL)
-            if not np.any(hard):
-                return True
-            vals = emp.fhat_grid(0, grid)[hard]
-            near = vals <= float(vals.min()) + eps + SET_TOL
-            return bool(np.all(good[hard][near]))
-
-        return check
-
-    level = 2 * eps if plan.event == "feasible-relaxed" else 0.0
-    target = relaxed_set_grid(table, level)
+    A replication's empirical feasible set is the level set of its
+    constraint table at the levels ``emp.relaxations``; for
+    near-optimal-subset its table also holds the objective, as row 0, and
+    the event concerns the set's eps-near-optimal points."""
+    eps, grid = plan.eps, plan.program.space.grid(plan.h)
+    near = plan.event == "near-optimal-subset"
+    pop = _constraint_table(plan.program, grid, objective=near)
+    if near:
+        f_star = float(pop[0][relaxed_set_grid(pop[1:])].min())
+        good = pop[0] <= f_star + 2 * eps + SET_TOL
+    else:
+        good = relaxed_set_grid(pop, 2 * eps if plan.event == "feasible-relaxed"
+                                else 0.0)
 
     def check(emp):
-        return bool(np.all(target[emp.feasible_mask(grid, tol=SET_TOL)]))
+        table = _constraint_table(emp, grid, objective=near)
+        mask = relaxed_set_grid(table[int(near):], emp.relaxations[:, None])
+        if near and np.any(mask):
+            vals = table[0][mask]
+            mask[mask] = vals <= float(vals.min()) + eps + SET_TOL
+        return bool(np.all(good[mask]))
 
     return check
 
@@ -321,30 +330,24 @@ def coverage_experiment(plan: CoveragePlan,
                           "replications", rep_range=[start, stop],
                           replications=plan.replications)
     program = plan.program
-    sampler = program.sampler
     cert = certificate if certificate is not None else coverage_certificate(plan)
     n = cert.n_required
     if n > plan.max_n:
         raise BudgetError("certified sample size exceeds the experiment budget",
                           n_required=n, max_n=plan.max_n)
-    m = program.n_constraints
-    relax = _relaxations_for(plan.theorem, plan.eps, m)
+    relax = _relaxations_for(plan.theorem, plan.eps, program.n_constraints)
     check = _event_checker(plan)
-    successes = 0
-    emp = None
-    for r in range(start, stop):
-        rng = replication_rng(plan.seed, r)
-        scen = ScenarioSet(np.atleast_2d(sampler(rng, n)))
+    successes, emp = 0, None
+    for scen in _draws(program.sampler, plan.seed, n, range(start, stop)):
         # the first replication validates the program; the rest swap data
         emp = (build_empirical(program, scen, relax) if emp is None
                else replace(emp, scenarios=scen))
         successes += bool(check(emp))
     count = stop - start
-    freq = successes / count
     return CoverageReport(
         plan=plan.name, theorem=plan.theorem, event=plan.event,
         eps=plan.eps, p=plan.p, constant=plan.constant, n_used=n,
-        replications=count, successes=successes, frequency=freq,
+        replications=count, successes=successes, frequency=successes / count,
         wilson=wilson_interval(successes, count), floor=1 - plan.p,
         seed=plan.seed, sigma_hat=cert.sigma_hat,
         details={"pilot_n": plan.pilot_n, "h": plan.h,
@@ -398,30 +401,27 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
     if len(n_grid) < 3 or min(n_grid) < 1:
         raise ConfigError("rate experiments need at least three sample "
                           "sizes, each >= 1", n_grid=n_grid)
-    if replications < 1:
-        raise ConfigError("need at least one replication", got=replications)
-    sampler = program.sampler
+    _check_replications(replications)
     grid = program.space.grid(h)
-    true_vals = program.true_fn_grid(0, grid)
-    rows = []
-    for j, n in enumerate(n_grid):
-        sups = np.empty(replications)
-        for r in range(replications):
-            rng = replication_rng(seed, j * replications + r)
-            xis = sampler(rng, n)
-            hat = _sample_means(program, 0, grid, ScenarioSet(xis))
-            sups[r] = float(np.max(np.abs(hat - true_vals)))
-        rows.append(RateRow(n, float(np.mean(sups)),
-                            float(np.std(sups) / math.sqrt(replications))))
-    if any(row.mean <= 0 for row in rows):
-        return RateReport(rows=rows, slope=None, slope_stderr=None,
-                          degenerate=True, replications=replications,
-                          seed=seed, details={"family": program.name})
-    slope, se = fit_loglog_slope([row.n for row in rows],
-                                 [row.mean for row in rows])
+    sups = np.empty((len(n_grid), replications))
+    with np.errstate(all="ignore"):  # a non-finite statistic raises below
+        true_vals = program.true_fn_grid(0, grid)
+        for j, n in enumerate(n_grid):
+            draws = _draws(program.sampler, seed, n,
+                           range(j * replications, (j + 1) * replications))
+            sups[j] = [np.max(np.abs(_sample_means(program, 0, grid, scen)
+                                     - true_vals)) for scen in draws]
+        rows = [RateRow(n, float(np.mean(row)),
+                        float(np.std(row) / math.sqrt(replications)))
+                for n, row in zip(n_grid, sups)]
+    _check_finite([(row.mean, row.stderr) for row in rows])
+    degenerate = any(row.mean <= 0 for row in rows)
+    slope, se = (None, None) if degenerate else fit_loglog_slope(
+        [row.n for row in rows], [row.mean for row in rows])
     return RateReport(rows=rows, slope=slope, slope_stderr=se,
-                      degenerate=False, replications=replications, seed=seed,
-                      details={"family": program.name, "grid_points": len(grid)})
+                      degenerate=degenerate, replications=replications, seed=seed,
+                      details={"family": program.name} if degenerate else
+                      {"family": program.name, "grid_points": len(grid)})
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +471,7 @@ def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
     if c_grid is None:
         c_grid = [2.0 ** k for k in range(-6, 7)]
     c_grid = sorted(float(c) for c in c_grid)
-    matrix, reports = {}, {}
-    seed = plans[0].seed
-    profiles = {}
+    matrix, reports, profiles = {}, {}, {}
 
     def run_all(c_value):
         row, row_reports, all_pass = {}, {}, True
@@ -492,22 +490,16 @@ def calibrate_constant(plans: list, c_grid=None) -> CalibrationResult:
             all_pass &= row[plan.name]
         return row, row_reports, all_pass
 
-    c_star = None
-    for c_value in c_grid:
-        row, row_reports, all_pass = run_all(c_value)
-        matrix[c_value] = row
-        reports[c_value] = row_reports
+    for c_star in c_grid:
+        matrix[c_star], reports[c_star], all_pass = run_all(c_star)
         if all_pass:
-            c_star = c_value
             break
-    if c_star is None:
+    else:
         raise UncalibratableError(
             "no constant on the grid passes every coverage plan",
             c_grid=list(c_grid),
             matrix={str(c): v for c, v in matrix.items()})
-    row, row_reports, all_pass = run_all(2 * c_star)
-    matrix[2 * c_star] = row
-    reports[2 * c_star] = row_reports
+    matrix[2 * c_star], reports[2 * c_star], all_pass = run_all(2 * c_star)
     return CalibrationResult(c_star=c_star, c_grid=list(c_grid), matrix=matrix,
                              reports=reports, monotone_confirmed=all_pass,
-                             seed=seed)
+                             seed=plans[0].seed)

@@ -475,6 +475,10 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
     (_quad_dist({"name": "gaussian", "sd": -1}), "config"),
     (_quad_dist({"name": "uniform", "lo": 1, "hi": 0}), "config"),
     (_quad_dist({"name": "lognormal", "sd": -0.5}), "config"),
+    (["aalpha", "--space", '{"kind":"ball","center":[0,0],"radius":1e-300}',
+      "--alpha", "0.05"], "budget-exceeded"),
+    (["aalpha", "--space", '{"kind":"box","lo":[0],"hi":[1e-200]}',
+      "--alpha", "0.01"], "budget-exceeded"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
         "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
         "box-extent-overflows", "cloud-extent-overflows",
@@ -483,7 +487,8 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
         "uniform-variance-overflows", "gaussian-variance-overflows",
         "gaussian-sd-negative", "uniform-hi-below-lo", "lognormal-sd-negative",
         "family-gaussian-sd-negative", "family-uniform-hi-below-lo",
-        "family-lognormal-sd-negative"])
+        "family-lognormal-sd-negative", "ball-chain-scale-underflows",
+        "box-chain-scale-underflows"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     """Finite values at the edge of float range, and distribution params
     numpy would refuse only when it samples, fail with the JSON error path,
@@ -492,6 +497,49 @@ def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning either
+def test_overflowing_gap_bound_is_reported_as_inf(capsys):
+    """A step scale whose square overflows the float range leaves the
+    solution as it is and reports the gap bound as inf, as sample sizes
+    are."""
+    blob = artifact(capsys, "solve", "--problem", '{"family":"ball2d"}',
+                    "--n", "10", "--method", "subgradient", "--c0", "1e160",
+                    "--budget", "5")
+    solution = blob["results"]["solution"]
+    assert solution["certified_gap"] == "inf"
+    assert solution["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("experiment, t_grid", [
+    ("tail", [1, -2]), ("tail", [-0.5]), ("uniform-tail", [-0.5, 1])])
+def test_negative_t_exits_2(capsys, experiment, t_grid):
+    """A t < 0 has the bound e^{-t} > 1, which every row would pass."""
+    plan = {"experiment": experiment, "n": 10, "t_grid": t_grid,
+            "replications": 2, "family": "quad1d"}
+    code, out, err = run_cli(capsys, "validate", "--plan", json.dumps(plan))
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["details"]["field"] == "t_grid"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", ["uniform-tail", "rate"])
+@pytest.mark.parametrize("params", [{"a": 1e200}, {"noise": 1e200}])
+def test_overflowing_objective_fails_the_experiment(capsys, experiment, params):
+    """A deviation or scale past the float range is an overflow of the
+    objective, not a passed uniform tail or a rate row of nan."""
+    plan = {"experiment": experiment, "family": "quad1d", "params": params,
+            "n": 20, "t_grid": [1], "n_grid": [10, 20, 30],
+            "replications": 5}
+    code, out, err = run_cli(capsys, "validate", "--plan", json.dumps(plan))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget-exceeded"
+    assert error["details"]["integrand"] == 0
+    assert "integrand 0" in error["message"]
 
 
 @pytest.mark.filterwarnings("error")  # the matmul overflow warns no more

@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from saacert import validation
 from saacert.distributions import make_distribution
 from saacert.errors import (BudgetError, ConfigError, SlaterMarginError,
                             UncalibratableError)
@@ -49,6 +51,38 @@ def test_replication_streams_are_independent_of_order():
     _ = replication_rng(12345, 3).normal(size=100)
     b = replication_rng(12345, 7).normal(size=4)
     assert np.array_equal(a, b)
+
+
+def test_every_replication_draws_through_one_path(monkeypatch):
+    """Each experiment takes its streams from ``_draws`` alone: R for a tail
+    plan, len(n_grid) * R for a rate plan, stop - start for a coverage
+    run and one for a coverage plan's pilot."""
+    callers = []
+
+    def counted(seed, index):
+        callers.append((sys._getframe(1).f_code.co_name, index))
+        return replication_rng(seed, index)
+
+    monkeypatch.setattr(validation, "replication_rng", counted)
+
+    def streams():
+        assert {name for name, _ in callers} <= {"_draws"}
+        indices = [index for _, index in callers]
+        callers.clear()
+        return indices
+
+    tail_experiment(make_distribution("t3"), 10, [1.0], 7, 3.0, seed=1)
+    assert streams() == list(range(7))
+    uniform_tail_experiment(make_family("linear_simplex", dim=3), 10, [1.0],
+                            4, 3.0, seed=1, h=0.5)
+    assert streams() == list(range(4))
+    rate_experiment(make_family("quad1d"), [8, 16, 32], 3, seed=1, h=0.25)
+    assert streams() == list(range(9))
+    plan = fixed_plan(replications=10)
+    cert = coverage_certificate(plan)
+    assert streams() == [validation.PILOT_STREAM]
+    coverage_experiment(plan, cert, rep_range=(3, 8))
+    assert streams() == [3, 4, 5, 6, 7]
 
 
 def test_tail_experiment_heavy_tail():
