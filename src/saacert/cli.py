@@ -104,27 +104,32 @@ def _need(spec: dict, key: str, kind=None, default=_REQUIRED):
                           field=key, value=value) from exc
 
 
+# per space kind: its constructor and the spec fields it takes, in order
+_SPACES = {
+    "box": (SpaceDescriptor.box, (("lo", [finite]), ("hi", [finite]))),
+    "ball": (SpaceDescriptor.ball, (("center", [finite]), ("radius", finite))),
+    "simplex": (SpaceDescriptor.simplex, (("dim", count),)),
+    "cloud": (SpaceDescriptor.cloud, (("points", [[finite]]),)),
+    "product": (lambda parts, **_: SpaceDescriptor.product(
+        *map(space_from_spec, parts)), (("parts", list),)),
+}
+
+
 def space_from_spec(spec) -> SpaceDescriptor:
     """Build a space descriptor from a CLI JSON spec (inline or a file)."""
     if isinstance(spec, str):
         spec = _load_json(spec)
     kind = _need(spec, "kind")
     norm = _need(spec, "norm", default=None)
-    kw = {"norm": norm} if norm else {}
-    if kind == "box":
-        return SpaceDescriptor.box(_need(spec, "lo", [finite]),
-                                   _need(spec, "hi", [finite]), **kw)
-    if kind == "ball":
-        return SpaceDescriptor.ball(_need(spec, "center", [finite]),
-                                    _need(spec, "radius", finite), **kw)
-    if kind == "simplex":
-        return SpaceDescriptor.simplex(_need(spec, "dim", count), **kw)
-    if kind == "cloud":
-        return SpaceDescriptor.cloud(_need(spec, "points", [[finite]]), **kw)
-    if kind == "product":
-        return SpaceDescriptor.product(*map(space_from_spec,
-                                            _need(spec, "parts", list)))
-    raise ConfigError(f"unknown space kind {kind!r}", allowed=list(KINDS))
+    if not isinstance(kind, str) or kind not in _SPACES:
+        raise ConfigError(f"unknown space kind {kind!r}", allowed=list(KINDS))
+    build, fields = _SPACES[kind]
+    space = build(*(_need(spec, name, of) for name, of in fields),
+                  **({"norm": norm} if norm else {}))
+    if norm and norm != space.norm:  # a product is measured in l1 only
+        raise ConfigError(f"{kind} spaces are measured in {space.norm} only",
+                          field="norm", value=norm, allowed=[space.norm])
+    return space
 
 
 def _load_json(path_or_inline):

@@ -1,17 +1,18 @@
 """Decision-space geometry.
 
-Descriptors for the compact sets the library optimizes over (boxes, norm
-balls, the probability simplex, finite point clouds, and products of those),
-plus the metric machinery built on them: deterministic grids, greedy packing
-nets, metric entropy with analytic brackets, the dyadic chaining sum that
-drives the uniform deviation bounds, and one-sided set deviations.
+Descriptors for the compact sets the library optimizes over, one class per
+kind (``Box``, ``Ball``, ``Simplex``, ``Cloud``, ``Product`` of those) that
+holds its own geometry, plus the metric machinery built on them: greedy
+packing nets, metric entropy with analytic brackets, the dyadic chaining sum
+(entropy model "lattice" for an l-inf box, "cloud" for a cloud, else
+"volumetric"), and one-sided set deviations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, count, islice
+from dataclasses import dataclass
+from itertools import accumulate, combinations, count, islice
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .errors import BudgetError, ConfigError, DimensionMismatchError
 
 NORMS = ("l1", "l2", "linf")
 _DUAL = {"l1": "linf", "l2": "l2", "linf": "l1"}
-KINDS = ("box", "ball", "simplex", "cloud", "product")
 
 # largest grid any descriptor enumerates (BudgetError beyond it)
 GRID_BUDGET = 2_000_000
@@ -44,14 +44,8 @@ TAIL_RTOL = 1e-16
 
 def vec_norm(v, norm: str = "l2") -> float:
     """Norm of a single vector under one of the supported tags."""
-    v = np.asarray(v, dtype=float).ravel()
-    if norm == "l1":
-        return float(np.abs(v).sum())
-    if norm == "l2":
-        return float(np.sqrt((v * v).sum()))
-    if norm == "linf":
-        return float(np.abs(v).max()) if v.size else 0.0
-    raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
+    v = np.abs(np.asarray(v, dtype=float).ravel())
+    return float(_norm_rows(v, norm)) if v.size else 0.0
 
 
 def _check_extent(sides: list, norm: str) -> None:
@@ -276,67 +270,103 @@ def _scan_nearest(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
 
 
 def project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {u >= 0, sum(u) = total}."""
+    """Euclidean projection onto {u >= 0, sum(u) = total}.  A point so large
+    (or non-finite) that rounding loses ``total`` raises BudgetError."""
     v = np.asarray(v, dtype=float).ravel()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - total
     ind = np.arange(1, v.size + 1)
     cond = u - css / ind > 0
-    rho = int(ind[cond][-1])
+    try:  # cond[0] holds in exact arithmetic
+        rho = int(ind[cond][-1])
+    except IndexError:
+        raise BudgetError("simplex projection loses its total to rounding",
+                          total=total, largest=float(u[0])) from None
     tau = css[cond][-1] / rho
     return np.maximum(v - tau, 0.0)
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius."""
-    v = np.asarray(v, dtype=float).ravel()
-    if np.abs(v).sum() <= radius:
-        return v.copy()
-    w = project_simplex(np.abs(v), total=radius)
-    return np.sign(v) * w
-
-
 # ---------------------------------------------------------------------------
-# descriptors
+# descriptors: one class per kind
 
 
-@dataclass
 class SpaceDescriptor:
     """A compact decision set together with the metric used on it.
 
-    ``kind`` is one of ``KINDS``, checked on construction, so each per-kind
-    ladder below ends with the product case.  Balls are balls of the
-    descriptor's own norm, so their diameter is exactly ``2 * radius``.
-    Products concatenate their parts and are always measured in the l1 norm
-    of the concatenation, which keeps grids, diameters and projections cheap
-    and blockwise.
+    Each kind is one subclass, named by its ``kind``, holding only its own
+    fields, and the one place of its metric facts: diameter, linear modulus,
+    membership, projection, grid, volume extent (R, d) and entropy model.
+    The public methods check their input once and call the kind's kernel
+    (``_contains``, ...), so a product calls its parts' kernels without
+    checking again.
     """
 
-    kind: str
-    dim: int
-    norm: str = "l2"
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    center: np.ndarray | None = None
-    radius: float | None = None
-    points: np.ndarray | None = None
-    parts: tuple["SpaceDescriptor", ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, dim: int, norm: str):
+        if norm not in NORMS:
+            raise ConfigError(f"unknown norm {norm!r}", allowed=list(NORMS))
+        if dim < 1:
+            raise ConfigError(f"{self.kind} needs dim >= 1", dim=dim)
+        self.dim, self.norm = dim, norm
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown space kind {self.kind!r}",
-                              allowed=list(KINDS))
-        if self.norm not in NORMS:
-            raise ConfigError(f"unknown norm {self.norm!r}",
-                              allowed=list(NORMS))
-        if self.dim < 1:
-            raise ConfigError(f"{self.kind} needs dim >= 1", dim=self.dim)
+    def diameter(self, norm: str | None = None) -> float:
+        """Exact diameter of the set under ``norm`` (default: own norm)."""
+        return self._diameter(norm or self.norm)
 
-    # -- constructors -------------------------------------------------------
+    def linear_modulus(self, w) -> np.ndarray:
+        """Lipschitz constant of x -> w^T x on the set in its own norm, one per
+        row of ``w`` (N, d): the dual norm of w unless a kind knows better."""
+        return self._linear_modulus(np.atleast_2d(np.asarray(w, dtype=float)))
 
-    @classmethod
-    def box(cls, lo, hi, norm: str = "linf"):
+    def _linear_modulus(self, w: np.ndarray) -> np.ndarray:
+        return _norm_rows(np.abs(w), _DUAL[self.norm])
+
+    def contains(self, x, tol: float) -> bool:
+        return self._contains(self._point(x), tol)
+
+    def project(self, x) -> np.ndarray:
+        """Euclidean projection onto the set (nearest cloud point for clouds)."""
+        return self._project(self._point(x))
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).ravel()  # a (1, d) row is a point too
+        if x.size != self.dim:
+            raise DimensionMismatchError("point has wrong dimension",
+                                         expected=self.dim, got=int(x.size))
+        return x
+
+    def grid(self, h: float) -> np.ndarray:
+        """Deterministic covering grid with spacing at most ``h`` per axis
+        (a cloud's own points).  Each kind checks its size against
+        ``GRID_BUDGET`` before it allocates: :class:`BudgetError` beyond."""
+        if not h > 0:
+            raise ConfigError("grid resolution must be positive", h=h)
+        return self._grid(h)
+
+    def volume_extent(self, norm: str) -> tuple[float, int]:
+        """(R, d): the set lies in a ``norm`` ball of radius R about a point of
+        its affine hull, of dimension at most d; here a set symmetric about
+        its centre (README, "Entropy models")."""
+        return self.diameter(norm) / 2.0, self.dim
+
+    def entropy_model(self):
+        """(name, H) with H(theta) >= ln M(theta) for the chaining sum.  Here
+        the volumetric bound (1 + 2R/theta)^d on the packing number: the
+        theta/2-balls about a theta-packing are disjoint and lie in the
+        (R + theta/2)-ball, all within the d-dimensional affine hull."""
+        radius, dim = self.volume_extent(self.norm)
+        return "volumetric", lambda theta: dim * math.log1p(2.0 * radius / theta)
+
+    def entropy_lower(self, theta: float) -> float | None:
+        """Lower end of the analytic bracket on ln M(theta) (None: none)."""
+        return 0.0
+
+
+class Box(SpaceDescriptor):
+    """An axis-aligned box [lo, hi]."""
+
+    kind = "box"
+
+    def __init__(self, lo, hi, norm: str = "linf"):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
@@ -345,27 +375,123 @@ class SpaceDescriptor:
         if np.any(hi < lo):
             raise ConfigError("box upper bounds must dominate lower bounds")
         _check_extent([b - a for a, b in zip(lo.tolist(), hi.tolist())], norm)
-        return cls(kind="box", dim=lo.size, norm=norm, lo=lo, hi=hi)
+        super().__init__(lo.size, norm)
+        self.lo, self.hi = lo, hi
 
-    @classmethod
-    def interval(cls, lo: float, hi: float, **kw):
-        return cls.box([lo], [hi], **kw)
+    def _diameter(self, norm: str) -> float:
+        return vec_norm(self.hi - self.lo, norm)
 
-    @classmethod
-    def ball(cls, center, radius: float, norm: str = "l2"):
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lo, self.hi)
+
+    def _grid(self, h: float) -> np.ndarray:
+        counts = [_cells(b - a, h) + 1 if b > a else 1
+                  for a, b in zip(self.lo.tolist(), self.hi.tolist())]
+        _check_budget(math.prod(counts), h)
+        axes = [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
+        if len(axes) == 1:      # the same points without the mesh
+            return axes[0][:, None]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def volume_extent(self, norm: str) -> tuple[float, int]:
+        return self.diameter(norm) / 2.0, int(np.count_nonzero(self.hi > self.lo))
+
+    def entropy_model(self):
+        """Exact under l-inf: the strictly separated lattice of each side."""
+        if self.norm != "linf":
+            return super().entropy_model()
+        sides = (self.hi - self.lo).tolist()
+        return "lattice", lambda theta: math.log(
+            math.prod(_strict_count(s, theta) for s in sides))
+
+    def entropy_lower(self, theta: float) -> float:
+        """The l-inf volume bound of the sub-box of the sides s > 2 theta,
+        which holds in every norm, since none is below l-inf."""
+        return sum(math.log(s / (2.0 * theta))
+                   for s in (self.hi - self.lo).tolist() if s > 2.0 * theta)
+
+
+class Ball(SpaceDescriptor):
+    """A ball of its own norm, so its diameter is exactly ``2 * radius``."""
+
+    kind = "ball"
+
+    def __init__(self, center, radius: float, norm: str = "l2"):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not radius >= 0:
             raise ConfigError("ball radius must be nonnegative", radius=radius)
         _check_extent([2.0 * float(radius)] * center.size, norm)
-        return cls(kind="ball", dim=center.size, norm=norm, center=center,
-                   radius=float(radius))
+        super().__init__(center.size, norm)
+        self.center, self.radius = center, float(radius)
 
-    @classmethod
-    def simplex(cls, dim: int, norm: str = "l1"):
-        return cls(kind="simplex", dim=dim, norm=norm)
+    def _diameter(self, norm: str) -> float:
+        return 2.0 * self.radius * _ball_norm_factor(self.norm, norm, self.dim)
 
-    @classmethod
-    def cloud(cls, points, norm: str = "l2"):
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return vec_norm(x - self.center, self.norm) <= self.radius + tol
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        d = x - self.center
+        if self.norm == "l2":
+            r = vec_norm(d, "l2")
+            return x.copy() if r <= self.radius else self.center + d * (self.radius / r)
+        if self.norm == "l1":  # the signs of d times the projection of |d|
+            if np.abs(d).sum() <= self.radius:
+                return self.center + d
+            return self.center + np.sign(d) * project_simplex(np.abs(d), self.radius)
+        return self.center + np.clip(d, -self.radius, self.radius)
+
+    def _grid(self, h: float) -> np.ndarray:
+        c, r = self.center.tolist(), self.radius  # Python floats: no warning
+        pts = Box([x - r for x in c], [x + r for x in c])._grid(h)
+        pts = pts[dists_to(pts, self.center, self.norm) <= self.radius + BALL_TOL]
+        return pts if len(pts) else self.center[None, :]
+
+    def entropy_lower(self, theta: float) -> float:
+        return self.dim * math.log(self.radius / theta) if theta < self.radius else 0.0
+
+
+class Simplex(SpaceDescriptor):
+    """The probability simplex {x >= 0, sum(x) = 1}."""
+
+    kind = "simplex"
+
+    def _diameter(self, norm: str) -> float:
+        if self.dim == 1:
+            return 0.0
+        return {"l1": 2.0, "l2": math.sqrt(2.0), "linf": 1.0}[norm]
+
+    def _linear_modulus(self, w: np.ndarray) -> np.ndarray:
+        if self.norm == "l1":  # x - y sums to 0, so equal at two vertices
+            return (w.max(axis=1) - w.min(axis=1)) / 2
+        return super()._linear_modulus(w)
+
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return bool(np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol)
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return project_simplex(x)
+
+    def _grid(self, h: float) -> np.ndarray:
+        m = max(1, _cells(1.0, h))
+        _check_budget(math.comb(m + self.dim - 1, self.dim - 1), h)
+        return _simplex_lattice(self.dim, m)
+
+    def volume_extent(self, norm: str) -> tuple[float, int]:
+        off = 1.0 - 1.0 / self.dim  # a vertex minus the centroid, largest entry
+        return {"l1": 2.0 * off, "l2": math.sqrt(off), "linf": off}[norm], self.dim - 1
+
+
+class Cloud(SpaceDescriptor):
+    """A finite point set; its grid at every resolution is its own points."""
+
+    kind = "cloud"
+
+    def __init__(self, points, norm: str = "l2"):
         try:
             points = np.atleast_2d(np.asarray(points, dtype=float))
         except ValueError as exc:  # ragged rows or non-numeric entries
@@ -375,129 +501,70 @@ class SpaceDescriptor:
             _check_extent([b - a for a, b in zip(points.min(axis=0).tolist(),
                                                  points.max(axis=0).tolist())],
                           norm)
-        return cls(kind="cloud", dim=points.shape[1], norm=norm, points=points)
+        super().__init__(points.shape[1], norm)
+        self.points, self._diameters = points, {}
 
-    @classmethod
-    def product(cls, *parts: "SpaceDescriptor"):
-        return cls(kind="product", dim=sum(p.dim for p in parts), norm="l1",
-                   parts=tuple(parts))
+    def _diameter(self, norm: str) -> float:
+        if norm not in self._diameters:
+            self._diameters[norm] = max_pairwise(self.points, norm)
+        return self._diameters[norm]
 
-    # -- metric facts -------------------------------------------------------
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return bool(dists_to(self.points, x, self.norm).min() <= tol)
 
-    def diameter(self, norm: str | None = None) -> float:
-        """Exact diameter of the set under ``norm`` (default: own norm)."""
-        n = norm or self.norm
-        if self.kind == "box":
-            return vec_norm(self.hi - self.lo, n)
-        if self.kind == "ball":
-            return 2.0 * self.radius * _ball_norm_factor(self.norm, n, self.dim)
-        if self.kind == "simplex":
-            if self.dim == 1:
-                return 0.0
-            return {"l1": 2.0, "l2": math.sqrt(2.0), "linf": 1.0}[n]
-        if self.kind == "cloud":
-            key = ("diam", n)
-            if key not in self._cache:
-                self._cache[key] = max_pairwise(self.points, n)
-            return self._cache[key]
-        if n != "l1":  # product
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return self.points[int(np.argmin(dists_to(self.points, x, "l2")))].copy()
+
+    def _grid(self, h: float) -> np.ndarray:
+        _check_budget(len(self.points), h)
+        return self.points
+
+    def volume_extent(self, norm: str) -> tuple[float, int]:
+        return self.diameter(norm), min(self.dim, len(self.points) - 1)
+
+    def entropy_model(self):
+        """A greedy packing of the points.  Below the smallest pairwise gap
+        every point is admissible: ln(n), and no packing run is needed."""
+        points, norm = self.grid(1.0), self.norm  # budget-checked
+        min_gap = min_pairwise_gap(points, norm)
+        return "cloud", lambda theta: math.log(
+            len(points) if theta < min_gap else len(greedy_pack(points, theta, norm)))
+
+    def entropy_lower(self, theta: float) -> None:
+        return None
+
+
+class Product(SpaceDescriptor):
+    """The product of its parts, measured in the l1 norm of the
+    concatenation, which keeps grids, diameters and projections blockwise."""
+
+    kind = "product"
+
+    def __init__(self, *parts: SpaceDescriptor):
+        super().__init__(sum(p.dim for p in parts), "l1")
+        self.parts = parts
+        self._blocks = [(p, slice(end - p.dim, end))
+                        for p, end in zip(parts, accumulate(p.dim for p in parts))]
+
+    def _diameter(self, norm: str) -> float:
+        if norm != "l1":
             raise ConfigError("product spaces are measured in l1 only",
-                              norm=n, allowed=["l1"])
+                              norm=norm, allowed=["l1"])
         return sum(p.diameter("l1") for p in self.parts)
 
-    def linear_modulus(self, w) -> np.ndarray:
-        """Lipschitz constant of x -> w^T x on the set in its own norm, one per
-        row of ``w`` (N, d).  A product takes the max over its parts, each in
-        its own norm (a bound in the product's l1 too, which no part's norm
-        exceeds); on a simplex in l1 it is (max w - min w) / 2, since x - y
-        sums to 0 (equal at two vertices); otherwise the dual norm of w."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        if self.kind == "product":
-            out, off = np.zeros(len(w)), 0
-            for p in self.parts:
-                out = np.maximum(out, p.linear_modulus(w[:, off : off + p.dim]))
-                off += p.dim
-            return out
-        if self.kind == "simplex" and self.norm == "l1":
-            return (w.max(axis=1) - w.min(axis=1)) / 2
-        return _norm_rows(np.abs(w), _DUAL[self.norm])
+    def _linear_modulus(self, w: np.ndarray) -> np.ndarray:
+        # the max over the parts, each in its own norm, none above l1
+        return np.max([p._linear_modulus(w[:, block]) for p, block in self._blocks],
+                      axis=0)
 
-    def contains(self, x, tol: float) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.size != self.dim:
-            raise DimensionMismatchError("point has wrong dimension",
-                                         expected=self.dim, got=int(x.size))
-        if self.kind == "box":
-            return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-        if self.kind == "ball":
-            return vec_norm(x - self.center, self.norm) <= self.radius + tol
-        if self.kind == "simplex":
-            return bool(np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol)
-        if self.kind == "cloud":
-            return bool(dists_to(self.points, x, self.norm).min() <= tol)
-        off = 0  # product
-        for p in self.parts:
-            if not p.contains(x[off : off + p.dim], tol):
-                return False
-            off += p.dim
-        return True
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
+        return all(p._contains(x[block], tol) for p, block in self._blocks)
 
-    def project(self, x) -> np.ndarray:
-        """Euclidean projection onto the set (nearest cloud point for clouds)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.size != self.dim:
-            raise DimensionMismatchError("point has wrong dimension",
-                                         expected=self.dim, got=int(x.size))
-        if self.kind == "box":
-            return np.clip(x, self.lo, self.hi)
-        if self.kind == "ball":
-            d = x - self.center
-            if self.norm == "l2":
-                r = vec_norm(d, "l2")
-                return x.copy() if r <= self.radius else self.center + d * (self.radius / r)
-            if self.norm == "l1":
-                return self.center + project_l1_ball(d, self.radius)
-            return self.center + np.clip(d, -self.radius, self.radius)
-        if self.kind == "simplex":
-            return project_simplex(x)
-        if self.kind == "cloud":
-            return self.points[int(np.argmin(dists_to(self.points, x, "l2")))].copy()
-        out, off = [], 0  # product
-        for p in self.parts:
-            out.append(p.project(x[off : off + p.dim]))
-            off += p.dim
-        return np.concatenate(out)
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([p._project(x[block]) for p, block in self._blocks])
 
-    # -- grids ---------------------------------------------------------------
-
-    def grid(self, h: float) -> np.ndarray:
-        """Deterministic covering grid with spacing at most ``h`` per axis
-        (a cloud's own points).  Each kind checks its size against
-        ``GRID_BUDGET`` before it allocates: :class:`BudgetError` beyond."""
-        if not h > 0:
-            raise ConfigError("grid resolution must be positive", h=h)
-        if self.kind == "box":
-            counts = [_cells(b - a, h) + 1 if b > a else 1
-                      for a, b in zip(self.lo.tolist(), self.hi.tolist())]
-            _check_budget(math.prod(counts), h)
-            axes = [np.linspace(a, b, n) for a, b, n in zip(self.lo, self.hi, counts)]
-            if len(axes) == 1:      # the same points without the mesh
-                return axes[0][:, None]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=-1)
-        if self.kind == "ball":
-            c, r = self.center.tolist(), self.radius  # Python floats: no warning
-            pts = SpaceDescriptor.box([x - r for x in c], [x + r for x in c]).grid(h)
-            pts = pts[dists_to(pts, self.center, self.norm) <= self.radius + BALL_TOL]
-            return pts if len(pts) else self.center[None, :]
-        if self.kind == "simplex":
-            m = max(1, _cells(1.0, h))
-            _check_budget(math.comb(m + self.dim - 1, self.dim - 1), h)
-            return _simplex_lattice(self.dim, m)
-        if self.kind == "cloud":
-            _check_budget(len(self.points), h)
-            return self.points
-        blocks = [p.grid(h) for p in self.parts]  # product
+    def _grid(self, h: float) -> np.ndarray:
+        blocks = [p._grid(h) for p in self.parts]
         _check_budget(math.prod(len(blk) for blk in blocks), h)
         pts = blocks[0]
         for blk in blocks[1:]:
@@ -505,6 +572,18 @@ class SpaceDescriptor:
                 [np.repeat(pts, len(blk), axis=0),
                  np.tile(blk, (len(pts), 1))], axis=1)
         return pts
+
+    def volume_extent(self, norm: str) -> tuple[float, int]:
+        extents = [p.volume_extent("l1") for p in self.parts]  # sums, in l1
+        return sum(r for r, _ in extents), sum(d for _, d in extents)
+
+
+# the constructors, one per kind
+SpaceDescriptor.box, SpaceDescriptor.ball = Box, Ball
+SpaceDescriptor.cloud, SpaceDescriptor.product = Cloud, Product
+SpaceDescriptor.simplex = staticmethod(lambda dim, norm="l1": Simplex(dim, norm))
+SpaceDescriptor.interval = staticmethod(lambda lo, hi, **kw: Box([lo], [hi], **kw))
+KINDS = tuple(cls.kind for cls in (Box, Ball, Simplex, Cloud, Product))
 
 
 def _cells(extent: float, h: float) -> int:
@@ -519,6 +598,17 @@ def _check_budget(required: int, h: float) -> None:
     if required > GRID_BUDGET:
         raise BudgetError("grid enumeration exceeds budget",
                           required=required, budget=GRID_BUDGET, resolution=h)
+
+
+def _strict_count(side: float, theta: float) -> int:
+    """Max points in [0, side] with pairwise gaps strictly above theta."""
+    if side <= 0:
+        return 1
+    q = side / theta
+    r = round(q)
+    if r >= 1 and abs(q - r) <= LATTICE_RTOL * max(1.0, abs(q)):
+        return int(r)
+    return int(math.floor(q)) + 1
 
 
 def _ball_norm_factor(shape_norm: str, measure_norm: str, dim: int) -> float:
@@ -596,10 +686,7 @@ def packing_net(space: SpaceDescriptor, theta: float, h: float | None = None) ->
     """
     if not theta > 0:
         raise ConfigError("separation theta must be positive", theta=theta)
-    if space.kind == "cloud":
-        cands = space.points
-    else:
-        cands = space.grid(h if h is not None else theta / 4.0)
+    cands = space.grid(h if h is not None else theta / 4.0)
     return greedy_pack(cands, theta, space.norm)
 
 
@@ -623,112 +710,14 @@ def entropy_number(space: SpaceDescriptor, theta: float, h: float | None = None)
     """Metric entropy ln N(theta) computed from a greedy packing net.
 
     Every kind but the cloud also carries an analytic bracket on the true
-    ln M(theta).  The upper end is the volumetric model.  The lower end is
-    sum over the sides s > 2 theta of ln(s / (2 theta)) for a box (the l-inf
-    volume bound of that sub-box, which holds in every norm, since none is
-    below l-inf), d ln(r / theta) for a ball of radius r > theta, else 0.
+    ln M(theta): the kind's ``entropy_lower`` and the volumetric bound.
     """
     size = len(packing_net(space, theta, h))
-    bracket = None
-    if space.kind != "cloud":
-        if space.kind == "box":
-            lo = sum(math.log(s / (2.0 * theta))
-                     for s in (space.hi - space.lo).tolist() if s > 2.0 * theta)
-        elif space.kind == "ball" and theta < space.radius:
-            lo = space.dim * math.log(space.radius / theta)
-        else:
-            lo = 0.0
-        bracket = (lo, _VolumetricEntropy(space)(theta))
+    lower = space.entropy_lower(theta)
+    bracket = None if lower is None else (
+        lower, SpaceDescriptor.entropy_model(space)[1](theta))
     return EntropyNumber(value=math.log(size), net_size=size,
                          theta=theta, bracket=bracket)
-
-
-# ---------------------------------------------------------------------------
-# entropy models used by the chaining sum
-
-
-def _strict_count(side: float, theta: float) -> int:
-    """Max points in [0, side] with pairwise gaps strictly above theta."""
-    if side <= 0:
-        return 1
-    q = side / theta
-    r = round(q)
-    if r >= 1 and abs(q - r) <= LATTICE_RTOL * max(1.0, abs(q)):
-        return int(r)
-    return int(math.floor(q)) + 1
-
-
-class _LatticeEntropy:
-    """Exact entropy of an axis-aligned box under the sup norm."""
-
-    model = "lattice"
-
-    def __init__(self, sides):
-        self.sides = [float(s) for s in sides]
-
-    def __call__(self, theta: float) -> float:
-        count = 1
-        for s in self.sides:
-            count *= _strict_count(s, theta)
-        return math.log(count)
-
-
-class _CloudEntropy:
-    """Greedy packing entropy of a finite point set.
-
-    Below the smallest positive pairwise gap every point is admissible, so
-    the entropy saturates at ln(n) and no packing run is needed.
-    """
-
-    model = "cloud"
-
-    def __init__(self, space: SpaceDescriptor):
-        self.points, self.norm = space.grid(1.0), space.norm  # budget-checked
-        self.min_gap = min_pairwise_gap(self.points, self.norm)
-
-    def __call__(self, theta: float) -> float:
-        if theta < self.min_gap:
-            return math.log(len(self.points))
-        return math.log(len(greedy_pack(self.points, theta, self.norm)))
-
-
-class _VolumetricEntropy:
-    """ln of the volumetric bound (1 + 2R/theta)^d on the packing number:
-    the theta/2-balls about a theta-packing are disjoint and lie in the
-    (R + theta/2)-ball, all within the d-dimensional affine hull."""
-
-    model = "volumetric"
-
-    def __init__(self, space: SpaceDescriptor):
-        self.radius, self.dim = _volume_extent(space, space.norm)
-
-    def __call__(self, theta: float) -> float:
-        return self.dim * math.log1p(2.0 * self.radius / theta)
-
-
-def _volume_extent(space: SpaceDescriptor, norm: str) -> tuple[float, int]:
-    """(R, d): the set lies in a ``norm`` ball of radius R about a point of
-    its affine hull, of dimension at most d (README, "Entropy models")."""
-    if space.kind == "box":  # symmetric about its centre; flat sides drop
-        return space.diameter(norm) / 2.0, int(np.count_nonzero(space.hi > space.lo))
-    if space.kind == "ball":
-        return space.diameter(norm) / 2.0, space.dim
-    if space.kind == "simplex":
-        off = 1.0 - 1.0 / space.dim  # a vertex minus the centroid, largest entry
-        return {"l1": 2.0 * off, "l2": math.sqrt(off), "linf": off}[norm], space.dim - 1
-    if space.kind == "cloud":
-        return space.diameter(norm), min(space.dim, len(space.points) - 1)
-    extents = [_volume_extent(p, "l1") for p in space.parts]  # product
-    return sum(r for r, _ in extents), sum(d for _, d in extents)
-
-
-def _entropy_model(space: SpaceDescriptor):
-    """Exact for l-inf boxes, greedy packing for clouds, else volumetric."""
-    if space.kind == "cloud":
-        return _CloudEntropy(space)
-    if space.kind == "box" and space.norm == "linf":
-        return _LatticeEntropy(space.hi - space.lo)
-    return _VolumetricEntropy(space)
 
 
 @dataclass
@@ -764,8 +753,8 @@ def a_alpha(space: SpaceDescriptor, alpha: float) -> AlphaComplexity:
     if diam <= 0:
         return AlphaComplexity(0.0, alpha, 0.0, np.zeros(0), 0, "degenerate", 0.0,
                                "none")
-    model = _entropy_model(space)
-    chain = _chain_terms(model, diam, alpha)
+    model, entropy = space.entropy_model()
+    chain = _chain_terms(entropy, diam, alpha)
     terms, total = [], 0.0
     truncation = "level-cap"
     for term in islice(chain, MAX_LEVELS):
@@ -778,15 +767,15 @@ def a_alpha(space: SpaceDescriptor, alpha: float) -> AlphaComplexity:
     return AlphaComplexity(value=total, alpha=alpha, diameter=diam,
                            terms=np.asarray(terms), levels=len(terms),
                            truncation=truncation, tail_bound=tail,
-                           entropy_model=model.model)
+                           entropy_model=model)
 
 
-def _chain_terms(model, diam: float, alpha: float):
+def _chain_terms(entropy, diam: float, alpha: float):
     """Terms of the chaining sum at levels 1, 2, ..., without end."""
     prev_h = 0.0  # entropy at scale D / 2^0 is ln(1)
     for i in count(1):
         try:
-            cur_h = model(diam / 2.0**i)
+            cur_h = entropy(diam / 2.0**i)
         except ZeroDivisionError:  # D / 2^i underflowed to 0 on a continuum
             raise BudgetError("chaining scale D / 2^i underflows to 0",
                               level=i, diameter=diam, alpha=alpha) from None

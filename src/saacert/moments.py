@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, EmptySampleError
 from .geometry import SpaceDescriptor, _nearest_dists, a_alpha
 from .problem import (SET_TOL, EmpiricalProblem, NoiseAffine, StochasticProgram,
-                      _constraint_table, relaxed_set_grid)
+                      _constraint_table, _overflow, relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
@@ -88,9 +88,12 @@ def estimate_holder(program: StochasticProgram, scenarios: np.ndarray,
     their RMS over the population Monte Carlo draws, or ``l_hat`` without
     an oracle sampler (``pop_provenance``).
     """
-    per = per_scenario_modulus(program, i, scenarios)
-    l_hat = float(np.sqrt(np.mean(per ** 2)))
-    l_pop, pop_src = _population_l(program, i, plug_in=l_hat)
+    with np.errstate(all="ignore"):  # an overflow raises below instead
+        per = per_scenario_modulus(program, i, scenarios)
+        l_hat = float(np.sqrt(np.mean(per ** 2)))
+        l_pop, pop_src = _population_l(program, i, plug_in=l_hat)
+        if not np.isfinite(np.square([l_hat, l_pop]).sum()):  # as in combined
+            raise _overflow(i)
     return HolderEstimate(index=i, alpha=program.holder[i].alpha, l_hat=l_hat,
                           l_pop=l_pop, per_scenario=per, pop_provenance=pop_src)
 
@@ -111,8 +114,12 @@ def sigma_hat_sq(emp: EmpiricalProblem, i: int, x, pop_mean: float) -> float:
 
 def sigma_breve(emp: EmpiricalProblem, i: int, x) -> float:
     """sqrt(sigma_hat_i(x)^2 + sigma_i(x)^2) at a single point."""
-    pop_mean = emp.program.true_fn(i, x)
-    return math.sqrt(sigma_hat_sq(emp, i, x, pop_mean) + emp.program.true_variance(i, x))
+    with np.errstate(all="ignore"):  # an overflow raises below instead
+        pop_mean = emp.program.true_fn(i, x)
+        square = sigma_hat_sq(emp, i, x, pop_mean) + emp.program.true_variance(i, x)
+    if not math.isfinite(square):
+        raise _overflow(i)
+    return math.sqrt(square)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +132,6 @@ def sigma_hat_set(program: StochasticProgram, holder: HolderEstimate,
     space = points_or_space
     if not isinstance(space, SpaceDescriptor):
         space = SpaceDescriptor.cloud(space, norm=program.space.norm)
-    if space.kind == "cloud" and len(space.points) == 0:
-        return 0.0
     return a_alpha(space, holder.alpha).value * holder.combined
 
 

@@ -390,6 +390,7 @@ def _quad_dist(distribution):
     _space('{"kind":"simplex","dim":0}'),
     _space('{"kind":"box","lo":[0],"hi":[1],"norm":"l7"}'),
     _space('{"kind":"product","parts":[]}'),
+    _space('{"kind":"product","norm":"l2","parts":[{"kind":"simplex","dim":2}]}'),
     _space("BOX"),
     ["portfolio", "--synthetic", "2,-5", *PF],
     ["lasso", "--data", MISSING, "--radius", "1"],
@@ -429,7 +430,8 @@ def _quad_dist(distribution):
     ["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
      "--sigma", "1", "--sig", "2"],
 ], ids=["box-hi-lo", "ball-radius", "cloud-points", "simplex-dim", "norm",
-        "product-parts", "space-not-json", "synthetic-negative",
+        "product-parts", "product-norm", "space-not-json",
+        "synthetic-negative",
         "lasso-missing-data", "portfolio-missing-returns",
         "solve-missing-scenarios", "regularity-c", "seed", "out-dir",
         "eps-not-float", "missing-flag", "unknown-flag", "budget", "beta-nan",
@@ -479,6 +481,9 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
       "--alpha", "0.05"], "budget-exceeded"),
     (["aalpha", "--space", '{"kind":"box","lo":[0],"hi":[1e-200]}',
       "--alpha", "0.01"], "budget-exceeded"),
+    (["solve", "--problem", '{"family":"linear_simplex"}', "--n", "10",
+      "--method", "subgradient", "--c0", "1e308", "--budget", "5"],
+     "budget-exceeded"),
 ], ids=["sigma-squared-overflows", "eps-squared-underflows",
         "box-cells-overflow", "ball-extent-overflows", "cloud-ragged",
         "box-extent-overflows", "cloud-extent-overflows",
@@ -488,7 +493,7 @@ def test_malformed_input_exits_2_with_one_json_error(capsys, tmp_path, argv):
         "gaussian-sd-negative", "uniform-hi-below-lo", "lognormal-sd-negative",
         "family-gaussian-sd-negative", "family-uniform-hi-below-lo",
         "family-lognormal-sd-negative", "ball-chain-scale-underflows",
-        "box-chain-scale-underflows"])
+        "box-chain-scale-underflows", "subgradient-projection-overflows"])
 def test_extreme_finite_input_exits_2_with_one_json_error(capsys, argv, kind):
     """Finite values at the edge of float range, and distribution params
     numpy would refuse only when it samples, fail with the JSON error path,
@@ -540,6 +545,27 @@ def test_overflowing_objective_fails_the_experiment(capsys, experiment, params):
     assert error["error"] == "budget-exceeded"
     assert error["details"]["integrand"] == 0
     assert "integrand 0" in error["message"]
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+@pytest.mark.parametrize("plan, integrand", [
+    ({"family": "quad1d", "params": {"noise": 1e200}, "theorem": "fixed",
+      "event": "near-optimal-subset"}, 0),
+    ({"family": "ball2d", "params": {"noise": 1e160}, "theorem": "exterior",
+      "event": "feasible-relaxed", "h": 0.1}, 1),
+], ids=["fixed-quad", "exterior-ball"])
+def test_overflowing_pilot_profile_exits_2_naming_its_integrand(capsys, plan,
+                                                                integrand):
+    """A coverage plan whose pilot moduli or pointwise variances overflow
+    the float range fails with the integrand's overflow error, not with an
+    infinite sigma_hat after numpy warnings."""
+    plan = {"experiment": "coverage", "eps": 0.1, "p": 0.1, "replications": 5,
+            **plan}
+    code, out, err = run_cli(capsys, "validate", "--plan", json.dumps(plan))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget-exceeded"
+    assert error["details"] == {"integrand": integrand}
 
 
 @pytest.mark.filterwarnings("error")  # the matmul overflow warns no more

@@ -1,5 +1,6 @@
 """Packing nets, entropy numbers, the chaining constant, and projections."""
 
+import ast
 import math
 import os
 import subprocess
@@ -16,11 +17,11 @@ import saacert
 from saacert import geometry
 from saacert.apps import ReturnsDataset, build_portfolio
 from saacert.certify import _max_ratio, estimate_regularity
-from saacert.errors import BudgetError, ConfigError
+from saacert.cli import space_from_spec
+from saacert.errors import BudgetError, ConfigError, DimensionMismatchError
 from saacert.families import make_family
 from saacert.geometry import (GRID_BUDGET, SpaceDescriptor, _boundary_split,
-                              _entropy_model, _nearest_dists,
-                              _volume_extent, a_alpha,
+                              _nearest_dists, a_alpha,
                               cross_dists, dists_to, entropy_number,
                               greedy_pack, max_pairwise, min_pairwise_gap,
                               packing_net, set_deviation, vec_norm)
@@ -441,7 +442,7 @@ def test_min_gap_is_zero_for_repeated_rows(norm):
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]])
     assert min_pairwise_gap(pts, norm) == 0.0
     cloud = SpaceDescriptor.cloud(pts, norm=norm)
-    assert _entropy_model(cloud)(1e-3) == math.log(2)  # not ln 3
+    assert cloud.entropy_model()[1](1e-3) == math.log(2)  # not ln 3
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
@@ -498,6 +499,93 @@ def test_grid_over_budget_raises_before_allocating(space, h, required):
     assert err.value.details["required"] == required > GRID_BUDGET
     if space.kind == "product":
         assert all(len(part.grid(h)) <= GRID_BUDGET for part in space.parts)
+
+
+# ---------------------------------------------------------------------------
+# per-kind membership, projection, grid and diameter
+
+
+@st.composite
+def kind_cases(draw):
+    """A box or ball in each norm, the simplex, a cloud, or a simplex x
+    interval x cloud product; a grid step; points near and far from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["box", "ball", "simplex", "cloud", "product"]))
+    norm, d = draw(NORM), draw(st.integers(1, 3))
+    lo = rng.uniform(-2.0, 1.0, d)
+    if kind == "box":
+        space = SpaceDescriptor.box(lo, lo + rng.uniform(0.0, 2.0, d), norm=norm)
+    elif kind == "ball":
+        space = SpaceDescriptor.ball(lo, rng.uniform(0.1, 2.0), norm=norm)
+    elif kind == "simplex":
+        space = SpaceDescriptor.simplex(draw(st.integers(1, 4)))
+    elif kind == "cloud":
+        space = SpaceDescriptor.cloud(rng.standard_normal((12, d)), norm=norm)
+    else:
+        space = SpaceDescriptor.product(
+            SpaceDescriptor.simplex(draw(st.integers(2, 3))),
+            SpaceDescriptor.interval(lo[0], lo[0] + rng.uniform(0.1, 1.5)),
+            SpaceDescriptor.cloud(rng.standard_normal((3, 2)), norm=norm))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    points = rng.standard_normal((6, space.dim)) * scale
+    return space, draw(st.sampled_from([0.5, 0.25, 0.1])), points
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind_cases())
+def test_each_kind_projects_into_itself_and_grids_within_its_diameter(case):
+    """A projection lies in the set and fixes every grid point; every grid
+    point lies in the set, and no two are farther apart than the diameter
+    (up to rounding: a ball's grid keeps points within BALL_TOL of it)."""
+    space, h, points = case
+    for x in points:
+        assert space.contains(space.project(x), 1e-9)
+    grid = space.grid(h)
+    for x in grid:
+        assert space.contains(x, 1e-9)
+        assert np.allclose(space.project(x), x, rtol=0.0, atol=1e-9)
+    diam = space.diameter()
+    assert max_pairwise(grid, space.norm) <= diam * (1 + 1e-12) + 1e-12
+
+
+def test_a_one_row_array_is_a_point_of_a_product():
+    """A product's kernels slice a point's coordinates, not the rows of a
+    (1, d) array."""
+    space = SpaceDescriptor.product(SpaceDescriptor.simplex(2),
+                                    SpaceDescriptor.interval(0.0, 1.0))
+    x = np.array([0.7, 0.7, 2.0])
+    assert np.array_equal(space.project(x[None, :]), space.project(x))
+    assert space.contains(space.project(x)[None, :], 1e-9)
+    with pytest.raises(DimensionMismatchError):
+        space.project(x[:2][None, :])
+
+
+def test_every_space_kind_is_one_class():
+    """``cli.space_from_spec`` builds every kind in ``KINDS``, and no module
+    picks code by comparing a ``.kind`` with a space-kind string: each kind
+    is one class that holds its own geometry."""
+    fields = {"box": {"lo": [0], "hi": [1]}, "ball": {"center": [0], "radius": 1},
+              "simplex": {"dim": 2}, "cloud": {"points": [[0.0], [1.0]]},
+              "product": {"parts": [{"kind": "simplex", "dim": 2}]}}
+    assert set(fields) == set(geometry.KINDS)
+    for kind in geometry.KINDS:
+        assert space_from_spec({"kind": kind, **fields[kind]}).kind == kind
+
+    def kind_strings(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(n, ast.Constant) and n.value in geometry.KINDS
+                   for n in items)
+
+    found = []
+    for path in sorted(Path(saacert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in operands)
+                    and any(kind_strings(n) for n in operands)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +692,7 @@ def test_entropy_model_bounds_a_fine_grid_packing(case):
     theta (1 + 1e-9), so that a pair rounded just above theta does not
     count; a cloud's model is its own greedy packing at theta."""
     space, theta = case
-    model = _entropy_model(space)
+    _, model = space.entropy_model()
     step = max(theta / 3, space.diameter() / 16)
     sep = theta if space.kind == "cloud" else theta * (1 + 1e-9)
     packed = greedy_pack(space.grid(step), sep, space.norm)
@@ -628,7 +716,7 @@ def test_volume_extent_per_kind(space, norm, extent):
     """R and d of README's volumetric table: half the diameter and the flat
     sides dropped for a box, 2(1 - 1/n) (l1) or 1 - 1/n (l-inf) and n - 1
     for a simplex, the diameter for a cloud, sums for a product."""
-    assert _volume_extent(space, norm) == extent
+    assert space.volume_extent(norm) == extent
 
 
 def _portfolio_space(assets):

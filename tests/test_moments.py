@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from saacert.apps import ReturnsDataset, build_lasso, build_portfolio
 from saacert.certify import _max_ratio, components_for
-from saacert.errors import ConfigError, EmptySampleError
+from saacert.errors import BudgetError, ConfigError, EmptySampleError
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor, min_pairwise_gap, set_deviation
 from saacert.moments import (estimate_holder, per_scenario_modulus,
@@ -79,6 +79,21 @@ def test_sigma_breve_bounds():
         s_breve = sigma_breve(emp, 0, x)
         assert s_breve >= max(s_hat, s_pop) / math.sqrt(2) - 1e-9
         assert s_breve <= s_hat + s_pop + 1e-9
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_overflowing_moduli_and_variances_name_their_integrand():
+    """RMS moduli and pointwise variances past the float range raise the
+    integrand's overflow error instead of returning inf."""
+    program = make_family("quad1d", noise=1e200)
+    emp = build_empirical(program,
+                          ScenarioSet.from_sampler(program.oracle.sampler,
+                                                   20, seed=4))
+    for compute in (lambda: estimate_holder(program, emp.scenarios.data, 0),
+                    lambda: sigma_breve(emp, 0, np.array([0.5]))):
+        with pytest.raises(BudgetError) as err:
+            compute()
+        assert err.value.details == {"integrand": 0}
 
 
 @pytest.mark.parametrize("theorem,required", [
