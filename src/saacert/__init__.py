@@ -23,7 +23,6 @@ from .certify import (
     DeviationLedger,
     GapBounds,
     RegularityEstimate,
-    assemble_sigma,
     certificate_from_profile,
     certificate_from_sigma,
     check_certificates,

@@ -5,10 +5,10 @@ Two complementary toolkits live here:
 * the *a priori* side -- sample-size rules of the form
   ``N >= C * sigma^2 * (ln m + ln(1/p)) / eps^2`` with the variance proxy
   ``sigma`` assembled from a :class:`~saacert.moments.VarianceProfile`,
-  packaged as a :class:`Certificate`; the guarantee table
-  ``moments._GUARANTEES`` gives each (theorem, scope) its sigma components
-  and guaranteed events, and ``moments.variance_profile`` reads the same
-  table to compute exactly the entries it names;
+  packaged as a :class:`Certificate`; ``moments._guarantee`` reads the
+  guarantee table for each (theorem, scope): the profile entries whose max
+  is sigma and the guaranteed events, the entries that
+  ``moments.variance_profile`` computes;
 * the *a posteriori* side -- deterministic deviation ledgers over grids and
   the checker that turns ledger inequalities into set-inclusion and
   optimality conclusions (``check_certificates``), together with grid
@@ -26,14 +26,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatchError, EmptySampleError,
-                     JsonResult, SlaterMarginError)
+from .errors import (ConfigError, EmptySampleError, JsonResult,
+                     SlaterMarginError)
 from .geometry import _nearest_dists, dists_to
-from .moments import _GUARANTEES, _LOCALIZED_SWAP, VarianceProfile
+from .moments import THEOREMS, VarianceProfile, _guarantee
 from .problem import (FEAS_TOL, SET_TOL, EmpiricalProblem, StochasticProgram,
-                      _constraint_table, relaxed_set_grid)
-
-_THEOREMS = tuple(_GUARANTEES)
+                      _anchor_points, _constraint_table, relaxed_set_grid)
 
 # Two ledger levels within LEVEL_TOL are one level: a level the checker asks
 # for (gamma, 0, -gamma) is recomputed from params, so it may differ from the
@@ -70,10 +68,11 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
 
     ``fixed`` uses N >= C sigma^2 ln(1/p) / eps^2; ``exterior`` and
     ``interior`` add the union term: N >= C sigma^2 (ln m + ln(1/p)) / eps^2.
-    The interior rule additionally requires eps <= slater_margin / 2.
+    The interior rule additionally requires eps <= slater_margin / 2; no
+    other theorem takes a Slater margin.
     """
-    if theorem not in _THEOREMS:
-        raise ConfigError(f"unknown theorem {theorem!r}", allowed=list(_THEOREMS))
+    if theorem not in THEOREMS:
+        raise ConfigError(f"unknown theorem {theorem!r}", allowed=list(THEOREMS))
     if not (0 < p < 1):
         raise ConfigError("failure probability p must lie in (0, 1)", p=p)
     if eps <= 0:
@@ -91,7 +90,10 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
             raise ConfigError(f"{theorem} certificates need at least one "
                               "stochastic constraint", m=m)
         log_term = math.log(m) + math.log(1.0 / p)
-    if theorem == "interior" and slater_margin is not None:
+    if slater_margin is not None:
+        if theorem != "interior":
+            raise ConfigError(f"{theorem} certificates take no Slater margin",
+                              slater_margin=slater_margin)
         if slater_margin <= 0:
             raise SlaterMarginError("Slater margin must be positive",
                                     slater_margin=slater_margin)
@@ -113,43 +115,6 @@ def sample_size(theorem: str, sigma_hat: float, eps: float, p: float,
 _RELAXATION = {"fixed": "none", "exterior": "+eps", "interior": "-eps"}
 _ASSUMPTIONS = {"exterior": ["metric regularity of the feasible set"],
                 "interior": ["Slater point with margin at least 2*eps"]}
-
-
-def _scope_terms(theorem: str, scope: str) -> tuple[list, list]:
-    """Sigma components and events of one guarantee scope."""
-    scopes = _GUARANTEES.get(theorem, {})
-    allowed = [*scopes, "all"] if scopes else []
-    if scope not in allowed:
-        raise ConfigError(f"unknown scope {scope!r} for theorem {theorem!r}",
-                          allowed=allowed)
-    picked = list(scopes.values()) if scope == "all" else [scopes[scope]]
-    names = list(dict.fromkeys(name for comps, _ in picked for name in comps))
-    return names, [event for _, events in picked for event in events]
-
-
-def components_for(theorem: str, scope: str, localized: bool = False) -> list[str]:
-    """Profile entry names whose max gives sigma for this guarantee scope."""
-    names, _ = _scope_terms(theorem, scope)
-    if localized:
-        if theorem != "exterior":
-            raise ConfigError("localized sigma assembly applies to exterior "
-                              "certificates only", theorem=theorem)
-        names = [swap for name in names
-                 for swap in _LOCALIZED_SWAP.get(name, [name])]
-    return names
-
-
-def assemble_sigma(profile: VarianceProfile, scope: str,
-                   localized: bool = False) -> tuple[float, dict]:
-    """Max of the profile entries relevant to the requested scope."""
-    names = components_for(profile.theorem, scope, localized)
-    missing = [name for name in names if name not in profile.entries]
-    if missing:
-        raise ConfigError("variance profile is missing required entries",
-                          missing=missing, required=names,
-                          have=sorted(profile.entries))
-    used = {name: profile.get(name) for name in names}
-    return max(used.values()), used
 
 
 @dataclass
@@ -183,15 +148,16 @@ class Certificate(JsonResult):
         return self.n_available >= self.n_required
 
 
-def _certificate(theorem: str, scope: str, sigma: float, components: dict,
+def _certificate(theorem: str, scope: str, components: dict,
                  eps: float, p: float, m: int, constant: float,
                  slater_margin: float | None, n_available: int | None,
                  assumptions: list, localized: bool = False,
                  details: dict | None = None) -> Certificate:
-    """Sample size, events and assumptions for one assembled sigma."""
+    """Sample size, events and assumptions for sigma, the max component."""
+    sigma = max(components.values())
     n_req = sample_size(theorem, sigma, eps, p, m=m, constant=constant,
                         slater_margin=slater_margin)
-    _, events = _scope_terms(theorem, scope)
+    _, events = _guarantee(theorem, scope)
     assumptions = ["compact hard set",
                    "Holder-continuous integrands in root-mean-square",
                    *assumptions, *_ASSUMPTIONS.get(theorem, [])]
@@ -212,7 +178,7 @@ def certificate_from_sigma(theorem: str, sigma_hat: float, eps: float,
                            slater_margin: float | None = None,
                            n_available: int | None = None) -> Certificate:
     """Certificate from a user-supplied variance aggregate."""
-    return _certificate(theorem, scope, sigma_hat, {"sigma": sigma_hat}, eps,
+    return _certificate(theorem, scope, {"sigma": sigma_hat}, eps,
                         p, m, constant, slater_margin, n_available,
                         ["variance aggregate supplied by caller"])
 
@@ -222,13 +188,19 @@ def certificate_from_profile(profile: VarianceProfile, eps: float, p: float,
                              localized: bool = False,
                              slater_margin: float | None = None,
                              n_available: int | None = None) -> Certificate:
-    """Assemble sigma for the scope and turn it into a sample-size pledge."""
-    sigma, used = assemble_sigma(profile, scope, localized)
+    """The scope's sigma, the max of its profile entries, as a sample-size pledge."""
+    names, _ = _guarantee(profile.theorem, scope, localized)
+    missing = [name for name in names if name not in profile.entries]
+    if missing:
+        raise ConfigError("variance profile is missing required entries",
+                          missing=missing, required=names,
+                          have=sorted(profile.entries))
     details = {"anchors": {k: np.asarray(v).tolist()
                            for k, v in profile.anchors.items()}}
     details.update({k: v for k, v in profile.details.items()
                     if isinstance(v, (int, float, str))})
-    return _certificate(profile.theorem, scope, sigma, used, eps, p, m,
+    return _certificate(profile.theorem, scope,
+                        {name: profile.get(name) for name in names}, eps, p, m,
                         constant, slater_margin, n_available, [],
                         localized, details)
 
@@ -347,8 +319,8 @@ def gap_bounds(program: StochasticProgram, gamma: float, c: float, h: float,
         raise ConfigError(f"unknown gap kind {kind!r}")
     space = program.space
     grid = space.grid(h)
-    f_vals = program.true_fn_grid(0, grid)
-    table = _constraint_table(program, grid)
+    table = _constraint_table(program, grid, objective=True)
+    f_vals, table = table[0], table[1:]
     feas = relaxed_set_grid(table)
     if not np.any(feas):
         raise EmptySampleError("population feasible set has no grid points", h=h)
@@ -448,12 +420,7 @@ def deviation_ledger(emp: EmpiricalProblem, gamma: float, h: float,
         grid = np.concatenate([grid, probes])
     levels = [float(gamma), 0.0] if abs(gamma) > LEVEL_TOL else [0.0]
     tol_active = h if tol_active is None else tol_active
-    anchors = {k: np.asarray(v, dtype=float) for k, v in anchors.items()}
-    bad = sorted(k for k, z in anchors.items() if z.size != program.space.dim)
-    if bad:
-        raise DimensionMismatchError("each ledger anchor needs one coordinate "
-                                     "per space dimension", anchors=bad,
-                                     expected=program.space.dim)
+    anchors = _anchor_points(anchors, program.space.dim)
     g = len(grid)
     pts = np.concatenate([grid, *(z.reshape(1, -1) for z in anchors.values())])
 

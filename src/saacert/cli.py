@@ -24,7 +24,7 @@ from .certify import certificate_from_profile, certificate_from_sigma
 from .errors import ConfigError, SaacertError, open_path, to_json
 from .families import _resolve_dist, make_family
 from .geometry import KINDS, SpaceDescriptor, a_alpha, entropy_number
-from .moments import VarianceProfile, variance_profile
+from .moments import THEOREMS, VarianceProfile, variance_profile
 from .problem import ScenarioSet, build_empirical, read_table
 from .solve import SolverConfig, solve
 from .validation import (CoveragePlan, calibrate_constant, coverage_experiment,
@@ -211,9 +211,11 @@ def _cmd_certify(args):
     elif args.profile:
         raw = _load_json(args.profile)
         entries = _need(raw, "entries", dict)
+        anchors = _need(raw, "anchors", dict, {})
         prof = VarianceProfile(theorem=_need(raw, "theorem", default=args.theorem),
                                entries={k: _need(entries, k, finite) for k in entries},
-                               anchors=_need(raw, "anchors", dict, {}))
+                               anchors={k: _need(anchors, k, [finite])
+                                        for k in anchors})
         if prof.theorem != args.theorem:
             raise ConfigError("profile theorem does not match --theorem",
                               profile=prof.theorem, requested=args.theorem)
@@ -450,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=finite, required=True)
 
     sp = command("certify", _cmd_certify, "sample-size certificate")
-    sp.add_argument("--theorem", required=True,
-                    choices=["fixed", "exterior", "interior"])
+    sp.add_argument("--theorem", required=True, choices=THEOREMS)
     sp.add_argument("--eps", type=finite, required=True)
     sp.add_argument("--p", type=finite, required=True)
     sp.add_argument("--m", type=natural, default=0)

@@ -8,7 +8,10 @@ Three layers:
   around the population mean, its population counterpart, their combined
   ("breve") form, and the chaining-functional bounds ``A_alpha(Z) *
   sqrt(Lhat^2 + L^2)`` over candidate sets; ``variance_profile`` computes
-  the ones that the guarantee table ``_GUARANTEES`` names for a theorem,
+  the ones that the guarantee table ``_GUARANTEES`` names for a theorem.
+  This module alone reads the table: ``_guarantee`` gives a scope's entry
+  names and events, ``_event_scopes`` the scopes of an event, ``THEOREMS``
+  its keys,
 * the self-normalized deviation statistic and the symmetrized conditional
   second moment used by the tail experiments.
 """
@@ -23,7 +26,8 @@ import numpy as np
 from .errors import ConfigError, EmptySampleError
 from .geometry import SpaceDescriptor, _nearest_dists, a_alpha
 from .problem import (SET_TOL, EmpiricalProblem, NoiseAffine, StochasticProgram,
-                      _constraint_table, _overflow, relaxed_set_grid)
+                      _anchor_points, _constraint_table, _overflow,
+                      relaxed_set_grid)
 
 # ---------------------------------------------------------------------------
 # Holder moduli
@@ -200,6 +204,36 @@ _WHERE = {"X": "the feasible grid", "Y": "the whole hard set",
           "active": "per-constraint active sets at 2*eps",
           "active0": "per-constraint boundary sets", "x_star": "the minimizer",
           "y": "the interior point", "y_star": "the interior minimizer"}
+THEOREMS = tuple(_GUARANTEES)
+
+
+def _guarantee(theorem: str, scope: str,
+               localized: bool = False) -> tuple[list, list]:
+    """The entry names whose max gives sigma for one guarantee scope, and
+    the (tag, statement) events it guarantees; scope "all" joins every scope
+    in order.  ``localized`` swaps in the ``_LOCALIZED_SWAP`` entries, which
+    only exterior certificates have."""
+    scopes = _GUARANTEES.get(theorem, {})
+    allowed = [*scopes, "all"] if scopes else []
+    if scope not in allowed:
+        raise ConfigError(f"unknown scope {scope!r} for theorem {theorem!r}",
+                          allowed=allowed)
+    picked = list(scopes.values()) if scope == "all" else [scopes[scope]]
+    names = list(dict.fromkeys(name for comps, _ in picked for name in comps))
+    if localized:
+        if theorem != "exterior":
+            raise ConfigError("localized sigma assembly applies to exterior "
+                              "certificates only", theorem=theorem)
+        names = [swap for name in names
+                 for swap in _LOCALIZED_SWAP.get(name, [name])]
+    return names, [event for _, events in picked for event in events]
+
+
+def _event_scopes(tags) -> dict:
+    """Per event tag, {theorem: the scope whose events include it}."""
+    return {tag: {theorem: scope for theorem, scopes in _GUARANTEES.items()
+                  for scope, (_, events) in scopes.items() if tag in dict(events)}
+            for tag in tags}
 
 
 @dataclass
@@ -220,16 +254,6 @@ class VarianceProfile:
         return self.entries[name]
 
 
-def _most_interior(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Point minimizing the largest constraint value (deepest inside X), from
-    the points' (m, G) constraint table; with m = 0, the point nearest the
-    centroid."""
-    if len(table) == 0:
-        center = pts.mean(axis=0)
-        return pts[int(np.argmin(np.linalg.norm(pts - center, axis=1)))]
-    return pts[int(np.argmin(table.max(axis=0)))]
-
-
 def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
                      theorem: str, eps: float, h: float,
                      anchors: dict | None = None,
@@ -240,66 +264,62 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
     ``exterior`` (metric-regular feasible set, relaxations +eps) or
     ``interior`` (Slater point, relaxations -eps).  Convex exterior programs
     also get the ``_LOCALIZED_SWAP`` entries.  Anchor points may be
-    supplied; missing ones are located on the population grid.  Every set
-    is a mask of one population constraint table on the grid; the exterior
-    set inflates the feasible grid by ``c * 2 * eps`` in the space's norm.
+    supplied; missing ones are located on the population grid: x_star and
+    y_star minimize the objective over the feasible and the 2*eps-interior
+    grid; z and y are the deepest grid point, the argmin of the largest
+    constraint value (nearest the centroid with m = 0), which lies in every
+    nonempty level set.  Every set is a mask of one population constraint
+    table on the grid; the exterior set inflates the feasible grid by
+    ``c * 2 * eps`` in the space's norm.
     """
-    if theorem not in _GUARANTEES:
+    if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}",
-                          allowed=list(_GUARANTEES))
+                          allowed=list(THEOREMS))
     if theorem == "exterior" and (c is None or not c > 0):
         raise ConfigError("exterior profiles need a positive regularity "
                           "constant c", c=c)
-    names = dict.fromkeys(name for comps, _ in _GUARANTEES[theorem].values()
-                          for name in comps)
+    names = _guarantee(theorem, "all")[0]
     if theorem == "exterior" and program.convex:
-        names.update(dict.fromkeys(name for swap in _LOCALIZED_SWAP.values()
-                                   for name in swap))
+        names += _guarantee(theorem, "all", localized=True)[0]
     m = program.n_constraints
     grid = program.space.grid(h)
     holders = [estimate_holder(program, emp.scenarios.data, i)
                for i in range(m + 1)]
-    anchors = dict(anchors or {})
+    anchors = {k: z.reshape(-1) for k, z in
+               _anchor_points(anchors or {}, program.space.dim).items()}
 
     table = _constraint_table(program, grid)
-    in_feas = relaxed_set_grid(table)
-    feas = grid[in_feas]
+    in_feas, in_inner = relaxed_set_grid(table, np.array([[[0.0]], [[-2 * eps]]]))
+    feas, inner = grid[in_feas], grid[in_inner]
+    deepest = grid[int(np.argmin(
+        table.max(axis=0) if m else
+        np.linalg.norm(grid - grid.mean(axis=0), axis=1)))]
 
     if "x_star" not in anchors:
         if len(feas) == 0:
             raise EmptySampleError("population feasible set has no grid points; "
                                    "supply an x_star anchor or refine the grid")
         anchors["x_star"] = feas[int(np.argmin(program.true_fn_grid(0, feas)))]
-    if "z" not in anchors:
-        anchors["z"] = (_most_interior(feas, table[:, in_feas])
-                        if len(feas) else anchors["x_star"])
+    if (theorem == "interior" and len(inner) == 0
+            and not {"y", "y_star"} <= anchors.keys()):
+        raise EmptySampleError("no grid point is 2*eps-strictly feasible; shrink "
+                               "eps or supply y and y_star anchors", eps=eps)
+    anchors.setdefault("z", deepest if len(feas) else anchors["x_star"])
+    if theorem != "fixed":
+        anchors.setdefault("y", deepest)
+    if theorem == "interior" and "y_star" not in anchors:
+        anchors["y_star"] = inner[int(np.argmin(program.true_fn_grid(0, inner)))]
 
-    prof = VarianceProfile(theorem=theorem, holder=holders, anchors=anchors)
-    det = prof.details
-    det["grid_points"] = len(grid)
-    det["feasible_grid_points"] = len(feas)
-    det["h"] = h
+    details = {"grid_points": len(grid), "feasible_grid_points": len(feas), "h": h}
     sets = {"X": feas, "Y": program.space}
-
     if theorem == "exterior":
-        det["c"] = c
         sets["ext"] = grid[_nearest_dists(grid, feas, program.space.norm)
                            <= c * (2 * eps) + SET_TOL] if len(feas) else feas
-        det["exterior_grid_points"] = len(sets["ext"])
-        if "y" not in anchors:
-            anchors["y"] = _most_interior(grid, table)
+        details.update(c=c, exterior_grid_points=len(sets["ext"]))
     if theorem == "interior":
-        in_inner = relaxed_set_grid(table, -2 * eps)
-        inner = grid[in_inner]
-        det["inner_grid_points"] = len(inner)
-        if len(inner) == 0 and not {"y", "y_star"} <= anchors.keys():
-            raise EmptySampleError(
-                "no grid point is 2*eps-strictly feasible; shrink eps or "
-                "supply y and y_star anchors", eps=eps)
-        if "y" not in anchors:
-            anchors["y"] = _most_interior(inner, table[:, in_inner])
-        if "y_star" not in anchors:
-            anchors["y_star"] = inner[int(np.argmin(program.true_fn_grid(0, inner)))]
+        details["inner_grid_points"] = len(inner)
+    prof = VarianceProfile(theorem=theorem, holder=holders, anchors=anchors,
+                           details=details)
 
     def over(where: str, i: int):
         if where.startswith("active"):
@@ -307,7 +327,7 @@ def variance_profile(program: StochasticProgram, emp: EmpiricalProblem,
             return grid[relaxed_set_grid(table, level, h)[1][i - 1]]
         return sets[where]
 
-    for name in names:
+    for name in dict.fromkeys(names):
         which, kind, where = name.split("_", 2)
         indices = [0] if which == "sigma0" else range(1, m + 1)
         if kind == "hat":

@@ -387,6 +387,18 @@ def _constraint_table(source, pts: np.ndarray,
     return table
 
 
+def _anchor_points(anchors: dict, dim: int) -> dict:
+    """Each anchor as a float array, a (1, dim) row counting as a point;
+    ``DimensionMismatchError`` names the anchors without ``dim`` coordinates."""
+    anchors = {k: np.asarray(v, dtype=float) for k, v in anchors.items()}
+    bad = sorted(k for k, z in anchors.items() if z.size != dim)
+    if bad:
+        raise DimensionMismatchError("each anchor needs one coordinate per "
+                                     "space dimension", anchors=bad,
+                                     expected=dim)
+    return anchors
+
+
 def _overflow(i: int, **details) -> BudgetError:
     """The error for a mean of integrand ``i`` that is not finite."""
     return BudgetError(f"integrand {i} has a non-finite mean: its values "

@@ -22,7 +22,7 @@ from .distributions import Distribution
 from .errors import (BudgetError, ConfigError, EmptySampleError, JsonResult,
                      UncalibratableError)
 from .geometry import a_alpha
-from .moments import (_GUARANTEES, VarianceProfile, _population_l,
+from .moments import (VarianceProfile, _event_scopes, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
 from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
                       _constraint_table, _overflow, _sample_means,
@@ -184,10 +184,8 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
 
 # coverage event -> {theorem: guarantee scope}, for the events that
 # _event_checker tests
-_EVENT_SCOPES = {
-    event: {theorem: scope for theorem, scopes in _GUARANTEES.items()
-            for scope, (_, events) in scopes.items() if event in dict(events)}
-    for event in ("near-optimal-subset", "feasible-relaxed", "feasible-hard")}
+_EVENT_SCOPES = _event_scopes(
+    ("near-optimal-subset", "feasible-relaxed", "feasible-hard"))
 
 
 @dataclass

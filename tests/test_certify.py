@@ -48,6 +48,10 @@ def test_interior_needs_margin_headroom():
                        slater_margin=0.2) >= 1
     with pytest.raises(SlaterMarginError):
         sample_size("interior", 1.0, 0.15, 0.05, m=1, slater_margin=0.2)
+    for theorem in ("fixed", "exterior"):  # only interior takes a margin
+        with pytest.raises(ConfigError) as err:
+            sample_size(theorem, 1.0, 0.1, 0.05, m=1, slater_margin=0.2)
+        assert err.value.details == {"slater_margin": 0.2}
 
 
 def test_certificate_from_sigma_round_trip():

@@ -84,6 +84,19 @@ def test_interior_margin_error_exits_2(capsys):
     assert json.loads(err)["error"] == "slater-margin"
 
 
+@pytest.mark.parametrize("theorem", ["fixed", "exterior"])
+def test_slater_margin_outside_interior_exits_2(capsys, theorem):
+    """Only the interior theorem takes a Slater margin; another one rejects
+    it instead of ignoring it."""
+    code, out, err = run_cli(capsys, "certify", "--theorem", theorem,
+                             "--sigma", "1", "--eps", "0.1", "--p", "0.1",
+                             "--m", "1", "--slater", "-1")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["details"] == {"slater_margin": -1.0}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"), ("--sigma", "nan"),
     ("--sigma", "inf"), ("--C", "nan"), ("--C", "inf")])
@@ -314,6 +327,10 @@ def test_non_finite_csv_cells_exit_2(capsys, tmp_path, command, text, column):
       "--profile", '{"entries": [["sigma0_hat_X", 1]]}'], "entries"),
     (["certify", "--theorem", "fixed", "--eps", "0.1", "--p", "0.1",
       "--profile", '{"entries": {"sigma0_hat_X": 1}, "anchors": 5}'], "anchors"),
+    (["certify", "--theorem", "exterior", "--eps", "0.1", "--p", "0.1",
+      "--m", "1", "--scope", "feasibility", "--profile",
+      '{"entries": {"sigmaI_hat_Y": 1, "sigmaI_breve_z": 1},'
+      ' "anchors": {"z": "abc"}}'], "z"),
 ])
 def test_malformed_plan_exits_2(capsys, argv, field):
     """A plan that is not an object, or a value that is not a number."""

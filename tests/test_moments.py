@@ -1,22 +1,27 @@
 """Holder moduli, pointwise/uniform variance aggregates, self-normalization."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saacert
 from saacert.apps import ReturnsDataset, build_lasso, build_portfolio
-from saacert.certify import _max_ratio, components_for
-from saacert.errors import BudgetError, ConfigError, EmptySampleError
+from saacert.certify import _max_ratio
+from saacert.errors import (BudgetError, ConfigError, DimensionMismatchError,
+                            EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor, min_pairwise_gap, set_deviation
-from saacert.moments import (estimate_holder, per_scenario_modulus,
+from saacert.moments import (_guarantee, estimate_holder, per_scenario_modulus,
                              self_normalized, sigma_breve, sigma_hat_sq,
                              variance_profile)
 from saacert.problem import (MODULUS_RTOL, HolderInfo, NoiseAffine, ScenarioSet,
-                             StochasticProgram, build_empirical)
+                             StochasticProgram, _constraint_table,
+                             build_empirical, relaxed_set_grid)
 from saacert.validation import uniform_tail_experiment
 
 
@@ -149,9 +154,9 @@ def test_variance_profile_computes_the_guarantee_entries(theorem, family,
         np.zeros(program.n_constraints))
     profile = variance_profile(program, emp, theorem, eps=0.1, h=0.2,
                                c=1.0 if theorem == "exterior" else None)
-    expected = set(components_for(theorem, "all"))
+    expected = set(_guarantee(theorem, "all")[0])
     if theorem == "exterior" and convex:
-        expected |= set(components_for(theorem, "all", localized=True))
+        expected |= set(_guarantee(theorem, "all", localized=True)[0])
     assert set(profile.entries) == expected
     assert set(profile.provenance) == expected
 
@@ -234,6 +239,100 @@ def test_exterior_profile_evaluates_one_constraint_table(monkeypatch):
     assert profile.details["grid_points"] == 1681
     assert "sigmaI_hat_active" in profile.entries  # ball2d is convex
     assert [call for call in calls if call[0] == 1] == [(1, 1681)]
+
+
+def test_only_moments_reads_the_guarantee_table():
+    """No module but ``moments`` names ``_GUARANTEES`` or ``_LOCALIZED_SWAP``:
+    the others read the table through ``_guarantee``, ``_event_scopes`` and
+    ``THEOREMS``."""
+    table = {"_GUARANTEES", "_LOCALIZED_SWAP"}
+
+    def identifiers(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return [node.name] if isinstance(node, ast.alias) else []
+
+    found = {(path.name, name)
+             for path in sorted(Path(saacert.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in identifiers(node) if name in table}
+    assert found == {("moments.py", name) for name in table}
+
+
+def _anchors_set_by_set(program, theorem, eps, h):
+    """The located anchors, each found on its own point set: the point
+    minimizing the largest constraint value (nearest the centroid with m = 0)
+    of the feasible grid (z), of the whole grid (exterior y) or of the
+    2*eps-interior grid (interior y), and the objective minimizers over the
+    feasible (x_star) and the interior grid (y_star)."""
+    grid = program.space.grid(h)
+    table = _constraint_table(program, grid)
+
+    def deepest(mask):
+        pts, sub = grid[mask], table[:, mask]
+        if len(sub) == 0:
+            return pts[np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
+        return pts[np.argmin(sub.max(axis=0))]
+
+    def minimizer(mask):
+        pts = grid[mask]
+        return pts[np.argmin(program.true_fn_grid(0, pts))]
+
+    feas, inner = relaxed_set_grid(table), relaxed_set_grid(table, -2 * eps)
+    found = {"x_star": minimizer(feas), "z": deepest(feas)}
+    if theorem == "exterior":
+        found["y"] = deepest(np.ones(len(grid), dtype=bool))
+    if theorem == "interior":
+        found.update(y=deepest(inner), y_star=minimizer(inner))
+    return found
+
+
+@pytest.mark.parametrize("family, params, theorems", [
+    ("quad1d", {"a": 0.3}, ["fixed"]),
+    ("linear_simplex", {}, ["fixed"]),
+    ("ball2d", {}, ["fixed", "exterior", "interior"]),
+    ("halfspace_box", {"objective": "corner"}, ["fixed", "exterior", "interior"]),
+    ("halfspace_box", {"objective": "interior"},
+     ["fixed", "exterior", "interior"]),
+])
+def test_profile_anchors_match_the_set_by_set_search(family, params, theorems):
+    """x_star, z, y and y_star of a profile are the points a search over
+    each anchor's own set finds, for each theorem, step, eps and
+    convexity attestation."""
+    program = make_family(family, **params)
+    program.oracle.mc_budget = 200
+    emp = build_empirical(
+        program, ScenarioSet.from_sampler(program.oracle.sampler, 30, seed=5),
+        np.zeros(program.n_constraints))
+    for theorem in theorems:
+        for h in (0.1, 0.25):
+            for eps in (0.05, 0.15):
+                found = _anchors_set_by_set(program, theorem, eps, h)
+                for convex in (True, False):
+                    program.convex = convex
+                    profile = variance_profile(
+                        program, emp, theorem, eps=eps, h=h,
+                        c=1.0 if theorem == "exterior" else None)
+                    assert profile.anchors.keys() == found.keys()
+                    for name, point in found.items():
+                        np.testing.assert_array_equal(profile.anchors[name],
+                                                      point, err_msg=name)
+
+
+def test_profile_checks_anchor_dimensions_as_the_ledger_does():
+    """An anchor with the wrong number of coordinates raises the ledger's
+    DimensionMismatchError; a (1, d) row counts as a point."""
+    program, emp = _ball2d_case()
+    for anchor in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(DimensionMismatchError) as err:
+            variance_profile(program, emp, "fixed", eps=0.1, h=0.2,
+                             anchors={"x_star": anchor})
+        assert err.value.details == {"anchors": ["x_star"], "expected": 2}
+    profile = variance_profile(program, emp, "fixed", eps=0.1, h=0.2,
+                               anchors={"x_star": [[0.1, 0.2]]})
+    np.testing.assert_array_equal(profile.anchors["x_star"], [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
