@@ -14,7 +14,6 @@ from .apps import (
     build_portfolio,
     cvar,
     lasso_scenarios,
-    portfolio_gradients,
 )
 from .certify import (
     CHECK_SCHEMES,

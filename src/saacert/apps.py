@@ -127,9 +127,16 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
     f0 = NoiseAffine(lambda point: np.zeros(point.shape[:-1]),
                      -np.eye(d, d + 1))
 
+    def g0(point, xis):
+        return np.hstack([-xis, np.zeros((len(xis), 1))])
+
     def f1(point, xis):
         t = point[d]
         return t + np.maximum(-(xis @ point[:d]) - t, 0.0) / p - beta
+
+    def g1(point, xis):
+        active = (-(xis @ point[:d]) - point[d]) > 0            # 0 at the kink
+        return np.column_stack([-xis * (active[:, None] / p), 1.0 - active / p])
 
     # the hinge's modulus in the l1 product norm, the larger over its pieces
     # t and t (1 - 1/p) - xi^T x / p; simplex steps sum to 0, so |xi^T dx|
@@ -143,30 +150,9 @@ def build_portfolio(dataset: ReturnsDataset, p: float, beta: float,
         oracle = TrueOracle(sampler=lambda rng, n: np.atleast_2d(sampler(rng, n)))
     program = StochasticProgram(
         objective=f0, constraints=[f1], space=space,
-        holder=[HolderInfo(), HolderInfo(1.0, modulus1)],
-        oracle=oracle, convex=True, gradients=portfolio_gradients(d, p),
-        name="portfolio")
+        holder=[HolderInfo(gradient=g0), HolderInfo(1.0, modulus1, g1)],
+        oracle=oracle, convex=True, name="portfolio")
     return PortfolioProblem(program=program, t_bounds=(t_lo, t_hi))
-
-
-def portfolio_gradients(d: int, p: float):
-    """Per-scenario subgradients of the portfolio integrands over (x, t),
-    for d assets and CVaR level p."""
-
-    def g0(point, xis):
-        g = np.zeros((len(xis), d + 1))
-        g[:, :d] = -xis
-        return g
-
-    def g1(point, xis):
-        t = point[d]
-        active = (-(xis @ point[:d]) - t) > 0            # 0 at the kink
-        g = np.zeros((len(xis), d + 1))
-        g[:, :d] = -xis * (active[:, None] / p)
-        g[:, d] = 1.0 - active / p
-        return g
-
-    return [g0, g1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +206,7 @@ def build_lasso(features, response, radius: float,
     space = SpaceDescriptor.ball(np.zeros(d), radius, norm="l1")
     program = StochasticProgram(
         objective=f0, constraints=[], space=space,
-        holder=[HolderInfo(1.0, modulus0)], convex=True, gradients=[grad0],
-        name="lasso")
+        holder=[HolderInfo(1.0, modulus0, grad0)], convex=True, name="lasso")
     return LassoProblem(program=program, diag=diag)
 
 

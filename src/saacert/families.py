@@ -1,11 +1,11 @@
 """Built-in synthetic problem families with full population oracles.
 
-Each family is desk-scale (d <= 3), has integrands affine in the noise
-(``NoiseAffine``: closed-form population moments, vectorized empirical means,
-and per-scenario Lipschitz moduli L(xi) derived from B and the space, so no
-``HolderInfo`` declares one), and -- where the geometry allows -- exact
-distance-to-feasible-set and regularity constants.  They back the
-Monte Carlo validation lab, calibration, and the CLI's problem configs.
+Each family is desk-scale (d <= 3), has integrands of the ``NoiseAffine``
+form (closed-form population moments, vectorized empirical means, and
+per-scenario Lipschitz moduli L(xi) derived from B and the space, so each
+``HolderInfo`` declares only the exponent), and -- where the geometry
+allows -- exact distance-to-feasible-set and regularity constants.  They back
+the Monte Carlo validation lab, calibration, and the CLI's problem configs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Three layers:
 
-* per-scenario Holder moduli, declared or derived from a ``NoiseAffine``
-  form, and their root-mean-square aggregates (``estimate_holder``),
+* per-scenario Holder moduli, declared in ``HolderInfo`` or derived by the
+  integrand's form, and their root-mean-square aggregates
+  (``estimate_holder``),
 * pointwise and set-level variance quantities -- the empirical variance
   around the population mean, its population counterpart, their combined
   ("breve") form, and the chaining-functional bounds ``A_alpha(Z) *
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySampleError
 from .geometry import SpaceDescriptor, _nearest_dists, a_alpha
-from .problem import (SET_TOL, EmpiricalProblem, NoiseAffine, StochasticProgram,
+from .problem import (SET_TOL, EmpiricalProblem, StochasticProgram,
                       _anchor_points, _constraint_table, _overflow,
                       relaxed_set_grid)
 
@@ -53,24 +54,19 @@ class HolderEstimate:
 def per_scenario_modulus(program: StochasticProgram, i: int,
                          scenarios: np.ndarray) -> np.ndarray:
     """Holder modulus of integrand ``i``, one value per scenario: its declared
-    ``HolderInfo.modulus``, else for a ``NoiseAffine`` integrand f(x) +
-    xi^T B x the modulus of (xi - c)^T B x on the space, c the oracle's
-    ``noise_mean`` or 0.  The deviation Fhat - f does not change when the
-    deterministic f(x) + c^T B x is subtracted, and E L^2 < inf exactly when
-    E ||xi||^2 < inf; c must not depend on the data.  For alpha < 1 the
-    Lipschitz constant L becomes L D^(1 - alpha), D the diameter, since
-    ||x - y|| <= D^(1 - alpha) ||x - y||^alpha.  Any other integrand has no
-    modulus to certify with (``ConfigError``)."""
-    xis = np.atleast_2d(scenarios)
-    info, fn = program.holder[i], program.integrand(i)
+    ``HolderInfo.modulus``, else the Lipschitz modulus its form derives.  For
+    a ``NoiseAffine`` integrand f(x) + xi^T B x that is the modulus of
+    (xi - c)^T B x on the space, c the oracle's ``noise_mean`` or 0.  The
+    deviation Fhat - f does not change when the deterministic f(x) + c^T B x
+    is subtracted, and E L^2 < inf exactly when E ||xi||^2 < inf; c must not
+    depend on the data.  For alpha < 1 the Lipschitz constant L becomes
+    L D^(1 - alpha), D the diameter, since ||x - y|| <= D^(1 - alpha)
+    ||x - y||^alpha.  The generic form has none (``ConfigError``)."""
+    xis, info = np.atleast_2d(scenarios), program.holder[i]
     if info.modulus is not None:
         return np.asarray(info.modulus(xis), dtype=float)
-    if isinstance(fn, NoiseAffine):
-        c = getattr(program.oracle, "noise_mean", None)
-        lipschitz = program.space.linear_modulus((xis if c is None else xis - c) @ fn.B)
-        return lipschitz * program.space.diameter() ** (1 - info.alpha)
-    raise ConfigError(f"integrand {i} of program {program.name!r} declares "
-                      "no Holder modulus", integrand=i, program=program.name)
+    lipschitz = program.integrand(i).linear_modulus(xis, program, i)
+    return lipschitz * program.space.diameter() ** (1 - info.alpha)
 
 
 def _population_l(program: StochasticProgram, i: int,

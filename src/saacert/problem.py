@@ -2,10 +2,11 @@
 
 A :class:`StochasticProgram` couples integrands ``F_i(x, xi)`` (index 0 is
 the objective, 1..m are expected-value constraints) with the compact hard set
-``Y``, Holder smoothness metadata, and an optional :class:`TrueOracle` that
-knows population quantities for validation work.  Pairing a program with a
-:class:`ScenarioSet` yields an :class:`EmpiricalProblem` whose constraint and
-objective values are arithmetic means over the scenarios.
+``Y``, one :class:`HolderInfo` declaration per integrand, and an optional
+:class:`TrueOracle`.  Each integrand's form (:class:`Integrand`, or
+:class:`NoiseAffine` with closed forms) owns its means, variance and modulus.
+A program paired with a :class:`ScenarioSet` is an :class:`EmpiricalProblem`,
+whose values are arithmetic means over the scenarios.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 from .errors import (BudgetError, ConfigError, DimensionMismatchError,
                      EmptySampleError, open_path)
 from .geometry import SpaceDescriptor
-
-# An integrand maps (x of shape (d,), scenarios of shape (N, k)) to the
-# per-scenario values, shape (N,).
-Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # seed of the population Monte Carlo draws behind every oracle fallback
 MC_SEED = 20_240_001
@@ -50,14 +47,42 @@ SET_TOL = 1e-12
 FEAS_TOL = 1e-9
 
 
+class Integrand:
+    """The generic form of ``fn``, which maps x (d,) and scenarios (N, k) to
+    per-scenario values (N,): means point by point, population moments over
+    the program's cached Monte Carlo draws, and no modulus to derive."""
+
+    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.fn = fn
+
+    def __call__(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        return self.fn(x, xis)
+
+    def sample_means(self, pts: np.ndarray, scenarios: ScenarioSet) -> np.ndarray:
+        """Means over the scenarios at each point (G, d), the one rule behind
+        every sample and Monte Carlo average: one ``_mean`` per point."""
+        fn, data = self.fn, scenarios.data
+        return np.array([_mean(fn(x, data)) for x in pts])
+
+    def population_means(self, pts: np.ndarray, program) -> np.ndarray:
+        return self.sample_means(pts, program._mc_draws)
+
+    def population_variance(self, x: np.ndarray, program) -> float:
+        return np.var(self(x, program._mc_draws.data))
+
+    def linear_modulus(self, xis: np.ndarray, program, i: int) -> np.ndarray:
+        raise ConfigError(f"integrand {i} of program {program.name!r} declares "
+                          "no Holder modulus", integrand=i, program=program.name)
+
+
 @dataclass
-class NoiseAffine:
+class NoiseAffine(Integrand):
     """The integrand F(x, xi) = f(x) + xi^T B x, ``f`` mapping points (..., d)
     to values (...,) and ``B`` of shape (k, d).  At a point (d,) or a grid
     (G, d) its mean at a noise mean mu is f(x) + mu^T B x and, for i.i.d.
     noise coordinates of variance v, its variance is v ||B x||^2.  Less the
-    deterministic F(x, c), it is (xi - c)^T B x, whose Holder modulus
-    ``moments.per_scenario_modulus`` derives from B and the space."""
+    deterministic F(x, c), c the oracle's ``noise_mean`` or 0, it is
+    (xi - c)^T B x, whose Lipschitz modulus follows from B and the space."""
 
     f: Callable[[np.ndarray], np.ndarray]
     B: np.ndarray
@@ -76,10 +101,25 @@ class NoiseAffine:
         loads = points @ self.B.T
         return noise_var * np.sum(loads * loads, axis=-1)
 
+    def sample_means(self, pts: np.ndarray, scenarios: ScenarioSet) -> np.ndarray:
+        return self.mean(pts, scenarios.mean)
+
+    def population_means(self, pts: np.ndarray, program) -> np.ndarray:
+        mu = getattr(program.oracle, "noise_mean", None)
+        return super().population_means(pts, program) if mu is None else self.mean(pts, mu)
+
+    def population_variance(self, x: np.ndarray, program) -> float:
+        var = getattr(program.oracle, "noise_var", None)
+        return super().population_variance(x, program) if var is None else self.variance(x, var)
+
+    def linear_modulus(self, xis: np.ndarray, program, i: int) -> np.ndarray:
+        c = getattr(program.oracle, "noise_mean", None)
+        return program.space.linear_modulus((xis if c is None else xis - c) @ self.B)
+
 
 @dataclass
 class HolderInfo:
-    """Smoothness metadata for one integrand index.
+    """What is declared about one integrand.
 
     ``alpha`` is the Holder exponent in (0, 1].  ``modulus``, when given,
     maps scenarios (N, k) to the per-scenario modulus L(xi), shape (N,):
@@ -87,14 +127,22 @@ class HolderInfo:
     space, in closed form, for G = F - h with any deterministic h (the
     deviation Fhat - f does not see h; for alpha = 1 and h = 0 the sup of
     the gradient in the dual norm).  A ``NoiseAffine`` integrand needs
-    none: ``moments.per_scenario_modulus`` derives it from B.  Otherwise,
-    without it the program still builds ledgers and runs the checker and
-    the solvers; what needs sigma-hat (variance profiles, uniform-tail and
-    coverage experiments) raises ``ConfigError``.
+    none: its form derives one from B.  Otherwise, without it the program
+    still builds ledgers and runs the checker and the solvers; what needs
+    sigma-hat (variance profiles, uniform-tail and coverage experiments)
+    raises ``ConfigError``.  ``gradient``, when given, maps (x, scenarios
+    (N, k)) to per-scenario (sub)gradients in x, shape (N, d), for the
+    subgradient solver, which otherwise takes finite differences.
     """
 
     alpha: float = 1.0
     modulus: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not 0 < self.alpha <= 1:
+            raise ConfigError("Holder exponent must lie in (0, 1]",
+                              field="alpha", alpha=self.alpha)
 
 
 @dataclass
@@ -121,21 +169,17 @@ class TrueOracle:
 class StochasticProgram:
     """Objective/constraint integrands over a hard set, plus metadata."""
 
-    objective: Integrand
-    constraints: Sequence[Integrand]
+    objective: Integrand | Callable
+    constraints: Sequence[Integrand | Callable]
     space: SpaceDescriptor
     holder: Sequence[HolderInfo]
     oracle: TrueOracle | None = None
     convex: bool = False  # attestation required by the convexity-based schemes
-    # per integrand, None or (x, scenarios (N, k)) -> per-scenario
-    # (sub)gradients in x, shape (N, d); the solver falls back to finite
-    # differences of the empirical mean where an entry is None
-    gradients: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray] | None] | None = None
     name: str = ""
 
     def __post_init__(self):
-        for name in ("holder", "gradients"):
-            entries = getattr(self, name)
+        lists = {"holder": self.holder, "fns": getattr(self.oracle, "fns", None)}
+        for name, entries in lists.items():
             if entries is not None and len(entries) != self.n_constraints + 1:
                 raise DimensionMismatchError(
                     f"need one {name} entry per integrand (objective plus "
@@ -147,7 +191,9 @@ class StochasticProgram:
         return len(self.constraints)
 
     def integrand(self, i: int) -> Integrand:
-        return self.objective if i == 0 else self.constraints[i - 1]
+        """Integrand ``i``'s form; a plain callable is wrapped at each access."""
+        fn = self.objective if i == 0 else self.constraints[i - 1]
+        return fn if isinstance(fn, Integrand) else Integrand(fn)
 
     @property
     def sampler(self) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -164,27 +210,23 @@ class StochasticProgram:
         return float(self._population_values(i, x)[0])
 
     def true_variance(self, i: int, x) -> float:
-        """Population variance of F_i(x, .): the noise-affine form at the
-        oracle's ``noise_var``, else over the cached Monte Carlo draws."""
-        x, fn = np.asarray(x, dtype=float), self.integrand(i)
-        if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_var", None) is not None:
-            return float(fn.variance(x, self.oracle.noise_var))
-        return float(np.var(fn(x, self._mc_draws.data)))
+        """Population variance of F_i(x, .), from the integrand's form: a
+        closed form where it has one, else over the cached Monte Carlo draws."""
+        x = np.asarray(x, dtype=float)
+        return float(self.integrand(i).population_variance(x, self))
 
     def true_fn_grid(self, i: int, points: np.ndarray) -> np.ndarray:
         """Population values f_i: the oracle's closed-form ``fns``, else the
-        noise-affine form at its ``noise_mean``, else the mean over the
-        cached Monte Carlo draws."""
+        integrand form's population means (a closed form, or the mean over
+        the cached Monte Carlo draws)."""
         return self._population_values(i, points)
 
     def _population_values(self, i: int, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fn, fns = self.integrand(i), getattr(self.oracle, "fns", None)
+        fns = getattr(self.oracle, "fns", None)
         if fns is not None:
             return np.array([float(fns[i](x)) for x in pts])
-        if isinstance(fn, NoiseAffine) and getattr(self.oracle, "noise_mean", None) is not None:
-            return fn.mean(pts, self.oracle.noise_mean)
-        return _sample_means(self, i, pts, self._mc_draws)
+        return self.integrand(i).population_means(pts, self)
 
     @property
     def _mc_draws(self) -> ScenarioSet:
@@ -289,9 +331,9 @@ class EmpiricalProblem:
         return float(self.fhat_grid(i, x)[0])
 
     def fhat_grid(self, i: int, points: np.ndarray) -> np.ndarray:
-        """Empirical means Fhat_i over a batch of points (``_sample_means``)."""
+        """Empirical means Fhat_i over a batch of points (``sample_means``)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _sample_means(self.program, i, pts, self.scenarios)
+        return self.program.integrand(i).sample_means(pts, self.scenarios)
 
     def residuals(self, x) -> np.ndarray:
         """Fhat_i(x) - eps_i, i = 1..m, at one point.  Unlike a constraint
@@ -316,17 +358,6 @@ def _mean(values) -> float:
     ``np.mean`` accumulates non-float input) divided by the count."""
     v = np.asarray(values, dtype=float)
     return float(np.add.reduce(v, axis=None)) / v.size
-
-
-def _sample_means(program: StochasticProgram, i: int, pts: np.ndarray,
-                  scenarios: ScenarioSet) -> np.ndarray:
-    """Means of F_i over the scenarios at each point (G, d), the one rule
-    behind every sample and Monte Carlo average: the noise-affine form at the
-    scenarios' mean, else one ``_mean`` per point."""
-    fn, data = program.integrand(i), scenarios.data
-    if isinstance(fn, NoiseAffine):
-        return fn.mean(pts, scenarios.mean)
-    return np.array([_mean(fn(x, data)) for x in pts])
 
 
 def build_empirical(program: StochasticProgram, scenarios: ScenarioSet,

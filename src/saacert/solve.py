@@ -97,8 +97,8 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     k the method steps along the objective when every residual is at most
     ``FEAS_TOL``, and along the most violated constraint otherwise, with step
     c0/sqrt(k) and projection back onto the hard set.  A step's subgradient
-    is the scenario mean of the program's declared ``gradients`` entry, else
-    a central finite difference (``_fd_gradient``).  The output
+    is the scenario mean of the integrand's declared ``HolderInfo.gradient``,
+    else a central finite difference (``_fd_gradient``).  The output
     is the step-weighted average of the objective iterates; its certified
     gap uses the standard telescoping bound with the *observed* subgradient
     norms, so it is a heuristic certificate unless true norm bounds are
@@ -106,7 +106,6 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     decides ``budget_exhausted`` (gap above it), it never stops early.
     """
     program = emp.program
-    grads = program.gradients
     space = program.space
     diam = space.diameter()
     x = space.project(space.grid(max(diam, MIN_GRID_DIAMETER) / 2).mean(axis=0))
@@ -116,8 +115,9 @@ def subgradient_solve(emp: EmpiricalProblem, config: SolverConfig) -> SolveResul
     obj_steps = 0
 
     def subgrad(i: int, pt: np.ndarray) -> np.ndarray:
-        if grads is not None and grads[i] is not None:
-            return grads[i](pt, emp.scenarios.data).mean(axis=0)
+        grad = program.holder[i].gradient
+        if grad is not None:
+            return grad(pt, emp.scenarios.data).mean(axis=0)
         return _fd_gradient(emp, i, pt)
 
     for k in range(1, config.budget + 1):

@@ -25,8 +25,8 @@ from .geometry import a_alpha
 from .moments import (VarianceProfile, _event_scopes, _population_l,
                       per_scenario_modulus, self_normalized, variance_profile)
 from .problem import (SET_TOL, ScenarioSet, StochasticProgram,
-                      _constraint_table, _overflow, _sample_means,
-                      build_empirical, relaxed_set_grid)
+                      _constraint_table, _overflow, build_empirical,
+                      relaxed_set_grid)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -159,12 +159,12 @@ def uniform_tail_experiment(program: StochasticProgram, n: int, t_grid,
     pts = np.vstack([grid, grid[:1]])
     sups, scales = np.empty((2, replications))
     with np.errstate(all="ignore"):  # a non-finite statistic raises below
-        true_vals = program.true_fn_grid(0, pts)
+        true_vals, objective = program.true_fn_grid(0, pts), program.integrand(0)
         comp = a_alpha(program.space, program.holder[0].alpha)
         pop_l, _ = _population_l(program, 0)
         draws = _draws(program.sampler, seed, n, range(replications))
         for r, scen in enumerate(draws):
-            dev = _sample_means(program, 0, pts, scen) - true_vals
+            dev = objective.sample_means(pts, scen) - true_vals
             sups[r] = float(np.max(np.abs(dev[:-1] - dev[-1])))
             l_hat_sq = float(np.mean(per_scenario_modulus(program, 0, scen.data) ** 2))
             scales[r] = math.sqrt((l_hat_sq + pop_l ** 2) / n)
@@ -213,6 +213,9 @@ class CoveragePlan:
                 f"event {self.event!r} is not guaranteed by the "
                 f"{self.theorem!r} certificate",
                 allowed=sorted(_EVENT_SCOPES[self.event]))
+        if self.theorem != "fixed" and self.program.n_constraints < 1:
+            raise ConfigError(f"{self.theorem} certificates need at least one "
+                              "stochastic constraint", m=0)
         if self.theorem == "interior":
             margin = getattr(self.program.oracle, "slater_margin", None)
             if margin is None:
@@ -403,12 +406,12 @@ def rate_experiment(program: StochasticProgram, n_grid, replications: int,
     grid = program.space.grid(h)
     sups = np.empty((len(n_grid), replications))
     with np.errstate(all="ignore"):  # a non-finite statistic raises below
-        true_vals = program.true_fn_grid(0, grid)
+        true_vals, objective = program.true_fn_grid(0, grid), program.integrand(0)
         for j, n in enumerate(n_grid):
             draws = _draws(program.sampler, seed, n,
                            range(j * replications, (j + 1) * replications))
-            sups[j] = [np.max(np.abs(_sample_means(program, 0, grid, scen)
-                                     - true_vals)) for scen in draws]
+            sups[j] = [np.max(np.abs(objective.sample_means(grid, scen) - true_vals))
+                       for scen in draws]
         rows = [RateRow(n, float(np.mean(row)),
                         float(np.std(row) / math.sqrt(replications)))
                 for n, row in zip(n_grid, sups)]

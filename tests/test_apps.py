@@ -104,7 +104,7 @@ def test_portfolio_solution_satisfies_budget():
 
 
 def test_declared_gradients_match_finite_differences():
-    """Every declared ``gradients`` entry averages to the central finite
+    """Every declared ``HolderInfo.gradient`` averages to the central finite
     difference of its integrand's sample mean (portfolio: inactive and
     partly active hinge; lasso: weighted features)."""
     ds = ReturnsDataset.synthetic(2, 60, seed=13)
@@ -117,9 +117,8 @@ def test_declared_gradients_match_finite_differences():
               lasso_scenarios(X, y, weighted=True).data,
               [[0.3, -0.5, 0.2], [0.0, 0.0, 0.0]])]
     for program, xis, points in cases:
-        assert len(program.gradients) == program.n_constraints + 1
-        for i, grad in enumerate(program.gradients):
-            fn = program.integrand(i)
+        for i, info in enumerate(program.holder):
+            fn, grad = program.integrand(i), info.gradient
             for point in np.asarray(points):
                 per = grad(point, xis)
                 assert per.shape == (len(xis), point.size)

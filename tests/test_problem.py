@@ -1,18 +1,23 @@
 """Programs, scenario sets, empirical means, and grid level sets."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saacert
 from saacert.distributions import make_distribution
 from saacert.errors import (BudgetError, ConfigError,
                             DimensionMismatchError, EmptySampleError)
 from saacert.families import make_family
 from saacert.geometry import SpaceDescriptor
 from saacert.problem import (MC_SEED, SET_TOL, EmpiricalProblem, HolderInfo,
-                             ScenarioSet, StochasticProgram, TrueOracle,
-                             _constraint_table, _sample_means, build_empirical,
+                             Integrand, ScenarioSet, StochasticProgram,
+                             TrueOracle, _constraint_table, build_empirical,
                              read_table, relaxed_set_grid)
 from saacert.solve import solve
 
@@ -32,18 +37,51 @@ def toy_program():
         name="toy")
 
 
-@pytest.mark.parametrize("name", ["holder", "gradients"])
+@pytest.mark.parametrize("name", ["holder", "fns"])
 def test_per_integrand_lists_must_match_the_integrands(name):
     """A list with one entry per integrand that is one short fails on
-    construction, naming the field, not at its first use."""
-    short = {"holder": [HolderInfo(1.0)], "gradients": [None]}
-    full = {"holder": [HolderInfo(1.0), HolderInfo(1.0)]}
+    construction, naming the field, not at its first use: the program's
+    ``holder`` and its oracle's closed-form ``fns``."""
     program = toy_program()
+    holder = [HolderInfo(1.0)] * (1 if name == "holder" else 2)
+    fns = [lambda x: 0.0] * (1 if name == "fns" else 2)
     with pytest.raises(DimensionMismatchError) as err:
         StochasticProgram(objective=program.objective,
-                          constraints=program.constraints,
-                          space=program.space, **{**full, name: short[name]})
+                          constraints=program.constraints, space=program.space,
+                          holder=holder, oracle=TrueOracle(fns=fns))
     assert err.value.details == {"field": name, "expected": 2, "got": 1}
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.5, float("nan")])
+def test_holder_exponent_must_lie_in_zero_one(alpha):
+    """A Holder exponent outside (0, 1] is refused where it is declared, the
+    rule ``a_alpha`` applies, not passed on to bounds that assume it."""
+    assert HolderInfo(1.0).alpha == 1.0 and HolderInfo(0.5).alpha == 0.5
+    with pytest.raises(ConfigError) as err:
+        HolderInfo(alpha)
+    assert err.value.details["field"] == "alpha"
+
+
+def test_every_integrand_form_is_one_class():
+    """No module picks code by an ``isinstance`` check on an integrand form:
+    each form owns its means, variance and modulus.  The one check on
+    ``Integrand`` is where ``StochasticProgram.integrand`` wraps a plain
+    callable."""
+    forms = {"Integrand", "NoiseAffine"}
+    found = []
+    for path in sorted(Path(saacert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")):
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if named & forms:
+                    found.append((path.name, node.lineno, sorted(named & forms)))
+    lines, start = inspect.getsourcelines(StochasticProgram.integrand)
+    assert [(name, named) for name, _, named in found] == [
+        ("problem.py", ["Integrand"])]
+    assert start <= found[0][1] < start + len(lines)
 
 
 def test_empirical_mean_example():
@@ -211,7 +249,7 @@ def test_per_point_means_equal_np_mean_bit_for_bit(n):
                                 holder=[HolderInfo(1.0)], name="means")
     pts = np.linspace(0.0, 1.0, 9)[:, None]
     want = np.array([float(np.mean(f0(x, data))) for x in pts])
-    got = _sample_means(program, 0, pts, ScenarioSet(data))
+    got = program.integrand(0).sample_means(pts, ScenarioSet(data))
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     emp = build_empirical(program, ScenarioSet(data))
     assert [emp.fhat(0, x) for x in pts] == want.tolist()
@@ -301,12 +339,12 @@ def test_read_table_missing_file_is_config_error(tmp_path):
 
 def test_every_average_goes_through_sample_means(monkeypatch):
     """``fhat``, ``residuals`` and the Monte Carlo ``true_fn_grid`` each reach
-    ``_sample_means``, and no integrand is evaluated outside it."""
+    the form's ``sample_means``, and no integrand is evaluated outside it."""
     inside = []
 
     def guarded(fn):
         def call(x, xis):
-            assert inside, "integrand evaluated outside _sample_means"
+            assert inside, "integrand evaluated outside sample_means"
             return fn(x, xis)
         return call
 
@@ -320,16 +358,17 @@ def test_every_average_goes_through_sample_means(monkeypatch):
     emp = EmpiricalProblem(program, ScenarioSet([[0.0], [0.5], [4.0]]),
                            np.array([0.1]))
     reached = []
+    sample_means = Integrand.sample_means
 
-    def counted(program, i, pts, scenarios):
-        reached.append(i)
+    def counted(form, pts, scenarios):
+        reached.append(0 if form.fn is program.objective else 1)
         inside.append(True)
         try:
-            return _sample_means(program, i, pts, scenarios)
+            return sample_means(form, pts, scenarios)
         finally:
             inside.pop()
 
-    monkeypatch.setattr("saacert.problem._sample_means", counted)
+    monkeypatch.setattr(Integrand, "sample_means", counted)
     assert emp.fhat(0, [0.5]) == pytest.approx((0.25 + 0.0 + 12.25) / 3)
     assert reached == [0]
     assert emp.residuals([0.5]).tolist() == pytest.approx([0.5 + 1.5 - 0.75 - 0.1])

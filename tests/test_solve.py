@@ -106,7 +106,7 @@ def test_fd_fallback_is_one_batched_call_per_gradient(monkeypatch):
     program = make_family("ball2d")
     scen = ScenarioSet.from_sampler(program.oracle.sampler, 200, seed=3)
     emp = build_empirical(program, scen, np.array([0.1]))
-    assert program.gradients is None
+    assert all(info.gradient is None for info in program.holder)
     calls = []
     fhat_grid = EmpiricalProblem.fhat_grid
 
@@ -150,8 +150,8 @@ def test_feasible_flag_is_membership_of_the_averaged_iterate():
         objective=lambda x, xis: np.full(len(xis), x[0] ** 2),
         constraints=[lambda x, xis: np.full(len(xis), 0.5 - abs(x[0]))],
         space=SpaceDescriptor.interval(-1.0, 1.0),
-        holder=[HolderInfo(1.0), HolderInfo(1.0)],
-        gradients=[lambda x, xis: np.tile(2 * x, (len(xis), 1)), outward])
+        holder=[HolderInfo(gradient=lambda x, xis: np.tile(2 * x, (len(xis), 1))),
+                HolderInfo(gradient=outward)])
     emp = build_empirical(program, ScenarioSet(np.zeros((3, 1))), np.zeros(1))
     outcomes = []
     for c0, budget in ((0.1, 200), (10.0, 20)):

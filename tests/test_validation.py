@@ -152,14 +152,28 @@ def test_coverage_fixed_event():
 
 def test_coverage_certificate_keeps_m_zero():
     """A program without stochastic constraints gets no exterior
-    certificate: its m = 0 reaches the sample-size rule as it is."""
+    certificate: its plan is refused with the sample-size rule's message."""
     program = make_family("quad1d")
     program.oracle.regularity_c = 1.0
-    plan = CoveragePlan(program=program, theorem="exterior",
-                        event="feasible-relaxed", eps=0.1, p=0.1,
-                        replications=5, seed=0, h=0.05)
     with pytest.raises(ConfigError, match="at least one stochastic"):
-        coverage_certificate(plan)
+        coverage_certificate(CoveragePlan(
+            program=program, theorem="exterior", event="feasible-relaxed",
+            eps=0.1, p=0.1, replications=5, seed=0, h=0.05))
+
+
+@pytest.mark.parametrize("theorem, event", [("exterior", "feasible-relaxed"),
+                                            ("interior", "feasible-hard")])
+def test_plans_without_constraints_need_the_fixed_theorem(theorem, event):
+    """With m = 0 only the fixed theorem certifies anything: an exterior or
+    interior plan is refused before any margin or regularity is looked up,
+    with the sample-size rule's message, not a Slater-margin error."""
+    with pytest.raises(ConfigError) as err:
+        CoveragePlan(program=make_family("quad1d"), theorem=theorem,
+                     event=event, eps=0.1, p=0.1, replications=20, seed=101,
+                     h=0.01)
+    assert err.value.message == (f"{theorem} certificates need at least one "
+                                 "stochastic constraint")
+    assert err.value.details == {"m": 0}
 
 
 def test_coverage_half_run_merge_is_exact():
